@@ -18,10 +18,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import random
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -53,13 +55,15 @@ class ScoreKind(Enum):
     REWARD = "reward"
 
 
-@dataclass(frozen=True)
+_KINDS = {kind.value: kind for kind in ScoreKind}
+
+
+@dataclass(frozen=True, slots=True)
 class DirectionScore:
     """Score for one prompt direction. Probability kind must be in [0, 1]."""
 
     value: float
     kind: ScoreKind
-    raw: object = None
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -238,9 +242,7 @@ class LogprobComparator:
             raise UnparseableLogprobs(
                 f"no YES/NO probability for pair ({existing.id}, {new.id})"
             )
-        return DirectionScore(
-            result.token_probabilities["YES"], ScoreKind.PROBABILITY, raw=result
-        )
+        return DirectionScore(result.token_probabilities["YES"], ScoreKind.PROBABILITY)
 
 
 _FINAL_ANSWER = re.compile(r"\b(YES|NO)\b", re.IGNORECASE)
@@ -273,9 +275,7 @@ class ReasoningComparator:
         prompt = prompts.render(prompts.URGENT_SFT, prompts.pair_bindings(existing, new))
         result = gateway.complete(self._config, self._system, prompt, want_logprobs=False)
         answer = parse_final_answer(result.text)
-        return DirectionScore(
-            1.0 if answer == "YES" else 0.0, ScoreKind.PROBABILITY, raw=result
-        )
+        return DirectionScore(1.0 if answer == "YES" else 0.0, ScoreKind.PROBABILITY)
 
 
 class RewardComparator:
@@ -316,13 +316,19 @@ class ComparisonCache:
     File format: one JSON object per line with fields key, value, kind,
     timestamp. Later entries win; the file is compacted on load when
     duplicates or corrupt lines are found. Corrupt lines are dropped with
-    a warning and those keys fall back to the backend.
+    a warning and those keys fall back to the backend. Compaction writes a
+    temporary file and swaps it in, so a crash leaves the old file whole.
+
+    Writes go through one append handle, opened on the first put and
+    flushed after every line, so another store opened on the same path
+    sees every entry written so far.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
-        self._entries: dict[str, tuple[float, str]] = {}
+        self._entries: dict[str, DirectionScore] = {}
         self._lock = threading.Lock()
+        self._handle = None
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -332,7 +338,7 @@ class ComparisonCache:
     def _load(self) -> None:
         assert self._path is not None
         try:
-            raw_lines = self._path.read_text(encoding="utf-8").splitlines()
+            text = self._path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             logger.warning(
                 "CacheInvalid: cannot read cache %s (%s); starting empty",
@@ -340,19 +346,18 @@ class ComparisonCache:
                 exc,
             )
             return
-        dirty = False
-        for line in raw_lines:
+        # a last line without its newline would swallow the next append
+        dirty = bool(text) and not text.endswith("\n")
+        for line in text.splitlines():
             if not line.strip():
                 continue
             try:
                 entry = json.loads(line)
                 key = entry["key"]
-                value = float(entry["value"])
-                kind = entry["kind"]
-                if not math.isfinite(value):
-                    raise ValueError("non-finite value")
-                ScoreKind(kind)
-            except (ValueError, KeyError, TypeError):
+                if not isinstance(key, str):
+                    raise TypeError("key is not a string")
+                score = DirectionScore(float(entry["value"]), _KINDS[entry["kind"]])
+            except (ValueError, KeyError, TypeError, BadScore):
                 logger.warning(
                     "CacheInvalid: dropping corrupt cache line in %s", self._path
                 )
@@ -360,15 +365,23 @@ class ComparisonCache:
                 continue
             if key in self._entries:
                 dirty = True
-            self._entries[key] = (value, kind)
+            self._entries[key] = score
         if dirty:
             self._compact()
 
     def _compact(self) -> None:
         assert self._path is not None
-        with self._path.open("w", encoding="utf-8") as handle:
-            for key, (value, kind) in self._entries.items():
-                handle.write(self._format_line(key, value, kind))
+        temporary = self._path.with_name(f"{self._path.name}.{os.getpid()}.tmp")
+        try:
+            with temporary.open("w", encoding="utf-8") as handle:
+                for key, score in self._entries.items():
+                    handle.write(self._format_line(key, score.value, score.kind.value))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temporary, self._path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
 
     @staticmethod
     def _format_line(key: str, value: float, kind: str) -> str:
@@ -381,24 +394,35 @@ class ComparisonCache:
         )
 
     def get(self, key: str) -> DirectionScore | None:
-        with self._lock:
-            entry = self._entries.get(key)
-        if entry is None:
-            return None
-        value, kind = entry
-        return DirectionScore(value, ScoreKind(kind))
+        return self._entries.get(key)
 
     def put(self, key: str, score: DirectionScore) -> None:
+        if self._path is None:
+            self._entries[key] = score
+            return
+        line = self._format_line(key, score.value, score.kind.value)
         with self._lock:
-            self._entries[key] = (score.value, score.kind.value)
-            if self._path is not None:
-                with self._path.open("a", encoding="utf-8") as handle:
-                    handle.write(
-                        self._format_line(key, score.value, score.kind.value)
-                    )
+            self._entries[key] = score
+            if self._handle is None:
+                self._handle = self._path.open("a", encoding="utf-8")
+                # a store dropped without close() still closes its handle
+                weakref.finalize(self, self._handle.close)
+            self._handle.write(line)
+            self._handle.flush()
+
+    def close(self) -> None:
+        """Close the append handle; a later put opens it again."""
+        with self._lock:
+            self._close_handle()
+
+    def _close_handle(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def clear(self) -> None:
         with self._lock:
+            self._close_handle()
             self._entries.clear()
             if self._path is not None and self._path.exists():
                 self._path.unlink()
@@ -407,9 +431,10 @@ class ComparisonCache:
 class CachedComparator:
     """Transparent read-through cache around another comparator.
 
-    Keys are (backend identity, prompt variant, ordered id pair), so the
-    two directions of a pair are cached independently. ``hits`` and
-    ``misses`` count directed lookups.
+    Keys are the JSON array ``[identity, variant, existing_id, new_id]``,
+    so the two directions of a pair are cached independently. Each key is
+    assembled from a prefix built once and one memoized JSON string per
+    message id. ``hits`` and ``misses`` count directed lookups.
     """
 
     def __init__(self, inner: Comparator, store: ComparisonCache):
@@ -417,30 +442,38 @@ class CachedComparator:
         self._store = store
         self.cache_identity = getattr(inner, "cache_identity", type(inner).__name__)
         self.prompt_variant = getattr(inner, "prompt_variant", "default")
+        self._prefix = json.dumps([self.cache_identity, self.prompt_variant])[:-1] + ", "
+        self._id_json: dict[str, str] = {}
+        self._count_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def _key(self, existing: Message, new: Message) -> str:
-        return json.dumps(
-            [self.cache_identity, self.prompt_variant, existing.id, new.id]
-        )
+        id_json = self._id_json
+        first = id_json.get(existing.id)
+        if first is None:
+            first = id_json[existing.id] = json.dumps(existing.id)
+        second = id_json.get(new.id)
+        if second is None:
+            second = id_json[new.id] = json.dumps(new.id)
+        return f"{self._prefix}{first}, {second}]"
 
     def has_cached_pair(self, a: Message, b: Message) -> bool:
         """True when both directions of the pair are already stored."""
-        return (
-            self._store.get(self._key(a, b)) is not None
-            and self._store.get(self._key(b, a)) is not None
-        )
+        get = self._store.get
+        return get(self._key(a, b)) is not None and get(self._key(b, a)) is not None
 
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
         key = self._key(existing, new)
         cached_score = self._store.get(key)
         if cached_score is not None:
-            self.hits += 1
+            with self._count_lock:
+                self.hits += 1
             return cached_score
         score = self._inner.score_directed(existing, new)
         self._store.put(key, score)
-        self.misses += 1
+        with self._count_lock:
+            self.misses += 1
         return score
 
 

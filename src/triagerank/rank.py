@@ -5,6 +5,11 @@ scores). The winner's running score grows by 1 + |eta|; a tie credits 0.5
 to each side. The final ranking sorts by total score, ids ascending on
 exact ties, which makes the result invariant to the input inbox order.
 
+Every credit is a float in [1, 2] or 0.5, so each is a whole number of
+2**-52 units. Totals are summed in those integer units and divided once,
+so a score is exact whatever order its credits arrived in: an
+incrementally built ranking equals the full tournament bit for bit.
+
 Pairwise tasks are independent and may run in parallel (``max_workers``);
 score accumulation stays single-threaded in sorted pair order, so the
 result equals the sequential computation. A failed comparison aborts the
@@ -16,13 +21,16 @@ cached re-run can resume cheaply.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .compare import Comparator, ComparisonOutcome, Winner, compare
 from .corpus import Message
 from .errors import ComparisonFailed, DataError, DuplicateId
+
+_UNIT = 2**52
+_HALF = _UNIT // 2
 
 
 @dataclass(frozen=True)
@@ -31,7 +39,8 @@ class TournamentResult:
 
     comparisons_made counts pairs that reached the backend; cache_hits
     counts pairs served entirely from cache. Their sum is n(n-1)/2 for a
-    full tournament over n messages.
+    full tournament over n messages. score_units holds the exact totals
+    behind scores, in units of 2**-52.
     """
 
     messages: tuple[Message, ...]
@@ -41,6 +50,7 @@ class TournamentResult:
     ties_encountered: int
     comparisons_made: int
     cache_hits: int
+    score_units: dict[str, int] = field(repr=False, compare=False)
 
     def to_record(self) -> dict:
         return {
@@ -53,17 +63,15 @@ class TournamentResult:
         }
 
 
-def _apply_outcome(scores: dict[str, float], outcome: ComparisonOutcome) -> int:
-    """Credit the pair's score mass; returns 1 when the pair tied."""
-    if outcome.winner is Winner.B:
-        scores[outcome.b_id] += 1.0 + abs(outcome.eta)
-        return 0
-    if outcome.winner is Winner.A:
-        scores[outcome.a_id] += 1.0 + abs(outcome.eta)
-        return 0
-    scores[outcome.a_id] += 0.5
-    scores[outcome.b_id] += 0.5
-    return 1
+def _apply_outcome(units: dict[str, int], outcome: ComparisonOutcome) -> int:
+    """Credit the pair's score mass in exact units; returns 1 when the pair tied."""
+    if outcome.winner is Winner.TIE:
+        units[outcome.a_id] += _HALF
+        units[outcome.b_id] += _HALF
+        return 1
+    winner_id = outcome.b_id if outcome.winner is Winner.B else outcome.a_id
+    units[winner_id] += int((1.0 + abs(outcome.eta)) * _UNIT)
+    return 0
 
 
 def _execute_pairs(
@@ -94,7 +102,7 @@ def _execute_pairs(
 
 def _accumulate(
     executed: Iterable[tuple[ComparisonOutcome, bool]],
-    scores: dict[str, float],
+    units: dict[str, int],
     outcomes: list[ComparisonOutcome],
 ) -> tuple[int, int, int]:
     """Apply outcomes in order; returns (ties, comparisons_made, cache_hits)."""
@@ -107,7 +115,7 @@ def _accumulate(
                 hits += 1
             else:
                 made += 1
-            ties += _apply_outcome(scores, outcome)
+            ties += _apply_outcome(units, outcome)
             outcomes.append(outcome)
     except ComparisonFailed as exc:
         exc.partial_outcomes = tuple(outcomes)
@@ -115,8 +123,25 @@ def _accumulate(
     return ties, made, hits
 
 
-def _ranking(scores: dict[str, float]) -> tuple[str, ...]:
-    return tuple(sorted(scores, key=lambda message_id: (-scores[message_id], message_id)))
+def _result(
+    messages: tuple[Message, ...],
+    units: dict[str, int],
+    outcomes: list[ComparisonOutcome],
+    ties: int,
+    made: int,
+    hits: int,
+) -> TournamentResult:
+    """Scores from the exact totals, ranked by total then id."""
+    return TournamentResult(
+        messages=messages,
+        ranking=tuple(sorted(units, key=lambda message_id: (-units[message_id], message_id))),
+        scores={message_id: total / _UNIT for message_id, total in units.items()},
+        outcomes=tuple(outcomes),
+        ties_encountered=ties,
+        comparisons_made=made,
+        cache_hits=hits,
+        score_units=units,
+    )
 
 
 def run_tournament(
@@ -133,21 +158,13 @@ def run_tournament(
     if len(set(ids)) != len(ids):
         raise DuplicateId("inbox contains duplicate message ids")
     ordered = sorted(inbox, key=lambda message: message.id)
-    scores = {message.id: 0.0 for message in ordered}
+    units = {message.id: 0 for message in ordered}
     outcomes: list[ComparisonOutcome] = []
     pairs = list(combinations(ordered, 2))
     ties, made, hits = _accumulate(
-        _execute_pairs(pairs, comparator, max_workers), scores, outcomes
+        _execute_pairs(pairs, comparator, max_workers), units, outcomes
     )
-    return TournamentResult(
-        messages=tuple(ordered),
-        ranking=_ranking(scores),
-        scores=scores,
-        outcomes=tuple(outcomes),
-        ties_encountered=ties,
-        comparisons_made=made,
-        cache_hits=hits,
-    )
+    return _result(tuple(ordered), units, outcomes, ties, made, hits)
 
 
 def insert_incremental(
@@ -165,25 +182,24 @@ def insert_incremental(
     """
     if new_message.id in result.scores:
         raise DuplicateId(f"message {new_message.id!r} is already ranked")
-    scores = dict(result.scores)
-    scores[new_message.id] = 0.0
+    units = dict(result.score_units)
+    units[new_message.id] = 0
     outcomes = list(result.outcomes)
     pairs = [
         tuple(sorted((existing, new_message), key=lambda message: message.id))
         for existing in result.messages
     ]
     ties, made, hits = _accumulate(
-        _execute_pairs(pairs, comparator, max_workers), scores, outcomes
+        _execute_pairs(pairs, comparator, max_workers), units, outcomes
     )
     messages = tuple(
         sorted((*result.messages, new_message), key=lambda message: message.id)
     )
-    return TournamentResult(
-        messages=messages,
-        ranking=_ranking(scores),
-        scores=scores,
-        outcomes=tuple(outcomes),
-        ties_encountered=result.ties_encountered + ties,
-        comparisons_made=result.comparisons_made + made,
-        cache_hits=result.cache_hits + hits,
+    return _result(
+        messages,
+        units,
+        outcomes,
+        result.ties_encountered + ties,
+        result.comparisons_made + made,
+        result.cache_hits + hits,
     )

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -27,6 +29,7 @@ from triagerank.errors import (
     UnparseableAnswer,
     UnparseableLogprobs,
 )
+from triagerank.rank import run_tournament
 
 from .conftest import make_labeled, make_message
 from .test_gateway import config_for
@@ -385,3 +388,117 @@ def test_cached_scores_lose_only_raw_payload(tmp_path, fixture_corpus):
     again = comparator.score_directed(a, b)
     assert again.value == fresh.value
     assert again.kind is fresh.kind
+
+
+def test_cache_serves_hand_written_old_style_keys(tmp_path):
+    # ids that JSON escapes: the keys must match json.dumps byte for byte
+    a, b = make_message('m"1'), make_message("m\u00e92")
+    path = tmp_path / "cache.jsonl"
+    with path.open("w", encoding="utf-8") as handle:
+        for (first, second), value in (((a, b), 0.75), ((b, a), 0.25)):
+            key = json.dumps(["CountingComparator", "default", first.id, second.id])
+            line = {"key": key, "value": value, "kind": "probability", "timestamp": 0.0}
+            handle.write(json.dumps(line, sort_keys=True) + "\n")
+    counting = CountingComparator(ScriptedComparator({}))
+    comparator = cached(counting, ComparisonCache(path))
+    assert comparator.has_cached_pair(a, b)
+    outcome = compare(comparator, a, b)
+    assert counting.backend_calls == 0
+    assert comparator.hits == 2 and comparator.misses == 0
+    assert (outcome.s_ab.value, outcome.s_ba.value) == (0.75, 0.25)
+
+
+def test_cache_counters_exact_under_parallel_tournaments(tmp_path, fixture_corpus):
+    messages = [labeled.message for labeled in fixture_corpus[:16]]
+    comparator = cached(
+        noisy_oracle(fixture_corpus, {1: 0.3}, seed=3),
+        ComparisonCache(tmp_path / "cache.jsonl"),
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost += would show
+    try:
+        run_tournament(messages, comparator, max_workers=4)
+        run_tournament(messages, comparator, max_workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    n = len(messages)
+    assert comparator.hits == comparator.misses == n * (n - 1)
+
+
+def test_cache_put_after_clear_recreates_file(tmp_path, fixture_corpus):
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    comparator = cached(perfect_oracle(fixture_corpus), store)
+    a, b = fixture_corpus[0].message, fixture_corpus[7].message
+    compare(comparator, a, b)
+    store.clear()
+    assert not path.exists() and len(store) == 0
+    compare(comparator, a, b)
+    assert path.exists()
+    assert len(ComparisonCache(path)) == 2
+    store.close()
+
+
+def test_second_store_sees_entries_while_first_holds_handle(tmp_path, fixture_corpus):
+    path = tmp_path / "cache.jsonl"
+    first = ComparisonCache(path)
+    comparator = cached(perfect_oracle(fixture_corpus), first)
+    messages = [labeled.message for labeled in fixture_corpus[:6]]
+    for a, b in zip(messages, messages[1:]):
+        compare(comparator, a, b)
+    second = ComparisonCache(path)
+    assert len(second) == len(first) == 10
+    for key in ("x", "y"):
+        first.put(key, DirectionScore(0.5, ScoreKind.PROBABILITY))
+    assert len(ComparisonCache(path)) == 12
+    first.close()
+
+
+def test_cache_repairs_missing_final_newline_before_appending(tmp_path, fixture_corpus):
+    path = tmp_path / "cache.jsonl"
+    counting = CountingComparator(perfect_oracle(fixture_corpus))
+    a, b, c = (fixture_corpus[i].message for i in (0, 7, 14))
+    store = ComparisonCache(path)
+    compare(cached(counting, store), a, b)
+    store.close()
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    store = ComparisonCache(path)
+    compare(cached(counting, store), a, c)
+    store.close()
+    assert len(ComparisonCache(path)) == 4
+    assert counting.backend_calls == 4
+
+
+def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    comparator = cached(perfect_oracle(fixture_corpus), store)
+    messages = [labeled.message for labeled in fixture_corpus[:6]]
+    for a, b in zip(messages, messages[1:]):
+        compare(comparator, a, b)
+    store.close()
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write("{corrupt line\n")
+    before = path.read_bytes()
+
+    format_line = ComparisonCache._format_line
+    written = []
+
+    def fail_halfway(key, value, kind):
+        if len(written) == 5:
+            raise OSError("disk full")
+        written.append(key)
+        return format_line(key, value, kind)
+
+    monkeypatch.setattr(ComparisonCache, "_format_line", staticmethod(fail_halfway))
+    with pytest.raises(OSError, match="disk full"):
+        ComparisonCache(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl"]
+
+
+def test_direction_scores_carry_no_backend_payload(mock_endpoint):
+    comparator = logprob_comparator(config_for(mock_endpoint))
+    mock_endpoint.enqueue_fixture("logprob_top2")
+    score = comparator.score_directed(make_message("a"), make_message("b"))
+    assert not hasattr(score, "raw")

@@ -206,3 +206,23 @@ def test_incremental_then_cached_rerun_identical(tmp_path, fixture_corpus):
     assert rerun.comparisons_made == 0
     assert rerun.ranking == extended.ranking
     assert rerun.scores == pytest.approx(extended.scores)
+
+
+def test_insert_built_scores_equal_full_tournament_exactly():
+    class RandomProbabilities:
+        """A fixed pseudo-random probability per directed pair."""
+
+        def score_directed(self, existing, new):
+            rng = random.Random(f"{existing.id}|{new.id}")
+            return DirectionScore(rng.random(), ScoreKind.PROBABILITY)
+
+    comparator = RandomProbabilities()
+    messages = [make_message(f"m{index:02d}") for index in range(40)]
+    random.Random(5).shuffle(messages)
+    built = run_tournament(messages[:10], comparator)
+    for message in messages[10:]:
+        built = insert_incremental(built, message, comparator)
+    full = run_tournament(messages, comparator)
+    assert built.scores == full.scores
+    assert built.ranking == full.ranking
+    assert built.score_units == full.score_units

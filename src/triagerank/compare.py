@@ -163,10 +163,13 @@ class NoisyOracleComparator:
         seed: int = 0,
         margin: float = 0.4,
     ):
-        if isinstance(labels, Mapping):
-            self._labels = dict(labels)
-        else:
-            self._labels = {item.id: item.label for item in labels}
+        if not isinstance(labels, Mapping):
+            labels = {item.id: item.label for item in labels}
+        self._levels = {
+            message_id: label.level
+            for message_id, label in labels.items()
+            if label.is_ordinal
+        }
         self._flip = dict(flip_prob_by_gap or {})
         for gap, probability in self._flip.items():
             if not 0.0 <= probability <= 1.0:
@@ -175,28 +178,43 @@ class NoisyOracleComparator:
             raise ConfigError("margin must be in (0, 0.5]")
         self._seed = seed
         self._margin = margin
+        self._last_draw: tuple[tuple[str, str] | None, bool] = (None, False)
         self.cache_identity = (
             f"oracle(seed={seed},margin={margin},"
             f"flip={sorted(self._flip.items())})"
         )
 
     def _level(self, message: Message) -> int:
-        label = self._labels.get(message.id)
-        if label is None or not label.is_ordinal:
+        level = self._levels.get(message.id)
+        if level is None:
             raise OracleNeedsLabels(
                 f"no ordinal label for message {message.id!r}", message_id=message.id
             )
-        return label.level
+        return level
+
+    def _flipped(self, id_a: str, id_b: str, flip: float) -> bool:
+        """The pair's seeded flip draw, shared by both directions.
+
+        The draw (a string-seeded ``random.Random``) is most of a call, so
+        the last pair's result is kept for the reverse direction that
+        ``compare`` asks for next. The memo is one tuple swapped whole, so
+        a concurrent caller can only miss it, never read a mixed entry.
+        """
+        pair = (id_a, id_b) if id_a < id_b else (id_b, id_a)
+        last_pair, last_flipped = self._last_draw
+        if last_pair == pair:
+            return last_flipped
+        flipped = random.Random(f"{self._seed}|{pair[0]}|{pair[1]}").random() < flip
+        self._last_draw = (pair, flipped)
+        return flipped
 
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
         level_existing = self._level(existing)
         level_new = self._level(new)
         if level_existing == level_new:
             return DirectionScore(0.5, ScoreKind.PROBABILITY)
-        gap = abs(level_existing - level_new)
-        first, second = sorted((existing.id, new.id))
-        rng = random.Random(f"{self._seed}|{first}|{second}")
-        flipped = rng.random() < self._flip.get(gap, 0.0)
+        flip = self._flip.get(abs(level_existing - level_new), 0.0)
+        flipped = flip > 0.0 and self._flipped(existing.id, new.id, flip)
         new_is_more_urgent = level_new < level_existing
         if flipped:
             new_is_more_urgent = not new_is_more_urgent

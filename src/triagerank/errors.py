@@ -92,10 +92,6 @@ class ComparisonFailed(BackendError):
     """
 
 
-class CacheInvalid(DataError):
-    """A comparison cache file is corrupt (affected keys fall back)."""
-
-
 # gateway
 class MissingBinding(DataError):
     """A prompt template placeholder was left unbound."""

@@ -22,6 +22,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -194,18 +195,42 @@ def expected_t_ndcg(
     shuffled independently per trial. Per-trial seeds derive from
     (seed, trial), so parallel evaluation would match this sequential
     result.
+
+    Each trial equals ``t_ndcg_at_k`` on its shuffled ranking bit for bit,
+    but the gains, the ideal DCG and the per-position DCG terms are
+    computed once: a trial shuffles each id's row of terms and sums only
+    the top k and the reversed bottom k, in ``_dcg``'s order.
     """
     if shuffles < 1:
         raise ConfigError("shuffles must be >= 1")
+    n = sum(len(group) for group in class_groups)
+    if k is None:
+        k = n
+    if not 1 <= k <= n:
+        raise ConfigError(f"k must be in 1..{n}, got {k}")
+    group_gains = [_gain_vector(group, labels, mapping) for group in class_groups]
+    gains = [gain for group in group_gains for gain in group]
+    ideal = _dcg(sorted(gains, reverse=True), k)
+    if ideal == 0.0:
+        # NDCG is 1.0 for the ranking and its reversal in every trial
+        return 0.0, 0.0
+    terms = {
+        gain: [(2.0**gain - 1.0) / math.log2(position + 1) for position in range(1, k + 1)]
+        for gain in set(gains)
+    }
+    group_rows = [[terms[gain] for gain in group] for group in group_gains]
+    positions = range(k)
     values = np.empty(shuffles)
     for trial in range(shuffles):
         rng = random.Random(f"{seed}:{trial}")
-        flat: list[str] = []
-        for group in class_groups:
-            members = list(group)
+        flat: list[list[float]] = []
+        for members in group_rows:
+            members = list(members)
             rng.shuffle(members)
             flat.extend(members)
-        values[trial] = t_ndcg_at_k(flat, labels, mapping, k)
+        top = sum(map(getitem, flat[:k], positions))
+        bottom = sum(map(getitem, flat[:-k - 1:-1], positions))
+        values[trial] = top / ideal - bottom / ideal
     if shuffles == 1 or np.all(values == values[0]):
         # identical samples have exactly zero spread; keep float dust out
         stddev = 0.0

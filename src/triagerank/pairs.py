@@ -11,6 +11,8 @@ and inputs.
 
 from __future__ import annotations
 
+import bisect
+import collections.abc
 import json
 import random
 from collections import Counter
@@ -112,6 +114,48 @@ def _ordinal_only(corpus: Iterable[LabeledMessage]) -> list[LabeledMessage]:
     return [labeled for labeled in corpus if labeled.label.is_ordinal]
 
 
+class _CrossLevelPairs(collections.abc.Sequence):
+    """Index pairs (i, j), i < j, whose level gap is in ``gaps``, row by row.
+
+    Equal to the list comprehension over all i < j in the same order, but
+    it holds only one sorted partner list per level and one offset per row:
+    row i is the tail after i of its level's partner list, and
+    ``__getitem__`` finds the row by bisecting the row offsets.
+    """
+
+    def __init__(self, levels: Sequence[int], gaps: Iterable[int]):
+        gaps = set(gaps)
+        partners = {
+            level: [j for j, other in enumerate(levels) if abs(other - level) in gaps]
+            for level in set(levels)
+        }
+        self._rows: list[tuple[int, list[int], int]] = []  # (i, partners, start)
+        self._offsets: list[int] = []
+        self._len = 0
+        for i, level in enumerate(levels):
+            row = partners[level]
+            start = bisect.bisect_right(row, i)
+            if start < len(row):
+                self._rows.append((i, row, start))
+                self._offsets.append(self._len)
+                self._len += len(row) - start
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> tuple[int, int]:
+        if not 0 <= index < self._len:
+            raise IndexError("pair index out of range")
+        row = bisect.bisect_right(self._offsets, index) - 1
+        i, partners, start = self._rows[row]
+        return i, partners[start + index - self._offsets[row]]
+
+    def __iter__(self):
+        for i, partners, start in self._rows:
+            for position in range(start, len(partners)):
+                yield i, partners[position]
+
+
 def build_eval_pairs(
     corpus: Sequence[LabeledMessage],
     count: int,
@@ -124,21 +168,21 @@ def build_eval_pairs(
     exist. The orientation of each pair (which message is a) is
     randomized. With ``difficulty_quotas`` the sample is drawn per
     difficulty stratum instead and ``count`` is ignored.
+
+    The candidates are every cross-level (i, j), i < j, over the ordinal
+    messages in row order, and ``random.sample`` draws from them by index.
+    They are never listed: memory is O(N) in the corpus size, and the
+    sample for a seed is the same as drawing from the full candidate list.
     """
     if count < 0:
         raise ConfigError("count must be non-negative")
     ordinal = _ordinal_only(corpus)
-    if len({labeled.level for labeled in ordinal}) < 2:
+    levels = [labeled.level for labeled in ordinal]
+    if len(set(levels)) < 2:
         raise NoValidPairs("corpus has fewer than two distinct urgency levels")
-    candidates = [
-        (i, j)
-        for i in range(len(ordinal))
-        for j in range(i + 1, len(ordinal))
-        if ordinal[i].level != ordinal[j].level
-    ]
     rng = random.Random(seed)
 
-    def _draw(pool: list[tuple[int, int]], wanted: int) -> list[EvalPair]:
+    def _draw(pool: _CrossLevelPairs, wanted: int) -> list[EvalPair]:
         chosen = pool if wanted >= len(pool) else rng.sample(pool, wanted)
         drawn = []
         for i, j in chosen:
@@ -147,18 +191,14 @@ def build_eval_pairs(
         return drawn
 
     if difficulty_quotas is None:
-        return _draw(candidates, count)
+        return _draw(_CrossLevelPairs(levels, range(1, 6)), count)
     pairs: list[EvalPair] = []
     for difficulty in Difficulty:
         wanted = difficulty_quotas.get(difficulty, 0)
         if wanted <= 0:
             continue
-        pool = [
-            (i, j)
-            for i, j in candidates
-            if difficulty_for_gap(abs(ordinal[i].level - ordinal[j].level)) is difficulty
-        ]
-        pairs.extend(_draw(pool, wanted))
+        gaps = [gap for gap in range(1, 6) if difficulty_for_gap(gap) is difficulty]
+        pairs.extend(_draw(_CrossLevelPairs(levels, gaps), wanted))
     return pairs
 
 
@@ -230,18 +270,27 @@ def build_triplets(
     rng = random.Random(seed)
     usage: Counter = Counter()
     triplets: list[Triplet] = []
+    # per level, the messages still under the cap, in corpus order
+    open_partners = {level: list(members) for level, members in levels.items()}
+    levels_of_id: dict[str, set[int]] = {}
+    for level, members in levels.items():
+        for m in members:
+            levels_of_id.setdefault(m.id, set()).add(level)
+
+    def _use(message_id: str) -> None:
+        usage[message_id] += 1
+        if usage[message_id] == max_uses_per_message:
+            for level in levels_of_id[message_id]:
+                open_partners[level] = [
+                    m for m in open_partners[level] if m.id != message_id
+                ]
 
     def _pick_partner(eligible_levels: list[int]) -> LabeledMessage | None:
-        available = [
-            level
-            for level in eligible_levels
-            if any(usage[m.id] < max_uses_per_message for m in levels.get(level, ()))
-        ]
+        available = [level for level in eligible_levels if open_partners.get(level)]
         if not available:
             return None
         level = rng.choice(available)
-        pool = [m for m in levels[level] if usage[m.id] < max_uses_per_message]
-        return rng.choice(pool)
+        return rng.choice(open_partners[level])
 
     while True:
         progressed = False
@@ -252,8 +301,8 @@ def build_triplets(
             less = _pick_partner(list(range(anchor.level + 1, 7)))
             if more is None or less is None:
                 continue
-            usage[more.id] += 1
-            usage[less.id] += 1
+            _use(more.id)
+            _use(less.id)
             triplets.append(
                 Triplet(anchor=anchor, more_urgent=more, less_urgent=less)
             )

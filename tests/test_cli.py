@@ -230,6 +230,38 @@ def test_pipeline_deterministic(tmp_path):
         assert (dir_2 / artifact.name).read_bytes() == artifact.read_bytes(), artifact.name
 
 
+# sha256 of every artifact of the fixture pipeline below. A change that
+# moves any of them changes artifact bytes and must say so in CHANGES.md.
+# Recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1; the report
+# floats go through numpy's mean and std.
+GOLDEN_ARTIFACT_SHA256 = {
+    "eval_pairs": "5c3bde0ea814ee3e8e73348219d404425e6593c420d32ffed554f4f82d320527",
+    "extrinsic": "5007de91b2bac250a62cff24e9d23082cc2e93797d3ade197d1e246e192474ec",
+    "filtered_corpus": "166cf60d8f9daa1b17ac2d3aff55dacb809091b3c3c168f7dedc7059c3ac1000",
+    "inbox": "5bed1fb4c22391388ce61a68db847b809f80880cfacddfec53f65b52db78f48a",
+    "intrinsic": "e0a1ea29d163f99f025c9276096f5ac844d8b5c0432f6fe87fa2d7c9bff1135a",
+    "ranking": "34aa15da7de48179f5640b4975b1a1dee7f3e9f6ac2f00d4a7448d5b995ccd38",
+    "reward": "089a268b7e3e42f65c617295158f486b7e6d36a15e295e01d7d124e6a4f05988",
+    "sft": "1b7a795fd0fad9fa3e4c272fca0d15a2c79f657b6dae22f90b84be8ce724bc9c",
+    "triplets": "590d1c06a421cad4e82bc15df86ed1bae512c0e6fab55f2ae361e15aab2eac7d",
+}
+
+
+def test_pipeline_artifact_hashes_golden(tmp_path, monkeypatch):
+    # the corpus path is part of the config hash in every report, so the
+    # run uses a relative one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.jsonl").write_bytes(Path(FIXTURE).read_bytes())
+    manifest = cli.run_pipeline(
+        cli.RunConfig(
+            corpus="corpus.jsonl", out_dir="run", seed=3, comparator="oracle",
+            flip={1: 0.3, 2: 0.15},
+        )
+    )
+    hashes = {name: entry["sha256"] for name, entry in manifest["artifacts"].items()}
+    assert hashes == GOLDEN_ARTIFACT_SHA256
+
+
 def test_pipeline_missing_corpus_signals_load_stage(tmp_path, capsys):
     code = run_cli(
         "pipeline", "--corpus", tmp_path / "absent.jsonl", "--out-dir", tmp_path / "o"

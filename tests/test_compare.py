@@ -200,6 +200,70 @@ def test_oracle_flip_probability_validation():
         noisy_oracle([make_labeled("a", 1)], margin=0.6)
 
 
+class AlwaysDrawOracle:
+    """The noisy oracle's rule with a fresh per-pair draw on every call."""
+
+    def __init__(self, labeled, flip, seed, margin=0.4):
+        self.levels = {item.id: item.level for item in labeled}
+        self.flip, self.seed, self.margin = flip, seed, margin
+
+    def score_directed(self, existing, new):
+        level_existing, level_new = self.levels[existing.id], self.levels[new.id]
+        if level_existing == level_new:
+            return DirectionScore(0.5, ScoreKind.PROBABILITY)
+        first, second = sorted((existing.id, new.id))
+        rng = random.Random(f"{self.seed}|{first}|{second}")
+        flipped = rng.random() < self.flip.get(abs(level_existing - level_new), 0.0)
+        new_is_more_urgent = (level_new < level_existing) != flipped
+        value = 0.5 + self.margin if new_is_more_urgent else 0.5 - self.margin
+        return DirectionScore(value, ScoreKind.PROBABILITY)
+
+
+NOISY_FLIP = {1: 0.3, 2: 0.15, 3: 0.0, 4: 1.0}  # gap 5 is absent: never flipped
+
+
+def _noisy_inbox(count=36, seed=2):
+    rng = random.Random(seed)
+    return [make_labeled(f"n{index:02d}", rng.randint(1, 6)) for index in range(count)]
+
+
+def test_oracle_equals_always_draw_reference_with_interleaved_pairs():
+    labeled = _noisy_inbox()
+    oracle = noisy_oracle(labeled, NOISY_FLIP, seed=5)
+    reference = AlwaysDrawOracle(labeled, NOISY_FLIP, seed=5)
+    messages = [item.message for item in labeled]
+    rng = random.Random(8)
+    for _ in range(3000):
+        existing, new = rng.sample(messages, 2)
+        assert oracle.score_directed(existing, new) == reference.score_directed(existing, new)
+    # both directions of one pair, then of another, then back: the memo of
+    # the last draw must never answer for a different pair
+    pairs = [rng.sample(messages, 2) for _ in range(200)]
+    for (a, b), (c, d) in zip(pairs, pairs[1:]):
+        for existing, new in ((a, b), (c, d), (b, a), (d, c), (b, a)):
+            assert oracle.score_directed(existing, new) == reference.score_directed(
+                existing, new
+            )
+        assert compare(oracle, a, b) == compare(reference, a, b)
+
+
+def test_oracle_equals_always_draw_reference_in_parallel_tournament():
+    labeled = _noisy_inbox(count=40, seed=3)
+    messages = [item.message for item in labeled]
+    reference = run_tournament(messages, AlwaysDrawOracle(labeled, NOISY_FLIP, seed=11))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a shared memo would show
+    try:
+        for _ in range(3):
+            oracle = noisy_oracle(labeled, NOISY_FLIP, seed=11)
+            result = run_tournament(messages, oracle, max_workers=4)
+            assert result.outcomes == reference.outcomes
+            assert result.scores == reference.scores
+            assert result.ranking == reference.ranking
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -------------------------------------------------- gateway-backed comparators
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from triagerank.compare import DirectionScore, ScoreKind, Winner, compare, noisy_oracle, perfect_oracle
@@ -219,6 +220,69 @@ def test_expected_requires_positive_shuffles():
     ranking, labels = labels_for([1, 6])
     with pytest.raises(ConfigError):
         expected_t_ndcg([ranking], labels, k=2, shuffles=0)
+
+
+def per_trial_expected(groups, labels, k, shuffles, seed):
+    """expected_t_ndcg as it was written: t_ndcg_at_k on every shuffled list."""
+    values = np.empty(shuffles)
+    for trial in range(shuffles):
+        rng = random.Random(f"{seed}:{trial}")
+        flat = []
+        for group in groups:
+            members = list(group)
+            rng.shuffle(members)
+            flat.extend(members)
+        values[trial] = t_ndcg_at_k(flat, labels, k=k)
+    if shuffles == 1 or np.all(values == values[0]):
+        return float(np.mean(values)), 0.0
+    return float(np.mean(values)), float(np.std(values, ddof=1))
+
+
+def _random_groups(rng, ranking):
+    groups, rest = [], list(ranking)
+    while rest:
+        size = rng.randint(1, 9)
+        groups.append(rest[:size])
+        rest = rest[size:]
+    return groups
+
+
+def test_expected_equals_per_trial_formula_bit_for_bit():
+    rng = random.Random(31)
+    for case in range(25):
+        n = rng.randint(1, 45)
+        ranking, labels = labels_for([rng.randint(1, 6) for _ in range(n)], prefix=f"c{case}_")
+        rng.shuffle(ranking)
+        groups = _random_groups(rng, ranking)
+        for k in sorted({1, min(10, n), n}) + [None]:
+            for shuffles in (1, 2, 60):
+                seed = rng.randrange(10_000)
+                assert expected_t_ndcg(
+                    groups, labels, k=k, shuffles=shuffles, seed=seed
+                ) == per_trial_expected(groups, labels, k, shuffles, seed)
+
+
+def test_expected_all_l6_inbox_is_zero_like_per_trial_formula():
+    ranking, labels = labels_for([6] * 12)
+    groups = [ranking[:5], ranking[5:]]
+    for k in (1, 10, 12, None):
+        result = expected_t_ndcg(groups, labels, k=k, shuffles=20, seed=4)
+        assert result == per_trial_expected(groups, labels, k, 20, 4) == (0.0, 0.0)
+
+
+def test_expected_rejects_bad_k_and_unlabeled_ids():
+    ranking, labels = labels_for([1, 3, 6, 2])
+    groups = [ranking[:2], ranking[2:]]
+    for k in (0, 5, -1):
+        with pytest.raises(ConfigError):
+            expected_t_ndcg(groups, labels, k=k, shuffles=3)
+    with pytest.raises(ConfigError):
+        expected_t_ndcg([], labels, shuffles=3)
+    with pytest.raises(MissingLabel):
+        expected_t_ndcg(groups + [["ghost"]], labels, k=2, shuffles=3)
+    labels[ranking[0]] = UrgencyLabel.UNCLEAR
+    with pytest.raises(MissingLabel):
+        expected_t_ndcg(groups, labels, k=2, shuffles=3)
 
 
 # ----------------------------------------------------------------- intrinsic

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from triagerank.compare import Winner
+from triagerank.corpus import LabeledMessage, UrgencyLabel
 from triagerank.errors import (
     ConfigError,
     EqualLabels,
@@ -17,6 +18,7 @@ from triagerank.errors import (
 )
 from triagerank.pairs import (
     Difficulty,
+    _CrossLevelPairs,
     InboxSpec,
     Triplet,
     assemble_inbox,
@@ -34,7 +36,7 @@ from triagerank.pairs import (
     write_triplets,
 )
 
-from .conftest import level_corpus, make_labeled
+from .conftest import level_corpus, make_labeled, make_message
 
 
 # ---------------------------------------------------------------- difficulty
@@ -134,6 +136,101 @@ def test_eval_pairs_file_round_trip(tmp_path, fixture_corpus):
     assert read_eval_pairs(path) == pairs
 
 
+def _random_corpus(rng: random.Random, size: int, id_pool: int | None = None):
+    """Random levels with some sentinel records; ``id_pool`` reuses ids."""
+    corpus = []
+    for index in range(size):
+        message_id = f"r{rng.randrange(id_pool) if id_pool else index:03d}"
+        token = rng.choice(["L1", "L2", "L3", "L4", "L5", "L6", "UNCLEAR", "SUPPORTIVE_CARE"])
+        corpus.append(LabeledMessage(message=make_message(message_id), label=UrgencyLabel(token)))
+    return corpus
+
+
+# level gaps of all pairs, then of the easy, medium and hard strata
+STRATUM_GAPS = (range(1, 6), (4, 5), (2, 3), (1,))
+
+
+def test_cross_level_index_equals_materialised_list():
+    rng = random.Random(17)
+    for _ in range(60):
+        corpus = _random_corpus(rng, rng.randrange(0, 40))
+        levels = [labeled.level for labeled in corpus if labeled.label.is_ordinal]
+        for gaps in STRATUM_GAPS:
+            expected = [
+                (i, j)
+                for i in range(len(levels))
+                for j in range(i + 1, len(levels))
+                if abs(levels[i] - levels[j]) in gaps
+            ]
+            index = _CrossLevelPairs(levels, gaps)
+            assert len(index) == len(expected)
+            assert [index[k] for k in range(len(index))] == expected
+            assert list(index) == expected
+            for out_of_range in (len(expected), -len(expected) - 1):
+                with pytest.raises(IndexError):
+                    index[out_of_range]
+
+
+def _materialised_eval_pairs(corpus, count, seed, difficulty_quotas=None):
+    """build_eval_pairs as it was written over the full candidate list."""
+    ordinal = [labeled for labeled in corpus if labeled.label.is_ordinal]
+    candidates = [
+        (i, j)
+        for i in range(len(ordinal))
+        for j in range(i + 1, len(ordinal))
+        if ordinal[i].level != ordinal[j].level
+    ]
+    rng = random.Random(seed)
+
+    def _draw(pool, wanted):
+        chosen = pool if wanted >= len(pool) else rng.sample(pool, wanted)
+        drawn = []
+        for i, j in chosen:
+            first, second = (i, j) if rng.random() < 0.5 else (j, i)
+            drawn.append(make_eval_pair(ordinal[first], ordinal[second]))
+        return drawn
+
+    if difficulty_quotas is None:
+        return _draw(candidates, count)
+    pairs = []
+    for difficulty in Difficulty:
+        wanted = difficulty_quotas.get(difficulty, 0)
+        if wanted > 0:
+            pool = [
+                (i, j)
+                for i, j in candidates
+                if difficulty_for_gap(abs(ordinal[i].level - ordinal[j].level)) is difficulty
+            ]
+            pairs.extend(_draw(pool, wanted))
+    return pairs
+
+
+def test_build_eval_pairs_same_sample_as_materialised_candidates():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 40:
+        corpus = _random_corpus(rng, rng.randrange(2, 70))
+        if len({labeled.level for labeled in corpus if labeled.label.is_ordinal}) < 2:
+            continue
+        checked += 1
+        seed = rng.randrange(1000)
+        # count >= len(pool) takes every candidate; below that, random.sample
+        # copies a small pool into a list and indexes a large one directly
+        for count in (0, 1, 7, 200, 10_000):
+            assert build_eval_pairs(corpus, count, seed) == _materialised_eval_pairs(
+                corpus, count, seed
+            )
+        quotas = {difficulty: rng.randrange(0, 40) for difficulty in Difficulty}
+        for stratum in Difficulty:
+            quotas_one = {stratum: rng.randrange(1, 400)}
+            assert build_eval_pairs(corpus, 0, seed, quotas_one) == _materialised_eval_pairs(
+                corpus, 0, seed, quotas_one
+            )
+        assert build_eval_pairs(corpus, 0, seed, quotas) == _materialised_eval_pairs(
+            corpus, 0, seed, quotas
+        )
+
+
 # ------------------------------------------------------------------- triplets
 
 
@@ -190,6 +287,64 @@ def test_triplets_reproducible(fixture_corpus):
     assert build_triplets(fixture_corpus, 4, seed=2) == build_triplets(
         fixture_corpus, 4, seed=2
     )
+
+
+def _rescanning_triplets(corpus, max_uses_per_message, seed, count=None):
+    """build_triplets as it was written, rescanning every level per pick."""
+    levels = {}
+    for labeled in corpus:
+        if labeled.label.is_ordinal:
+            levels.setdefault(labeled.level, []).append(labeled)
+    anchors = [labeled for level in (2, 3, 4, 5) for labeled in levels.get(level, ())]
+    rng = random.Random(seed)
+    usage = Counter()
+    triplets = []
+
+    def _pick_partner(eligible_levels):
+        available = [
+            level
+            for level in eligible_levels
+            if any(usage[m.id] < max_uses_per_message for m in levels.get(level, ()))
+        ]
+        if not available:
+            return None
+        level = rng.choice(available)
+        return rng.choice([m for m in levels[level] if usage[m.id] < max_uses_per_message])
+
+    while True:
+        progressed = False
+        for anchor in rng.sample(anchors, len(anchors)):
+            if count is not None and len(triplets) >= count:
+                break
+            more = _pick_partner(list(range(1, anchor.level)))
+            less = _pick_partner(list(range(anchor.level + 1, 7)))
+            if more is None or less is None:
+                continue
+            usage[more.id] += 1
+            usage[less.id] += 1
+            triplets.append(Triplet(anchor=anchor, more_urgent=more, less_urgent=less))
+            progressed = True
+        if count is None or len(triplets) >= count or not progressed:
+            break
+    return triplets
+
+
+def test_build_triplets_same_as_rescanning_partners():
+    rng = random.Random(29)
+    checked = 0
+    while checked < 40:
+        # every third corpus reuses ids across levels, which share one cap
+        id_pool = 15 if checked % 3 == 0 else None
+        corpus = _random_corpus(rng, rng.randrange(3, 60), id_pool)
+        seed = rng.randrange(1000)
+        expected = _rescanning_triplets(corpus, 1, seed)
+        if not expected:
+            continue
+        checked += 1
+        for cap, count in ((1, None), (2, None), (4, None), (2, 5), (3, 500)):
+            assert build_triplets(corpus, cap, seed, count) == _rescanning_triplets(
+                corpus, cap, seed, count
+            )
 
 
 def test_triplet_invariant_enforced():

@@ -21,16 +21,14 @@ from .compare import (
     ComparisonCache,
     ComparisonOutcome,
     DirectionScore,
+    LogprobComparator,
     NoisyOracleComparator,
+    ReasoningComparator,
+    RewardComparator,
     ScoreKind,
     Winner,
-    cached,
     compare,
-    logprob_comparator,
-    noisy_oracle,
     perfect_oracle,
-    reasoning_comparator,
-    reward_comparator,
 )
 from .corpus import (
     EhrRecord,

@@ -15,18 +15,18 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import annotate, gateway, metrics, prompts, rank
 from .compare import (
+    CachedComparator,
     Comparator,
     ComparisonCache,
-    cached,
+    LogprobComparator,
+    NoisyOracleComparator,
+    ReasoningComparator,
+    RewardComparator,
     compare,
-    logprob_comparator,
-    noisy_oracle,
-    reasoning_comparator,
-    reward_comparator,
 )
 from .corpus import (
     LabeledMessage,
@@ -52,7 +52,12 @@ from .pairs import (
     write_triplets,
 )
 
-COMPARATOR_CHOICES = ("oracle", "logprob", "reasoning", "reward")
+_REMOTE_COMPARATORS = {
+    "logprob": LogprobComparator,
+    "reasoning": ReasoningComparator,
+    "reward": RewardComparator,
+}
+COMPARATOR_CHOICES = ("oracle", *_REMOTE_COMPARATORS)
 
 
 def _sha256_text(text: str) -> str:
@@ -63,12 +68,9 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _write_report(path: Path, payload: dict) -> None:
-    path.write_text(_dump_json(payload), encoding="utf-8")
+def _write_report(path: Path, envelope: dict, **sections) -> None:
+    report = {**envelope, **sections}
+    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _envelope(seed: int, config_hash: str, comparator_identity: str) -> dict:
@@ -103,12 +105,12 @@ def _parse_flip(text: str) -> dict[int, float]:
     return flip
 
 
-def _parse_counts(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str, example: str) -> tuple[int, ...]:
+    """Parse a comma-separated integer list like '10,30'."""
     try:
-        counts = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad counts {text!r}, expected e.g. 5,5,5,5,5,5") from None
-    return counts
+        raise ConfigError(f"bad {what} {text!r}, expected e.g. {example}") from None
 
 
 def _parse_quotas(text: str) -> dict[Difficulty, int]:
@@ -124,48 +126,35 @@ def _parse_quotas(text: str) -> dict[Difficulty, int]:
     return quotas
 
 
-def _parse_ks(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad k list {text!r}, expected e.g. 10,30") from None
-
-
-def _endpoint_config(args: argparse.Namespace) -> gateway.EndpointConfig:
-    if not getattr(args, "model", None):
-        raise ConfigError(f"comparator {args.comparator!r} needs --model")
-    return gateway.config_from_env(
-        model_name=args.model, base_url=getattr(args, "base_url", None)
-    )
-
-
-def _build_comparator(
-    args: argparse.Namespace, labeled: Sequence[LabeledMessage]
+def build_comparator(
+    name: str, labeled: Sequence[LabeledMessage], *,
+    seed: int, flip: Mapping[int, float], margin: float,
+    model: str | None = None, base_url: str | None = None, cache: str | None = None,
 ) -> Comparator:
-    name = args.comparator
-    if name == "oracle":
-        comparator: Comparator = noisy_oracle(
-            labels_by_id(labeled),
-            _parse_flip(getattr(args, "flip", "") or ""),
-            seed=args.seed,
-            margin=getattr(args, "margin", 0.4),
-        )
-    elif name == "logprob":
-        comparator = logprob_comparator(_endpoint_config(args))
-    elif name == "reasoning":
-        comparator = reasoning_comparator(_endpoint_config(args))
-    elif name == "reward":
-        comparator = reward_comparator(_endpoint_config(args))
+    """The comparator a subcommand or the pipeline ranks with.
+
+    ``labeled`` gives the oracle its gold labels; ``cache`` names a cache file.
+    """
+    if name in _REMOTE_COMPARATORS:
+        if not model:
+            raise ConfigError(f"comparator {name!r} needs --model")
+        endpoint = gateway.config_from_env(model_name=model, base_url=base_url)
+        comparator: Comparator = _REMOTE_COMPARATORS[name](endpoint)
+    elif name == "oracle":
+        comparator = NoisyOracleComparator(labeled, flip, seed=seed, margin=margin)
     else:
         raise ConfigError(f"unknown comparator {name!r}")
-    cache_path = getattr(args, "cache", None)
-    if cache_path:
-        comparator = cached(comparator, ComparisonCache(cache_path))
+    if cache:
+        comparator = CachedComparator(comparator, ComparisonCache(cache))
     return comparator
 
 
-def _identity(comparator: Comparator) -> str:
-    return getattr(comparator, "cache_identity", type(comparator).__name__)
+def _comparator_options(args: argparse.Namespace) -> dict:
+    """build_comparator's keywords from a subcommand's comparator flags."""
+    return dict(
+        seed=args.seed, flip=_parse_flip(args.flip), margin=args.margin,
+        model=args.model, base_url=args.base_url, cache=args.cache,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -232,24 +221,20 @@ def cmd_export_reward(args: argparse.Namespace) -> int:
 
 def cmd_assemble_inbox(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    spec = InboxSpec.from_counts(_parse_counts(args.spec), seed=args.seed)
+    counts = _parse_ints(args.spec, "counts", "5,5,5,5,5,5")
+    spec = InboxSpec.from_counts(counts, seed=args.seed)
     inbox = assemble_inbox(corpus, spec)
     written = save_corpus(inbox, args.out)
     print(f"assembled {written}-message inbox -> {args.out}")
     return 0
 
 
-def _load_inbox(args: argparse.Namespace) -> list[LabeledMessage]:
-    return load_corpus(args.inbox)
-
-
 def cmd_rank_inbox(args: argparse.Namespace) -> int:
-    inbox = _load_inbox(args)
-    comparator = _build_comparator(args, inbox)
+    inbox = load_corpus(args.inbox)
+    comparator = build_comparator(args.comparator, inbox, **_comparator_options(args))
     result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
-    report = _envelope(args.seed, _args_hash(args), _identity(comparator))
-    report["tournament"] = result.to_record()
-    _write_report(Path(args.out), report)
+    envelope = _envelope(args.seed, _args_hash(args), comparator.cache_identity)
+    _write_report(Path(args.out), envelope, tournament=result.to_record())
     print(f"ranked {len(inbox)} messages -> {args.out}")
     print("  top of inbox:", ", ".join(result.ranking[:5]))
     return 0
@@ -257,13 +242,11 @@ def cmd_rank_inbox(args: argparse.Namespace) -> int:
 
 def cmd_evaluate_intrinsic(args: argparse.Namespace) -> int:
     eval_pairs = read_eval_pairs(args.pairs)
-    comparator = _build_comparator(
-        args, [pair.a for pair in eval_pairs] + [pair.b for pair in eval_pairs]
-    )
+    labeled = [pair.a for pair in eval_pairs] + [pair.b for pair in eval_pairs]
+    comparator = build_comparator(args.comparator, labeled, **_comparator_options(args))
     report = metrics.intrinsic_accuracy(eval_pairs, comparator)
-    payload = _envelope(args.seed, _args_hash(args), _identity(comparator))
-    payload["intrinsic"] = report.to_record()
-    _write_report(Path(args.out), payload)
+    envelope = _envelope(args.seed, _args_hash(args), comparator.cache_identity)
+    _write_report(Path(args.out), envelope, intrinsic=report.to_record())
     if args.table:
         print(_intrinsic_table(report))
     print(f"intrinsic accuracy {report.overall_accuracy:.4f} -> {args.out}")
@@ -282,13 +265,15 @@ def _intrinsic_table(report: metrics.IntrinsicReport) -> str:
     return f"{header}\n{row}"
 
 
-def _extrinsic_payload(
+def _extrinsic_sections(
     result: rank.TournamentResult,
-    labels: dict[str, UrgencyLabel],
+    inbox: Sequence[LabeledMessage],
     ks: Sequence[int],
     shuffles: int,
     seed: int,
 ) -> dict:
+    """The "extrinsic" and "ranking" report sections; a k above the inbox is skipped."""
+    labels = labels_by_id(inbox)
     sextiles = annotate.sextile_labels_from_winrate(
         [(message_id, result.scores[message_id]) for message_id in result.ranking]
     )
@@ -297,7 +282,7 @@ def _extrinsic_payload(
         for level in range(1, 7)
     ]
     by_k = {}
-    for k in ks:
+    for k in [k for k in ks if k <= len(inbox)]:
         mean, stddev = metrics.expected_t_ndcg(
             class_groups, labels, k=k, shuffles=shuffles, seed=seed
         )
@@ -306,7 +291,10 @@ def _extrinsic_payload(
             "t_ndcg": metrics.t_ndcg_at_k(result.ranking, labels, k=k),
             "expected_t_ndcg_sextile": {"mean": mean, "stddev": stddev},
         }
-    return {"at_k": by_k, "ties_encountered": result.ties_encountered}
+    return {
+        "extrinsic": {"at_k": by_k, "ties_encountered": result.ties_encountered},
+        "ranking": list(result.ranking),
+    }
 
 
 def _extrinsic_table(extrinsic: dict) -> str:
@@ -317,36 +305,30 @@ def _extrinsic_table(extrinsic: dict) -> str:
 
 
 def cmd_evaluate_extrinsic(args: argparse.Namespace) -> int:
-    inbox = _load_inbox(args)
-    comparator = _build_comparator(args, inbox)
+    inbox = load_corpus(args.inbox)
+    comparator = build_comparator(args.comparator, inbox, **_comparator_options(args))
     result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
-    labels = labels_by_id(inbox)
-    ks = [k for k in _parse_ks(args.ks) if k <= len(inbox)]
-    payload = _envelope(args.seed, _args_hash(args), _identity(comparator))
-    payload["extrinsic"] = _extrinsic_payload(
-        result, labels, ks, args.shuffles, args.seed
-    )
-    payload["ranking"] = list(result.ranking)
-    _write_report(Path(args.out), payload)
+    ks = _parse_ints(args.ks, "k list", "10,30")
+    sections = _extrinsic_sections(result, inbox, ks, args.shuffles, args.seed)
+    envelope = _envelope(args.seed, _args_hash(args), comparator.cache_identity)
+    _write_report(Path(args.out), envelope, **sections)
     if args.table:
-        print(_extrinsic_table(payload["extrinsic"]))
+        print(_extrinsic_table(sections["extrinsic"]))
     print(f"extrinsic report -> {args.out}")
     return 0
 
 
 def cmd_bias_report(args: argparse.Namespace) -> int:
     eval_pairs = read_eval_pairs(args.pairs)
-    comparator = _build_comparator(
-        args, [pair.a for pair in eval_pairs] + [pair.b for pair in eval_pairs]
-    )
+    labeled = [pair.a for pair in eval_pairs] + [pair.b for pair in eval_pairs]
+    comparator = build_comparator(args.comparator, labeled, **_comparator_options(args))
     outcomes = [
         compare(comparator, pair.a.message, pair.b.message)
         for pair in eval_pairs
     ]
     report = metrics.bias_strata(eval_pairs, outcomes, metrics.BiasScheme(args.scheme))
-    payload = _envelope(args.seed, _args_hash(args), _identity(comparator))
-    payload["bias"] = report.to_record()
-    _write_report(Path(args.out), payload)
+    envelope = _envelope(args.seed, _args_hash(args), comparator.cache_identity)
+    _write_report(Path(args.out), envelope, bias=report.to_record())
     print(
         f"{args.scheme}: chi2={report.chi_square:.4f} p={report.p_value:.4f} "
         f"V={report.cramers_v:.4f} -> {args.out}"
@@ -370,9 +352,8 @@ def cmd_agreement(args: argparse.Namespace) -> int:
                     f"annotations line {line_number}: {exc}", line=line_number
                 ) from None
     report = metrics.agreement(rows)
-    payload = _envelope(args.seed, _args_hash(args), "n/a")
-    payload["agreement"] = report.to_record()
-    _write_report(Path(args.out), payload)
+    envelope = _envelope(args.seed, _args_hash(args), "n/a")
+    _write_report(Path(args.out), envelope, agreement=report.to_record())
     print(
         f"agreement {report.percent_agreement:.4f}, "
         f"kappa {report.cohens_kappa:.4f} -> {args.out}"
@@ -424,6 +405,37 @@ class RunConfig:
         return _sha256_text(json.dumps(self.canonical(), sort_keys=True))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+# what a config file value must be, for every key not read as a plain string
+_SETTING_TYPES = {
+    "seed": ("an integer", _is_int),
+    "pair_count": ("an integer", _is_int),
+    "triplet_cap": ("an integer", _is_int),
+    "shuffles": ("an integer", _is_int),
+    "margin": ("a number", _is_number),
+    "flip": (
+        "an object mapping integer gaps to numbers",
+        lambda flip: isinstance(flip, dict)
+        and all(gap.isdecimal() and _is_number(p) for gap, p in flip.items()),
+    ),
+    "ks": ("a list of integers", _is_int_list),
+    "inbox_counts": ("a list of integers", _is_int_list),
+    "auto_label": ("true or false", lambda flag: isinstance(flag, bool)),
+    "comparator": (f"one of {COMPARATOR_CHOICES}", lambda name: name in COMPARATOR_CHOICES),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     settings: dict = {}
     if args.config:
@@ -433,6 +445,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
+        for key, (expected, valid) in _SETTING_TYPES.items():
+            if key in settings and not valid(settings[key]):
+                raise ConfigError(
+                    f"config key {key!r} must be {expected}, got {settings[key]!r}"
+                )
         if "flip" in settings:
             settings["flip"] = {int(k): float(v) for k, v in settings["flip"].items()}
         for key in ("inbox_counts", "ks"):
@@ -456,10 +473,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "corpus" not in settings or "out_dir" not in settings:
         raise ConfigError("pipeline needs a corpus path and an output directory")
-    try:
-        return RunConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(f"bad pipeline config: {exc}") from None
+    return RunConfig(**settings)
 
 
 class _StageFailure(Exception):
@@ -539,44 +553,30 @@ def run_pipeline(config: RunConfig) -> dict:
 
     inbox = _run_stage("inbox", _inbox_stage)
 
-    def _comparator_stage():
-        namespace = argparse.Namespace(
-            comparator=config.comparator,
-            seed=config.seed,
-            flip=",".join(f"{k}:{v}" for k, v in sorted(config.flip.items())),
-            margin=config.margin,
-            model=config.model,
-            base_url=config.base_url,
-            cache=None,
+    def _comparator_stage() -> Comparator:
+        return build_comparator(
+            config.comparator, corpus, seed=config.seed, flip=config.flip,
+            margin=config.margin, model=config.model, base_url=config.base_url,
         )
-        return _build_comparator(namespace, corpus)
 
     comparator = _run_stage("comparator", _comparator_stage)
-    identity = _identity(comparator)
-    envelope = _envelope(config.seed, config.config_hash, identity)
+    envelope = _envelope(config.seed, config.config_hash, comparator.cache_identity)
 
     def _tournament_stage():
         result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
-        report = dict(envelope)
-        report["tournament"] = result.to_record()
-        _write_report(_artifact("ranking", out_dir / "ranking.json"), report)
+        ranking_path = _artifact("ranking", out_dir / "ranking.json")
+        _write_report(ranking_path, envelope, tournament=result.to_record())
         return result
 
     result = _run_stage("tournament", _tournament_stage)
 
     def _metrics_stage():
         intrinsic = metrics.intrinsic_accuracy(eval_pairs, comparator)
-        intrinsic_report = dict(envelope)
-        intrinsic_report["intrinsic"] = intrinsic.to_record()
-        _write_report(_artifact("intrinsic", out_dir / "intrinsic.json"), intrinsic_report)
-        labels = labels_by_id(inbox)
-        ks = [k for k in config.ks if k <= len(inbox)]
-        extrinsic_report = dict(envelope)
-        extrinsic_report["extrinsic"] = _extrinsic_payload(
-            result, labels, ks, config.shuffles, config.seed
-        )
-        extrinsic_report["ranking"] = list(result.ranking)
-        _write_report(_artifact("extrinsic", out_dir / "extrinsic.json"), extrinsic_report)
+        intrinsic_path = _artifact("intrinsic", out_dir / "intrinsic.json")
+        _write_report(intrinsic_path, envelope, intrinsic=intrinsic.to_record())
+        sections = _extrinsic_sections(result, inbox, config.ks, config.shuffles, config.seed)
+        extrinsic_path = _artifact("extrinsic", out_dir / "extrinsic.json")
+        _write_report(extrinsic_path, envelope, **sections)
         return intrinsic
 
     _run_stage("metrics", _metrics_stage)

@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Protocol
 
 from . import gateway, prompts
 from .corpus import LabeledMessage, Message, UrgencyLabel
+from .gateway import CompletionResult
 from .errors import (
     BadScore,
     ComparisonFailed,
@@ -222,15 +223,6 @@ class NoisyOracleComparator:
         return DirectionScore(value, ScoreKind.PROBABILITY)
 
 
-def noisy_oracle(
-    labels: Mapping[str, UrgencyLabel] | Iterable[LabeledMessage],
-    flip_prob_by_gap: Mapping[int, float] | None = None,
-    seed: int = 0,
-    margin: float = 0.4,
-) -> NoisyOracleComparator:
-    return NoisyOracleComparator(labels, flip_prob_by_gap, seed, margin)
-
-
 def perfect_oracle(
     labels: Mapping[str, UrgencyLabel] | Iterable[LabeledMessage],
 ) -> NoisyOracleComparator:
@@ -241,26 +233,27 @@ def perfect_oracle(
 class LogprobComparator:
     """Directed probability from the YES token mass of a chat backend."""
 
-    def __init__(
-        self,
-        config: gateway.EndpointConfig,
-        system_prompt: str | None = None,
-    ):
+    _identity_prefix = "logprob"
+    _want_logprobs = True
+
+    def __init__(self, config: gateway.EndpointConfig):
         self._config = config
-        self._system = (
-            system_prompt if system_prompt is not None else prompts.SYSTEM.body
-        )
-        self.cache_identity = f"logprob({config.model_name})"
+        self.cache_identity = f"{self._identity_prefix}({config.model_name})"
         self.prompt_variant = f"urgent_sft@{prompts.CATALOG_VERSION}"
 
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
         prompt = prompts.render(prompts.URGENT_SFT, prompts.pair_bindings(existing, new))
-        result = gateway.complete(self._config, self._system, prompt, want_logprobs=True)
+        result = gateway.complete(
+            self._config, prompts.SYSTEM.body, prompt, want_logprobs=self._want_logprobs
+        )
+        return DirectionScore(self._answer(result, existing, new), ScoreKind.PROBABILITY)
+
+    def _answer(self, result: CompletionResult, existing: Message, new: Message) -> float:
         if not result.token_probabilities:
             raise UnparseableLogprobs(
                 f"no YES/NO probability for pair ({existing.id}, {new.id})"
             )
-        return DirectionScore(result.token_probabilities["YES"], ScoreKind.PROBABILITY)
+        return result.token_probabilities["YES"]
 
 
 _FINAL_ANSWER = re.compile(r"\b(YES|NO)\b", re.IGNORECASE)
@@ -274,26 +267,14 @@ def parse_final_answer(text: str) -> str:
     return matches[-1].upper()
 
 
-class ReasoningComparator:
+class ReasoningComparator(LogprobComparator):
     """Hard 0/1 probability from the final YES/NO of a free-text completion."""
 
-    def __init__(
-        self,
-        config: gateway.EndpointConfig,
-        system_prompt: str | None = None,
-    ):
-        self._config = config
-        self._system = (
-            system_prompt if system_prompt is not None else prompts.SYSTEM.body
-        )
-        self.cache_identity = f"reasoning({config.model_name})"
-        self.prompt_variant = f"urgent_sft@{prompts.CATALOG_VERSION}"
+    _identity_prefix = "reasoning"
+    _want_logprobs = False
 
-    def score_directed(self, existing: Message, new: Message) -> DirectionScore:
-        prompt = prompts.render(prompts.URGENT_SFT, prompts.pair_bindings(existing, new))
-        result = gateway.complete(self._config, self._system, prompt, want_logprobs=False)
-        answer = parse_final_answer(result.text)
-        return DirectionScore(1.0 if answer == "YES" else 0.0, ScoreKind.PROBABILITY)
+    def _answer(self, result: CompletionResult, existing: Message, new: Message) -> float:
+        return 1.0 if parse_final_answer(result.text) == "YES" else 0.0
 
 
 class RewardComparator:
@@ -310,22 +291,6 @@ class RewardComparator:
         )
         value = gateway.score(self._config, prompt, prompts.message_block(new))
         return DirectionScore(value, ScoreKind.REWARD)
-
-
-def logprob_comparator(
-    config: gateway.EndpointConfig, system_prompt: str | None = None
-) -> LogprobComparator:
-    return LogprobComparator(config, system_prompt)
-
-
-def reasoning_comparator(
-    config: gateway.EndpointConfig, system_prompt: str | None = None
-) -> ReasoningComparator:
-    return ReasoningComparator(config, system_prompt)
-
-
-def reward_comparator(config: gateway.EndpointConfig) -> RewardComparator:
-    return RewardComparator(config)
 
 
 class ComparisonCache:
@@ -493,7 +458,3 @@ class CachedComparator:
         with self._count_lock:
             self.misses += 1
         return score
-
-
-def cached(inner: Comparator, store: ComparisonCache) -> CachedComparator:
-    return CachedComparator(inner, store)

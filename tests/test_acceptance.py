@@ -18,14 +18,14 @@ import pytest
 
 from triagerank import cli
 from triagerank.compare import (
+    CachedComparator,
     ComparisonCache,
+    LogprobComparator,
+    NoisyOracleComparator,
+    RewardComparator,
     Winner,
-    cached,
     compare,
-    logprob_comparator,
-    noisy_oracle,
     perfect_oracle,
-    reward_comparator,
 )
 from triagerank.corpus import (
     UrgencyLabel,
@@ -202,7 +202,7 @@ def test_criterion_06_difficulty_monotonicity():
     for pair in pairs:
         labels[pair.a.id] = pair.a.label
         labels[pair.b.id] = pair.b.label
-    oracle = noisy_oracle(labels, flip, seed=0)
+    oracle = NoisyOracleComparator(labels, flip, seed=0)
 
     by_gap: dict[int, list[bool]] = {gap: [] for gap in range(1, 6)}
     for pair in pairs:
@@ -228,7 +228,7 @@ def test_criterion_06_difficulty_monotonicity():
 def test_criterion_07_cache_incremental_equivalence(tmp_path):
     corpus = load_fixture_corpus()[:20]
     counting = CountingComparator(perfect_oracle(corpus))
-    comparator = cached(counting, ComparisonCache(tmp_path / "cache.jsonl"))
+    comparator = CachedComparator(counting, ComparisonCache(tmp_path / "cache.jsonl"))
 
     partial = run_tournament([labeled.message for labeled in corpus[:19]], comparator)
     extended = insert_incremental(partial, corpus[19].message, comparator)
@@ -328,13 +328,13 @@ def test_comparator_composition_sanity(mock_endpoint):
     config = config_for(mock_endpoint)
     mock_endpoint.enqueue_fixture("logprob_top2")       # P(YES) = 0.8
     mock_endpoint.enqueue_fixture("logprob_complement")  # P(YES) = 0.1
-    outcome = compare(logprob_comparator(config), make_message("a"), make_message("b"))
+    outcome = compare(LogprobComparator(config), make_message("a"), make_message("b"))
     assert outcome.eta == pytest.approx(0.7, abs=1e-9)
     assert outcome.winner is Winner.B
 
     mock_endpoint.enqueue_fixture("reward_high")  # 2.0
     mock_endpoint.enqueue_fixture("reward_low")   # -1.0
-    outcome = compare(reward_comparator(config), make_message("a"), make_message("b"))
+    outcome = compare(RewardComparator(config), make_message("a"), make_message("b"))
     expected = 1.0 / (1.0 + math.exp(-3.0)) - 1.0 / (1.0 + math.exp(3.0))
     assert outcome.eta == pytest.approx(expected, abs=1e-12)
     assert outcome.winner is Winner.B

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from triagerank import cli
-from triagerank.corpus import fixture_corpus_path, load_corpus
+from triagerank.corpus import fixture_corpus_path, load_corpus, save_corpus
 
 FIXTURE = str(fixture_corpus_path())
 
@@ -301,3 +302,116 @@ def test_pipeline_unknown_config_key(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"corpus": FIXTURE, "out_dir": "x", "nope": 1}))
     assert run_cli("pipeline", "--config", config_path) == 2
+
+
+# sha256 of the reports the comparator subcommands write for the fixture
+# (oracle, seed 3, flip 1:0.3,2:0.15, relative paths). Every report embeds
+# a hash of its arguments, so a change to how a subcommand builds its
+# comparator or its report moves these.
+GOLDEN_REPORT_SHA256 = {
+    "bias": "127d54c4bdeb02a0c7c4e84875508afa805603e5c14a21efcfaa967698a28f6c",
+    "extrinsic": "3b866a1f8993eaf461425f29da60157bf199cb68c08b6cb88fd1d85cadef96b3",
+    "intrinsic": "95a79a1d91e81a286d1df554ae4f774688a5674b16bd48ae532386249741dec2",
+    "rank": "16c2dfd5edfe638b2a4a1fdeddbe12564d5cc58d93db006cb5665dd90746798d",
+    "rank_cold": "57a4ab2182019bb18737710b59b0dfa1f6d89607ca431dd91d164c73aac90a8c",
+    "rank_warm": "7edae49b9a3afdcd7ee06b75707c9facefb007e29e9d511dd84a78d6731a0cf5",
+}
+
+
+def test_subcommand_report_hashes_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.jsonl").write_bytes(Path(FIXTURE).read_bytes())
+    assert run_cli(
+        "build-pairs", "--corpus", "corpus.jsonl", "--count", 40, "--seed", 3,
+        "--out", "pairs.jsonl",
+    ) == 0
+    oracle = ("--comparator", "oracle", "--seed", 3, "--flip", "1:0.3,2:0.15")
+    runs = {
+        "rank": ("rank-inbox", "--inbox", "corpus.jsonl"),
+        "rank_cold": ("rank-inbox", "--inbox", "corpus.jsonl", "--cache", "cache.jsonl"),
+        "rank_warm": ("rank-inbox", "--inbox", "corpus.jsonl", "--cache", "cache.jsonl"),
+        "intrinsic": ("evaluate-intrinsic", "--pairs", "pairs.jsonl"),
+        "extrinsic": ("evaluate-extrinsic", "--inbox", "corpus.jsonl"),
+        "bias": ("bias-report", "--pairs", "pairs.jsonl"),
+    }
+    hashes = {}
+    for name, argv in runs.items():
+        assert run_cli(*argv, *oracle, "--out", f"{name}.json") == 0, name
+        hashes[name] = hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+    assert hashes == GOLDEN_REPORT_SHA256
+
+
+@pytest.mark.parametrize(
+    "kind, responses",
+    [
+        ("logprob", ["logprob_top2", "logprob_complement"]),
+        ("reasoning", ["completion_reason_yes", "completion_reason_no"]),
+        ("reward", ["reward_high", "reward_low"]),
+    ],
+)
+def test_rank_inbox_remote_comparator(tmp_path, mock_endpoint, kind, responses):
+    inbox = tmp_path / "inbox.jsonl"
+    save_corpus(load_corpus(FIXTURE)[:2], inbox)
+    for name in responses:
+        mock_endpoint.enqueue_fixture(name)
+    argv = (
+        "rank-inbox", "--inbox", inbox, "--comparator", kind, "--model", "mock",
+        "--base-url", mock_endpoint.base_url, "--cache", tmp_path / "cache.jsonl",
+    )
+    assert run_cli(*argv, "--out", tmp_path / "cold.json") == 0
+    cold = read_json(tmp_path / "cold.json")
+    assert cold["comparator"] == f"{kind}(mock)"
+    assert cold["tournament"]["comparisons_made"] == 1
+    assert len(mock_endpoint.requests) == 2
+    for request in mock_endpoint.requests:
+        assert ("logprobs" in request["body"]) == (kind == "logprob")
+    # a rerun on the same cache sends nothing
+    assert run_cli(*argv, "--out", tmp_path / "warm.json") == 0
+    warm = read_json(tmp_path / "warm.json")
+    assert len(mock_endpoint.requests) == 2
+    assert warm["tournament"]["cache_hits"] == 1
+    assert warm["tournament"]["ranking"] == cold["tournament"]["ranking"]
+
+
+def test_remote_comparator_without_model_exits_two(tmp_path, capsys):
+    assert run_cli(
+        "rank-inbox", "--inbox", FIXTURE, "--comparator", "reward",
+        "--out", tmp_path / "rank.json",
+    ) == 2
+    assert "--model" in capsys.readouterr().err
+    assert run_cli(
+        "pipeline", "--corpus", FIXTURE, "--out-dir", tmp_path / "run",
+        "--comparator", "logprob",
+    ) == 2
+    assert "--model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("flip", {"x": 0.3}),
+        ("flip", [1, 2]),
+        ("flip", {"1": "0.3"}),
+        ("ks", 10),
+        ("ks", [10, "30"]),
+        ("inbox_counts", [5, 5, 5, 5, 5, 5.0]),
+        ("pair_count", "5"),
+        ("seed", "3"),
+        ("seed", True),
+        ("triplet_cap", None),
+        ("shuffles", 1.5),
+        ("margin", "0.4"),
+        ("auto_label", 1),
+        ("comparator", "bogus"),
+    ],
+)
+def test_pipeline_config_rejects_malformed_value(tmp_path, capsys, key, value):
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "run"
+    config_path.write_text(
+        json.dumps({"corpus": FIXTURE, "out_dir": str(out_dir), key: value})
+    )
+    assert run_cli("pipeline", "--config", config_path) == 2
+    assert repr(key) in capsys.readouterr().err
+    # rejected before any stage writes an artifact
+    assert not out_dir.exists()

@@ -8,18 +8,18 @@ import sys
 import pytest
 
 from triagerank.compare import (
+    CachedComparator,
     ComparisonCache,
     DirectionScore,
+    LogprobComparator,
+    NoisyOracleComparator,
+    ReasoningComparator,
+    RewardComparator,
     ScoreKind,
     Winner,
-    cached,
     compare,
-    logprob_comparator,
-    noisy_oracle,
     parse_final_answer,
     perfect_oracle,
-    reasoning_comparator,
-    reward_comparator,
 )
 from triagerank.errors import (
     BadScore,
@@ -154,7 +154,7 @@ def test_oracle_same_level_is_tie(fixture_corpus):
 
 
 def test_oracle_emits_calibrated_margin(fixture_corpus):
-    oracle = noisy_oracle(fixture_corpus, margin=0.4)
+    oracle = NoisyOracleComparator(fixture_corpus, margin=0.4)
     by_id = {labeled.id: labeled for labeled in fixture_corpus}
     score = oracle.score_directed(by_id["m30"].message, by_id["m01"].message)
     assert score.value == 0.9
@@ -176,7 +176,7 @@ def test_oracle_flip_half_gives_coin_accuracy():
     for index in range(trials):
         high = make_labeled(f"hp{index}", 1)
         low = make_labeled(f"lp{index}", 6)
-        oracle = noisy_oracle([high, low], {5: 0.5}, seed=42)
+        oracle = NoisyOracleComparator([high, low], {5: 0.5}, seed=42)
         outcome = compare(oracle, high.message, low.message)
         correct += outcome.winner is Winner.A
     assert correct / trials == pytest.approx(0.5, abs=0.02)
@@ -185,8 +185,8 @@ def test_oracle_flip_half_gives_coin_accuracy():
 def test_oracle_deterministic_and_order_invariant():
     a = make_labeled("a", 1)
     b = make_labeled("b", 4)
-    first = noisy_oracle([a, b], {3: 0.5}, seed=9)
-    second = noisy_oracle([a, b], {3: 0.5}, seed=9)
+    first = NoisyOracleComparator([a, b], {3: 0.5}, seed=9)
+    second = NoisyOracleComparator([a, b], {3: 0.5}, seed=9)
     outcome_1 = compare(first, a.message, b.message)
     outcome_2 = compare(second, b.message, a.message)
     assert outcome_1.winner.value == {"A": "B", "B": "A"}[outcome_2.winner.value]
@@ -195,9 +195,9 @@ def test_oracle_deterministic_and_order_invariant():
 
 def test_oracle_flip_probability_validation():
     with pytest.raises(ConfigError):
-        noisy_oracle([make_labeled("a", 1)], {1: 1.5})
+        NoisyOracleComparator([make_labeled("a", 1)], {1: 1.5})
     with pytest.raises(ConfigError):
-        noisy_oracle([make_labeled("a", 1)], margin=0.6)
+        NoisyOracleComparator([make_labeled("a", 1)], margin=0.6)
 
 
 class AlwaysDrawOracle:
@@ -229,7 +229,7 @@ def _noisy_inbox(count=36, seed=2):
 
 def test_oracle_equals_always_draw_reference_with_interleaved_pairs():
     labeled = _noisy_inbox()
-    oracle = noisy_oracle(labeled, NOISY_FLIP, seed=5)
+    oracle = NoisyOracleComparator(labeled, NOISY_FLIP, seed=5)
     reference = AlwaysDrawOracle(labeled, NOISY_FLIP, seed=5)
     messages = [item.message for item in labeled]
     rng = random.Random(8)
@@ -255,7 +255,7 @@ def test_oracle_equals_always_draw_reference_in_parallel_tournament():
     sys.setswitchinterval(1e-6)  # switch threads often, so a shared memo would show
     try:
         for _ in range(3):
-            oracle = noisy_oracle(labeled, NOISY_FLIP, seed=11)
+            oracle = NoisyOracleComparator(labeled, NOISY_FLIP, seed=11)
             result = run_tournament(messages, oracle, max_workers=4)
             assert result.outcomes == reference.outcomes
             assert result.scores == reference.scores
@@ -268,7 +268,7 @@ def test_oracle_equals_always_draw_reference_in_parallel_tournament():
 
 
 def test_logprob_comparator_scores(mock_endpoint):
-    comparator = logprob_comparator(config_for(mock_endpoint))
+    comparator = LogprobComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("logprob_top2")
     score = comparator.score_directed(make_message("a"), make_message("b"))
     assert score.value == pytest.approx(0.8, abs=1e-9)
@@ -278,14 +278,14 @@ def test_logprob_comparator_scores(mock_endpoint):
 
 
 def test_logprob_comparator_unparseable(mock_endpoint):
-    comparator = logprob_comparator(config_for(mock_endpoint))
+    comparator = LogprobComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("logprob_unparseable")
     with pytest.raises(UnparseableLogprobs):
         comparator.score_directed(make_message("a"), make_message("b"))
 
 
 def test_logprob_comparator_backend_down_fails_comparison(mock_endpoint):
-    comparator = logprob_comparator(config_for(mock_endpoint, max_retries=0))
+    comparator = LogprobComparator(config_for(mock_endpoint, max_retries=0))
     mock_endpoint.enqueue(500, {"error": "down"})
     with pytest.raises(ComparisonFailed):
         compare(comparator, make_message("a"), make_message("b"))
@@ -302,7 +302,7 @@ def test_parse_final_answer():
 
 
 def test_reasoning_comparator_hard_probabilities(mock_endpoint):
-    comparator = reasoning_comparator(config_for(mock_endpoint))
+    comparator = ReasoningComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("completion_reason_yes")
     assert comparator.score_directed(make_message("a"), make_message("b")).value == 1.0
     mock_endpoint.enqueue_fixture("completion_reason_no")
@@ -310,7 +310,7 @@ def test_reasoning_comparator_hard_probabilities(mock_endpoint):
 
 
 def test_reasoning_both_yes_is_tie(mock_endpoint):
-    comparator = reasoning_comparator(config_for(mock_endpoint))
+    comparator = ReasoningComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("completion_reason_yes")
     mock_endpoint.enqueue_fixture("completion_reason_yes")
     outcome = compare(comparator, make_message("a"), make_message("b"))
@@ -319,14 +319,14 @@ def test_reasoning_both_yes_is_tie(mock_endpoint):
 
 
 def test_reasoning_unparseable(mock_endpoint):
-    comparator = reasoning_comparator(config_for(mock_endpoint))
+    comparator = ReasoningComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("completion_reason_plain")
     with pytest.raises(UnparseableAnswer):
         comparator.score_directed(make_message("a"), make_message("b"))
 
 
 def test_reward_comparator_prompt_and_score(mock_endpoint):
-    comparator = reward_comparator(config_for(mock_endpoint))
+    comparator = RewardComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("reward_ok")
     existing = make_message("a", text="mild rash on arm")
     new = make_message("b", text="chest pain radiating")
@@ -339,7 +339,7 @@ def test_reward_comparator_prompt_and_score(mock_endpoint):
 
 
 def test_reward_strict_comparison_no_epsilon(mock_endpoint):
-    comparator = reward_comparator(config_for(mock_endpoint))
+    comparator = RewardComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("reward_strict_a")
     mock_endpoint.enqueue_fixture("reward_strict_b")
     outcome = compare(comparator, make_message("a"), make_message("b"))
@@ -348,7 +348,7 @@ def test_reward_strict_comparison_no_epsilon(mock_endpoint):
 
 
 def test_reward_equal_scores_tie(mock_endpoint):
-    comparator = reward_comparator(config_for(mock_endpoint))
+    comparator = RewardComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("reward_ok")
     mock_endpoint.enqueue_fixture("reward_ok")
     outcome = compare(comparator, make_message("a"), make_message("b"))
@@ -371,7 +371,7 @@ class CountingComparator:
 def test_cache_hit_skips_backend(tmp_path, fixture_corpus):
     counting = CountingComparator(perfect_oracle(fixture_corpus))
     store = ComparisonCache(tmp_path / "cache.jsonl")
-    comparator = cached(counting, store)
+    comparator = CachedComparator(counting, store)
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
     first = compare(comparator, a, b)
     assert counting.backend_calls == 2
@@ -385,7 +385,7 @@ def test_cache_hit_skips_backend(tmp_path, fixture_corpus):
 
 def test_cache_key_is_direction_sensitive(tmp_path, fixture_corpus):
     counting = CountingComparator(perfect_oracle(fixture_corpus))
-    comparator = cached(counting, ComparisonCache(tmp_path / "cache.jsonl"))
+    comparator = CachedComparator(counting, ComparisonCache(tmp_path / "cache.jsonl"))
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
     comparator.score_directed(a, b)
     assert counting.backend_calls == 1
@@ -396,11 +396,11 @@ def test_cache_key_is_direction_sensitive(tmp_path, fixture_corpus):
 def test_cache_cleared_behaves_like_uncached(tmp_path, fixture_corpus):
     oracle = perfect_oracle(fixture_corpus)
     store = ComparisonCache(tmp_path / "cache.jsonl")
-    comparator = cached(CountingComparator(oracle), store)
+    comparator = CachedComparator(CountingComparator(oracle), store)
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
     cached_outcome = compare(comparator, a, b)
     store.clear()
-    fresh_outcome = compare(cached(CountingComparator(oracle), store), a, b)
+    fresh_outcome = compare(CachedComparator(CountingComparator(oracle), store), a, b)
     plain_outcome = compare(oracle, a, b)
     assert cached_outcome.eta == fresh_outcome.eta == plain_outcome.eta
 
@@ -409,9 +409,9 @@ def test_cache_persists_across_instances(tmp_path, fixture_corpus):
     path = tmp_path / "cache.jsonl"
     counting = CountingComparator(perfect_oracle(fixture_corpus))
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
-    compare(cached(counting, ComparisonCache(path)), a, b)
+    compare(CachedComparator(counting, ComparisonCache(path)), a, b)
     assert counting.backend_calls == 2
-    reopened = cached(counting, ComparisonCache(path))
+    reopened = CachedComparator(counting, ComparisonCache(path))
     compare(reopened, a, b)
     assert counting.backend_calls == 2
     assert reopened.hits == 2
@@ -421,7 +421,7 @@ def test_cache_corruption_falls_back_and_compacts(tmp_path, fixture_corpus, capl
     path = tmp_path / "cache.jsonl"
     counting = CountingComparator(perfect_oracle(fixture_corpus))
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
-    compare(cached(counting, ComparisonCache(path)), a, b)
+    compare(CachedComparator(counting, ComparisonCache(path)), a, b)
     with path.open("a", encoding="utf-8") as handle:
         handle.write("{corrupt line\n")
     with caplog.at_level("WARNING"):
@@ -431,7 +431,7 @@ def test_cache_corruption_falls_back_and_compacts(tmp_path, fixture_corpus, capl
     # compaction rewrote the file without the corrupt line
     reloaded = ComparisonCache(path)
     assert len(reloaded) == 2
-    compare(cached(counting, reloaded), a, b)
+    compare(CachedComparator(counting, reloaded), a, b)
     assert counting.backend_calls == 2  # still served from cache
 
 
@@ -446,7 +446,7 @@ def test_cache_unreadable_file_starts_empty(tmp_path, caplog):
 
 def test_cached_scores_lose_only_raw_payload(tmp_path, fixture_corpus):
     store = ComparisonCache(tmp_path / "cache.jsonl")
-    comparator = cached(perfect_oracle(fixture_corpus), store)
+    comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
     fresh = comparator.score_directed(a, b)
     again = comparator.score_directed(a, b)
@@ -464,7 +464,7 @@ def test_cache_serves_hand_written_old_style_keys(tmp_path):
             line = {"key": key, "value": value, "kind": "probability", "timestamp": 0.0}
             handle.write(json.dumps(line, sort_keys=True) + "\n")
     counting = CountingComparator(ScriptedComparator({}))
-    comparator = cached(counting, ComparisonCache(path))
+    comparator = CachedComparator(counting, ComparisonCache(path))
     assert comparator.has_cached_pair(a, b)
     outcome = compare(comparator, a, b)
     assert counting.backend_calls == 0
@@ -474,8 +474,8 @@ def test_cache_serves_hand_written_old_style_keys(tmp_path):
 
 def test_cache_counters_exact_under_parallel_tournaments(tmp_path, fixture_corpus):
     messages = [labeled.message for labeled in fixture_corpus[:16]]
-    comparator = cached(
-        noisy_oracle(fixture_corpus, {1: 0.3}, seed=3),
+    comparator = CachedComparator(
+        NoisyOracleComparator(fixture_corpus, {1: 0.3}, seed=3),
         ComparisonCache(tmp_path / "cache.jsonl"),
     )
     interval = sys.getswitchinterval()
@@ -492,7 +492,7 @@ def test_cache_counters_exact_under_parallel_tournaments(tmp_path, fixture_corpu
 def test_cache_put_after_clear_recreates_file(tmp_path, fixture_corpus):
     path = tmp_path / "cache.jsonl"
     store = ComparisonCache(path)
-    comparator = cached(perfect_oracle(fixture_corpus), store)
+    comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
     compare(comparator, a, b)
     store.clear()
@@ -506,7 +506,7 @@ def test_cache_put_after_clear_recreates_file(tmp_path, fixture_corpus):
 def test_second_store_sees_entries_while_first_holds_handle(tmp_path, fixture_corpus):
     path = tmp_path / "cache.jsonl"
     first = ComparisonCache(path)
-    comparator = cached(perfect_oracle(fixture_corpus), first)
+    comparator = CachedComparator(perfect_oracle(fixture_corpus), first)
     messages = [labeled.message for labeled in fixture_corpus[:6]]
     for a, b in zip(messages, messages[1:]):
         compare(comparator, a, b)
@@ -523,11 +523,11 @@ def test_cache_repairs_missing_final_newline_before_appending(tmp_path, fixture_
     counting = CountingComparator(perfect_oracle(fixture_corpus))
     a, b, c = (fixture_corpus[i].message for i in (0, 7, 14))
     store = ComparisonCache(path)
-    compare(cached(counting, store), a, b)
+    compare(CachedComparator(counting, store), a, b)
     store.close()
     path.write_bytes(path.read_bytes().rstrip(b"\n"))
     store = ComparisonCache(path)
-    compare(cached(counting, store), a, c)
+    compare(CachedComparator(counting, store), a, c)
     store.close()
     assert len(ComparisonCache(path)) == 4
     assert counting.backend_calls == 4
@@ -536,7 +536,7 @@ def test_cache_repairs_missing_final_newline_before_appending(tmp_path, fixture_
 def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, monkeypatch):
     path = tmp_path / "cache.jsonl"
     store = ComparisonCache(path)
-    comparator = cached(perfect_oracle(fixture_corpus), store)
+    comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
     messages = [labeled.message for labeled in fixture_corpus[:6]]
     for a, b in zip(messages, messages[1:]):
         compare(comparator, a, b)
@@ -562,7 +562,7 @@ def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, m
 
 
 def test_direction_scores_carry_no_backend_payload(mock_endpoint):
-    comparator = logprob_comparator(config_for(mock_endpoint))
+    comparator = LogprobComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("logprob_top2")
     score = comparator.score_directed(make_message("a"), make_message("b"))
     assert not hasattr(score, "raw")

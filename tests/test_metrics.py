@@ -6,7 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from triagerank.compare import DirectionScore, ScoreKind, Winner, compare, noisy_oracle, perfect_oracle
+from triagerank.compare import (
+    DirectionScore,
+    NoisyOracleComparator,
+    ScoreKind,
+    Winner,
+    compare,
+    perfect_oracle,
+)
 from triagerank.corpus import EhrRecord, Gender, UrgencyLabel
 from triagerank.errors import ConfigError, DataError, MissingLabel, NoStrata, NoValidPairs
 from triagerank.metrics import (
@@ -329,7 +336,7 @@ def test_intrinsic_empty_rejected(fixture_corpus):
 def test_intrinsic_gap_noise_orders_difficulties(fixture_corpus):
     pairs = _fixture_pairs(fixture_corpus)
     flip = {1: 0.35, 2: 0.2, 3: 0.2, 4: 0.05, 5: 0.05}
-    report = intrinsic_accuracy(pairs, noisy_oracle(fixture_corpus, flip, seed=29))
+    report = intrinsic_accuracy(pairs, NoisyOracleComparator(fixture_corpus, flip, seed=29))
     easy, _ = report.per_difficulty[Difficulty.EASY]
     medium, _ = report.per_difficulty[Difficulty.MEDIUM]
     hard, _ = report.per_difficulty[Difficulty.HARD]
@@ -340,7 +347,7 @@ def test_intrinsic_accuracy_decreases_with_flip(fixture_corpus):
     pairs = _fixture_pairs(fixture_corpus)
     accuracies = []
     for flip in (0.0, 0.2, 0.45):
-        oracle = noisy_oracle(fixture_corpus, {gap: flip for gap in range(1, 6)}, seed=31)
+        oracle = NoisyOracleComparator(fixture_corpus, {gap: flip for gap in range(1, 6)}, seed=31)
         accuracies.append(intrinsic_accuracy(pairs, oracle).overall_accuracy)
     assert accuracies[0] > accuracies[1] > accuracies[2]
 
@@ -412,7 +419,7 @@ def test_bias_gender_strata_counts():
     for pair in pairs:
         labels[pair.a.id] = pair.a.label
         labels[pair.b.id] = pair.b.label
-    oracle = noisy_oracle(labels, {4: 0.3}, seed=11)
+    oracle = NoisyOracleComparator(labels, {4: 0.3}, seed=11)
     outcomes = [compare(oracle, pair.a.message, pair.b.message) for pair in pairs]
     report = bias_strata(pairs, outcomes, BiasScheme.GENDER_OF_ROLES)
     assert set(report.strata) == {

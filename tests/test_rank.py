@@ -5,12 +5,12 @@ import random
 import pytest
 
 from triagerank.compare import (
+    CachedComparator,
     ComparisonCache,
     DirectionScore,
+    NoisyOracleComparator,
     ScoreKind,
     Winner,
-    cached,
-    noisy_oracle,
     perfect_oracle,
 )
 from triagerank.errors import ComparisonFailed, DataError, DuplicateId
@@ -48,7 +48,7 @@ def test_tie_credits_half_each_and_ranks_by_id():
 
 def test_score_mass_conservation():
     corpus = [make_labeled(f"x{i}", (i % 6) + 1) for i in range(12)]
-    oracle = noisy_oracle(corpus, {1: 0.4, 2: 0.2}, seed=3)
+    oracle = NoisyOracleComparator(corpus, {1: 0.4, 2: 0.2}, seed=3)
     result = run_tournament([c.message for c in corpus], oracle)
     expected_mass = sum(
         1.0 if outcome.winner is Winner.TIE else 1.0 + abs(outcome.eta)
@@ -62,7 +62,7 @@ def test_score_mass_conservation():
 
 def test_order_invariance():
     corpus = [make_labeled(f"x{i}", (i % 6) + 1) for i in range(10)]
-    oracle = noisy_oracle(corpus, {1: 0.3, 2: 0.1}, seed=8)
+    oracle = NoisyOracleComparator(corpus, {1: 0.3, 2: 0.1}, seed=8)
     messages = [c.message for c in corpus]
     baseline = run_tournament(messages, oracle)
     rng = random.Random(0)
@@ -160,14 +160,14 @@ def test_insert_duplicate_rejected(fixture_corpus):
 def test_parallel_equals_sequential(tmp_path, fixture_corpus):
     corpus = fixture_corpus[:12]
     messages = [labeled.message for labeled in corpus]
-    oracle = noisy_oracle(fixture_corpus, {1: 0.3, 2: 0.1}, seed=17)
+    oracle = NoisyOracleComparator(fixture_corpus, {1: 0.3, 2: 0.1}, seed=17)
     sequential = run_tournament(messages, oracle)
     parallel = run_tournament(messages, oracle, max_workers=4)
     assert parallel.scores == sequential.scores
     assert parallel.ranking == sequential.ranking
     assert parallel.outcomes == sequential.outcomes
 
-    cache_comparator = cached(oracle, ComparisonCache(tmp_path / "cache.jsonl"))
+    cache_comparator = CachedComparator(oracle, ComparisonCache(tmp_path / "cache.jsonl"))
     warm = run_tournament(messages, cache_comparator, max_workers=4)
     rerun = run_tournament(messages, cache_comparator, max_workers=4)
     assert warm.cache_hits == 0
@@ -193,7 +193,7 @@ def test_incremental_then_cached_rerun_identical(tmp_path, fixture_corpus):
     first_19 = [labeled.message for labeled in corpus[:19]]
     twentieth = corpus[19].message
     counting = CountingComparator(perfect_oracle(fixture_corpus))
-    comparator = cached(counting, ComparisonCache(tmp_path / "cache.jsonl"))
+    comparator = CachedComparator(counting, ComparisonCache(tmp_path / "cache.jsonl"))
 
     partial = run_tournament(first_19, comparator)
     extended = insert_incremental(partial, twentieth, comparator)

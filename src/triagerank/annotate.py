@@ -12,7 +12,6 @@ implementations of the same interfaces.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +26,8 @@ from .corpus import (
     Message,
     UrgencyLabel,
     label_for_level,
+    read_jsonl,
+    write_jsonl,
 )
 from .errors import BadLabel, DataError, EqualLabels, TooFewMessages
 
@@ -303,18 +304,11 @@ def filter_pairs(
 
 def write_judged_pairs(pairs: Iterable[JudgedPair], path: str | Path) -> int:
     """Write the filtration audit log (line-delimited JSON, all verdicts)."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for pair in pairs:
-            handle.write(json.dumps(pair.to_record(), sort_keys=True) + "\n")
-            count += 1
-    return count
+    return write_jsonl((pair.to_record() for pair in pairs), path)
 
 
 def read_judged_pairs(path: str | Path) -> list[JudgedPair]:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return [JudgedPair.from_record(json.loads(line)) for line in handle if line.strip()]
+    return read_jsonl(path, JudgedPair.from_record)
 
 
 def sextile_labels_from_winrate(

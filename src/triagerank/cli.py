@@ -34,10 +34,17 @@ from .corpus import (
     labels_by_id,
     load_corpus,
     load_messages,
+    read_jsonl,
     save_corpus,
     split_ordinal,
 )
-from .errors import ConfigError, DataError, TriageRankError, exit_code_for
+from .errors import (
+    ConfigError,
+    DataError,
+    MalformedRecord,
+    TriageRankError,
+    exit_code_for,
+)
 from .pairs import (
     Difficulty,
     InboxSpec,
@@ -336,21 +343,15 @@ def cmd_bias_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _annotation(record: dict) -> tuple:
+    row = (record["pair_id"], record["annotator_id"], record["choice"])
+    if any(isinstance(value, (list, dict)) for value in row):
+        raise MalformedRecord("pair_id, annotator_id and choice must be scalars")
+    return row
+
+
 def cmd_agreement(args: argparse.Namespace) -> int:
-    rows = []
-    with open(args.annotations, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                rows.append(
-                    (record["pair_id"], record["annotator_id"], record["choice"])
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(
-                    f"annotations line {line_number}: {exc}", line=line_number
-                ) from None
+    rows = read_jsonl(args.annotations, _annotation)
     report = metrics.agreement(rows)
     envelope = _envelope(args.seed, _args_hash(args), "n/a")
     _write_report(Path(args.out), envelope, agreement=report.to_record())
@@ -417,8 +418,12 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(map(_is_int, value))
 
 
-# what a config file value must be, for every key not read as a plain string
+# what a config file value must be, for every key
 _SETTING_TYPES = {
+    "corpus": ("a string", lambda path: isinstance(path, str)),
+    "out_dir": ("a string", lambda path: isinstance(path, str)),
+    "model": ("a string or null", lambda name: name is None or isinstance(name, str)),
+    "base_url": ("a string or null", lambda url: url is None or isinstance(url, str)),
     "seed": ("an integer", _is_int),
     "pair_count": ("an integer", _is_int),
     "triplet_cap": ("an integer", _is_int),
@@ -500,6 +505,15 @@ def run_pipeline(config: RunConfig) -> dict:
     Artifacts land in config.out_dir; the returned manifest links each one
     by content hash. Partial artifacts are retained when a stage fails.
     """
+    def _comparator(labeled: Sequence[LabeledMessage]) -> Comparator:
+        return build_comparator(
+            config.comparator, labeled, seed=config.seed, flip=config.flip,
+            margin=config.margin, model=config.model, base_url=config.base_url,
+        )
+
+    # bad comparator settings fail here, before any stage writes an artifact;
+    # the oracle gets its labels once the corpus is filtered
+    _comparator(())
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
@@ -553,13 +567,7 @@ def run_pipeline(config: RunConfig) -> dict:
 
     inbox = _run_stage("inbox", _inbox_stage)
 
-    def _comparator_stage() -> Comparator:
-        return build_comparator(
-            config.comparator, corpus, seed=config.seed, flip=config.flip,
-            margin=config.margin, model=config.model, base_url=config.base_url,
-        )
-
-    comparator = _run_stage("comparator", _comparator_stage)
+    comparator = _run_stage("comparator", lambda: _comparator(corpus))
     envelope = _envelope(config.seed, config.config_hash, comparator.cache_identity)
 
     def _tournament_stage():

@@ -1,9 +1,12 @@
-"""Canonical data model and JSONL ingestion for patient messages.
+"""Canonical data model for patient messages, and JSONL record I/O.
 
 A corpus file is UTF-8 line-delimited JSON, one message per line, with
 fields ``id``, ``text``, ``label``, ``source`` and optional ``ehr`` and
-``clinician_response``. Loading validates the whole file and rejects it on
-the first malformed line, reporting the line number.
+``clinician_response``. Every record file of the package (corpus, eval
+pairs, triplets, exports, judge audit log, annotations) is read by
+``read_jsonl`` and written by ``write_jsonl``: reading rejects the whole
+file on the first bad line with a DataError that carries the line number,
+and a failed write raises ExportFailed.
 
 All types here are frozen: values are safe to share across concurrent
 consumers after load.
@@ -18,17 +21,20 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     BadLabel,
-    ConfigError,
+    DataError,
     DuplicateId,
     EmptyMessage,
+    ExportFailed,
     MalformedRecord,
 )
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 class UrgencyLabel(Enum):
@@ -237,70 +243,79 @@ class LabeledMessage:
         )
 
 
-def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with path.open("r", encoding="utf-8") as handle:
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """Parse every non-blank line of a JSONL record file with ``parse``.
+
+    The whole file is rejected on the first bad line, and the error carries
+    a ``line`` attribute. A DataError from ``parse`` keeps its type and
+    context; invalid JSON, a line that is not an object, or a KeyError,
+    TypeError or ValueError from ``parse`` becomes MalformedRecord.
+    """
+    records: list[T] = []
+    with Path(path).open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise MalformedRecord("record is not an object")
+                records.append(parse(record))
+            except DataError as exc:
+                error: DataError = exc
             except json.JSONDecodeError as exc:
-                raise MalformedRecord(
-                    f"line {line_number}: invalid JSON ({exc.msg})", line=line_number
-                ) from None
-            if not isinstance(record, dict):
-                raise MalformedRecord(
-                    f"line {line_number}: record is not an object", line=line_number
-                )
-            yield line_number, record
+                error = MalformedRecord(f"invalid JSON ({exc.msg})")
+            except KeyError as exc:
+                error = MalformedRecord(f"record is missing field {exc}")
+            except (TypeError, ValueError) as exc:
+                error = MalformedRecord(f"bad record ({exc})")
+            else:
+                continue
+            context = {**vars(error), "line": line_number}
+            raise type(error)(f"line {line_number}: {error}", **context) from None
+    return records
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> list[LabeledMessage]:
+def write_jsonl(records: Iterable[dict], path: str | Path) -> int:
+    """Write records as sorted-key JSONL and return the count; OSError -> ExportFailed."""
+    path = Path(path)
+    count = 0
+    try:
+        with path.open("w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                count += 1
+    except OSError as exc:
+        raise ExportFailed(f"cannot write {path}: {exc}") from exc
+    return count
+
+
+def _unique_ids(from_record: Callable[[Mapping], T]) -> Callable[[dict], T]:
+    """Wrap a record parser so a repeated message id raises DuplicateId."""
+    seen: set[str] = set()
+
+    def parse(record: dict) -> T:
+        item = from_record(record)
+        if item.id in seen:
+            raise DuplicateId(f"duplicate id {item.id!r}", message_id=item.id)
+        seen.add(item.id)
+        return item
+
+    return parse
+
+
+def load_corpus(path: str | Path) -> list[LabeledMessage]:
     """Load and validate a labeled corpus file.
 
     The whole file is rejected on any malformed line. Raises DuplicateId,
     BadLabel, EmptyMessage or MalformedRecord with a ``line`` attribute.
     """
-    if format != "jsonl":
-        raise ConfigError(f"unsupported corpus format {format!r}")
-    path = Path(path)
-    records: list[LabeledMessage] = []
-    seen: set[str] = set()
-    for line_number, record in _iter_jsonl(path):
-        try:
-            labeled = LabeledMessage.from_record(record)
-        except (BadLabel, EmptyMessage, MalformedRecord) as exc:
-            raise type(exc)(f"line {line_number}: {exc}", line=line_number) from None
-        if labeled.id in seen:
-            raise DuplicateId(
-                f"line {line_number}: duplicate id {labeled.id!r}",
-                line=line_number,
-                message_id=labeled.id,
-            )
-        seen.add(labeled.id)
-        records.append(labeled)
-    return records
+    return read_jsonl(path, _unique_ids(LabeledMessage.from_record))
 
 
 def load_messages(path: str | Path) -> list[Message]:
     """Load a message file, ignoring any label field (for auto-labeling)."""
-    path = Path(path)
-    messages: list[Message] = []
-    seen: set[str] = set()
-    for line_number, record in _iter_jsonl(path):
-        try:
-            message = Message.from_record(record)
-        except (EmptyMessage, MalformedRecord) as exc:
-            raise type(exc)(f"line {line_number}: {exc}", line=line_number) from None
-        if message.id in seen:
-            raise DuplicateId(
-                f"line {line_number}: duplicate id {message.id!r}",
-                line=line_number,
-                message_id=message.id,
-            )
-        seen.add(message.id)
-        messages.append(message)
-    return messages
+    return read_jsonl(path, _unique_ids(Message.from_record))
 
 
 def save_corpus(records: Iterable[LabeledMessage], path: str | Path) -> int:
@@ -309,13 +324,7 @@ def save_corpus(records: Iterable[LabeledMessage], path: str | Path) -> int:
     Output is deterministic (sorted keys), so load -> save -> load
     round-trips to an identical corpus.
     """
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for labeled in records:
-            handle.write(json.dumps(labeled.to_record(), sort_keys=True) + "\n")
-            count += 1
-    return count
+    return write_jsonl((labeled.to_record() for labeled in records), path)
 
 
 def split_ordinal(

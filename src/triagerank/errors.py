@@ -46,7 +46,11 @@ class EmptyMessage(DataError):
 
 
 class MalformedRecord(DataError):
-    """A corpus line is not a valid record."""
+    """A record-file line is not a valid record."""
+
+
+class ExportFailed(DataError):
+    """Writing a record file failed."""
 
 
 # annotate
@@ -73,10 +77,6 @@ class NoTriplets(DataError):
 
 class InsufficientLevel(DataError):
     """The corpus cannot supply the requested count for some level."""
-
-
-class ExportFailed(DataError):
-    """Writing an export file failed."""
 
 
 # compare

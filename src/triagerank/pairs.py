@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import collections.abc
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -28,11 +27,12 @@ from .corpus import (
     UrgencyLabel,
     by_level,
     label_for_level,
+    read_jsonl,
+    write_jsonl,
 )
 from .errors import (
     ConfigError,
     EqualLabels,
-    ExportFailed,
     InsufficientLevel,
     NoTriplets,
     NoValidPairs,
@@ -315,52 +315,25 @@ def build_triplets(
 
 
 def write_eval_pairs(eval_pairs: Iterable[EvalPair], path: str | Path) -> int:
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for pair in eval_pairs:
-            handle.write(json.dumps(pair.to_record(), sort_keys=True) + "\n")
-            count += 1
-    return count
+    return write_jsonl((pair.to_record() for pair in eval_pairs), path)
 
 
 def read_eval_pairs(path: str | Path) -> list[EvalPair]:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return [EvalPair.from_record(json.loads(line)) for line in handle if line.strip()]
+    return read_jsonl(path, EvalPair.from_record)
 
 
 def write_triplets(triplets: Iterable[Triplet], path: str | Path) -> int:
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for triplet in triplets:
-            handle.write(json.dumps(triplet.to_record(), sort_keys=True) + "\n")
-            count += 1
-    return count
+    return write_jsonl((triplet.to_record() for triplet in triplets), path)
 
 
 def read_triplets(path: str | Path) -> list[Triplet]:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return [Triplet.from_record(json.loads(line)) for line in handle if line.strip()]
+    return read_jsonl(path, Triplet.from_record)
 
 
 @dataclass(frozen=True)
 class ExportSummary:
     records: int
     path: Path
-
-
-def _write_jsonl(records: Iterable[dict], path: str | Path) -> ExportSummary:
-    path = Path(path)
-    count = 0
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                count += 1
-    except OSError as exc:
-        raise ExportFailed(f"cannot write {path}: {exc}") from exc
-    return ExportSummary(records=count, path=path)
 
 
 def sft_records(triplets: Sequence[Triplet]) -> list[dict]:
@@ -392,7 +365,7 @@ def export_sft(triplets: Sequence[Triplet], path: str | Path) -> ExportSummary:
     """Write the SFT training export (JSONL of {prompt, completion})."""
     if not triplets:
         raise NoTriplets("nothing to export")
-    return _write_jsonl(sft_records(triplets), path)
+    return ExportSummary(write_jsonl(sft_records(triplets), path), Path(path))
 
 
 def reward_records(triplets: Sequence[Triplet]) -> list[dict]:
@@ -432,7 +405,7 @@ def export_reward(triplets: Sequence[Triplet], path: str | Path) -> ExportSummar
     """Write the reward training export (JSONL of {prompt, chosen, rejected})."""
     if not triplets:
         raise NoTriplets("nothing to export")
-    return _write_jsonl(reward_records(triplets), path)
+    return ExportSummary(write_jsonl(reward_records(triplets), path), Path(path))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 
 from triagerank import cli
 from triagerank.corpus import fixture_corpus_path, load_corpus, save_corpus
+from triagerank.pairs import build_triplets, make_eval_pair
 
 FIXTURE = str(fixture_corpus_path())
 
@@ -197,6 +198,16 @@ def test_agreement_cli(tmp_path):
     assert run_cli("agreement", "--annotations", annotations, "--out", report_path) == 0
     report = read_json(report_path)
     assert report["agreement"]["cohens_kappa"] == 1.0
+
+
+@pytest.mark.parametrize("field", ["pair_id", "choice"])
+def test_agreement_rejects_non_scalar_field(tmp_path, capsys, field):
+    row = {"pair_id": "p0", "annotator_id": "a1", "choice": "A"}
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: ["A"]}) + "\n")
+    out = tmp_path / "agreement.json"
+    assert run_cli("agreement", "--annotations", annotations, "--out", out) == 3
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
@@ -403,6 +414,10 @@ def test_remote_comparator_without_model_exits_two(tmp_path, capsys):
         ("margin", "0.4"),
         ("auto_label", 1),
         ("comparator", "bogus"),
+        ("corpus", 5),
+        ("out_dir", None),
+        ("model", 3),
+        ("base_url", ["http://localhost"]),
     ],
 )
 def test_pipeline_config_rejects_malformed_value(tmp_path, capsys, key, value):
@@ -415,3 +430,43 @@ def test_pipeline_config_rejects_malformed_value(tmp_path, capsys, key, value):
     assert repr(key) in capsys.readouterr().err
     # rejected before any stage writes an artifact
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, settings",
+    [(["--comparator", "logprob"], {}), ([], {"margin": 0.9}), ([], {"flip": {"1": 1.5}})],
+    ids=["logprob-without-model", "margin", "flip"],
+)
+def test_pipeline_bad_comparator_settings_write_nothing(tmp_path, flags, settings):
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "run"
+    config_path.write_text(
+        json.dumps({"corpus": FIXTURE, "out_dir": str(out_dir), **settings})
+    )
+    assert run_cli("pipeline", "--config", config_path, *flags) == 2
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("corrupt", ["{not json", "[1, 2]"], ids=["json", "array"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("evaluate-intrinsic", "--pairs"),
+        ("export-sft", "--triplets"),
+        ("agreement", "--annotations"),
+    ],
+)
+def test_corrupt_record_file_exits_three_naming_the_line(
+    tmp_path, capsys, command, flag, corrupt
+):
+    corpus = load_corpus(FIXTURE)
+    other = next(labeled for labeled in corpus if labeled.level != corpus[0].level)
+    valid = {
+        "--pairs": make_eval_pair(corpus[0], other).to_record(),
+        "--triplets": build_triplets(corpus, 4, seed=0, count=1)[0].to_record(),
+        "--annotations": {"pair_id": "p0", "annotator_id": "a1", "choice": "A"},
+    }[flag]
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(valid) + "\n" + corrupt + "\n")
+    assert run_cli(command, flag, path, "--out", tmp_path / "out.json") == 3
+    assert "line 2" in capsys.readouterr().err

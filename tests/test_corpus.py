@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+from triagerank.annotate import JudgedPair, Verdict, read_judged_pairs
+from triagerank.compare import Winner
 from triagerank.corpus import (
     EhrRecord,
     Gender,
@@ -19,13 +21,14 @@ from triagerank.corpus import (
 )
 from triagerank.errors import (
     BadLabel,
-    ConfigError,
+    DataError,
     DuplicateId,
     EmptyMessage,
     MalformedRecord,
 )
+from triagerank.pairs import Triplet, make_eval_pair, read_eval_pairs, read_triplets
 
-from .conftest import make_labeled
+from .conftest import make_labeled, make_message
 
 
 def write_lines(tmp_path, lines, name="corpus.jsonl"):
@@ -56,9 +59,11 @@ def test_unknown_label_reports_line_number(tmp_path):
 
 def test_duplicate_id_rejected(tmp_path):
     path = write_lines(tmp_path, [record("a"), record("a")])
-    with pytest.raises(DuplicateId) as excinfo:
-        load_corpus(path)
-    assert excinfo.value.message_id == "a"
+    for loader in (load_corpus, load_messages):
+        with pytest.raises(DuplicateId) as excinfo:
+            loader(path)
+        assert excinfo.value.message_id == "a"
+        assert excinfo.value.line == 2
 
 
 def test_empty_text_rejected(tmp_path):
@@ -73,12 +78,6 @@ def test_malformed_json_rejected_whole_file(tmp_path):
     with pytest.raises(MalformedRecord) as excinfo:
         load_corpus(path)
     assert excinfo.value.line == 2
-
-
-def test_unsupported_format(tmp_path):
-    path = write_lines(tmp_path, [record("a")])
-    with pytest.raises(ConfigError):
-        load_corpus(path, format="csv")
 
 
 def test_round_trip_is_identity(tmp_path, fixture_corpus):
@@ -179,3 +178,79 @@ def test_record_shape_validation(tmp_path):
         path = write_lines(tmp_path, [json.dumps(record_dict)])
         with pytest.raises(MalformedRecord):
             load_corpus(path)
+
+
+# ------------------------------------------------------ record-file readers
+
+
+def _without(record: dict, key: str) -> dict:
+    return {name: value for name, value in record.items() if name != key}
+
+
+_LABELED = make_labeled("b", 3).to_record()
+_PAIR = make_eval_pair(make_labeled("a", 1), make_labeled("b", 3)).to_record()
+_TRIPLET = Triplet(
+    anchor=make_labeled("a", 3),
+    more_urgent=make_labeled("b", 1),
+    less_urgent=make_labeled("c", 6),
+).to_record()
+_JUDGED = JudgedPair(
+    a_id="a",
+    b_id="b",
+    auto_label=Winner.A,
+    verdict_v1=Verdict.A_MORE_URGENT,
+    verdict_v2=Verdict.A_MORE_URGENT,
+    accepted=True,
+).to_record()
+
+# reader, a valid line-1 record, then line-2 records with a missing field and
+# with a bad enum value
+_READERS = {
+    "load_corpus": (
+        load_corpus,
+        make_labeled("a", 1).to_record(),
+        _without(_LABELED, "text"),
+        {**_LABELED, "label": "L9"},
+    ),
+    "load_messages": (
+        load_messages,
+        make_message("a").to_record(),
+        _without(_LABELED, "id"),
+        {**_LABELED, "source": "bogus"},
+    ),
+    "read_eval_pairs": (
+        read_eval_pairs,
+        _PAIR,
+        _without(_PAIR, "b"),
+        {**_PAIR, "a": {**_PAIR["a"], "label": "L9"}},
+    ),
+    "read_triplets": (
+        read_triplets,
+        _TRIPLET,
+        _without(_TRIPLET, "anchor"),
+        {**_TRIPLET, "anchor": {**_TRIPLET["anchor"], "source": "bogus"}},
+    ),
+    "read_judged_pairs": (
+        read_judged_pairs,
+        _JUDGED,
+        _without(_JUDGED, "verdict_v2"),
+        {**_JUDGED, "auto_label": "C"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["invalid_json", "not_object", "missing_field", "bad_enum"])
+@pytest.mark.parametrize("reader_name", sorted(_READERS))
+def test_reader_rejects_bad_line_with_its_number(tmp_path, reader_name, case):
+    reader, valid, missing_field, bad_enum = _READERS[reader_name]
+    second = {
+        "invalid_json": "{not json",
+        "not_object": "[1, 2]",
+        "missing_field": json.dumps(missing_field),
+        "bad_enum": json.dumps(bad_enum),
+    }[case]
+    path = write_lines(tmp_path, [json.dumps(valid), second])
+    with pytest.raises(DataError) as excinfo:
+        reader(path)
+    assert excinfo.value.line == 2
+    assert str(excinfo.value).startswith("line 2: ")

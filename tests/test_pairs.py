@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
+from triagerank.annotate import OrdinalPairJudge, filter_pairs, write_judged_pairs
 from triagerank.compare import Winner
-from triagerank.corpus import LabeledMessage, UrgencyLabel
+from triagerank.corpus import LabeledMessage, UrgencyLabel, save_corpus
 from triagerank.errors import (
     ConfigError,
     EqualLabels,
@@ -455,10 +456,30 @@ def test_export_empty_rejected(tmp_path):
         export_reward([], tmp_path / "reward.jsonl")
 
 
-def test_export_io_failure(tmp_path, fixture_corpus):
-    triplets = build_triplets(fixture_corpus, 4, seed=0, count=1)
+def _judged(corpus):
+    return filter_pairs([(corpus[0], corpus[-1])], OrdinalPairJudge())
+
+
+def _triplets(corpus):
+    return build_triplets(corpus, 4, seed=0, count=1)
+
+
+# each record-file writer, with what it writes drawn from the corpus
+_WRITERS = {
+    "save_corpus": (save_corpus, list),
+    "write_eval_pairs": (write_eval_pairs, lambda corpus: build_eval_pairs(corpus, 2, 0)),
+    "write_triplets": (write_triplets, _triplets),
+    "write_judged_pairs": (write_judged_pairs, _judged),
+    "export_sft": (export_sft, _triplets),
+    "export_reward": (export_reward, _triplets),
+}
+
+
+@pytest.mark.parametrize("writer_name", list(_WRITERS))
+def test_export_io_failure(tmp_path, fixture_corpus, writer_name):
+    writer, items = _WRITERS[writer_name]
     with pytest.raises(ExportFailed):
-        export_sft(triplets, tmp_path / "missing_dir" / "sft.jsonl")
+        writer(items(fixture_corpus), tmp_path / "missing_dir" / "out.jsonl")
 
 
 # --------------------------------------------------------------------- inbox

@@ -53,6 +53,8 @@ from .pairs import (
     export_reward,
     export_sft,
     assemble_inbox,
+    check_pair_count,
+    check_triplet_limits,
     read_eval_pairs,
     read_triplets,
     write_eval_pairs,
@@ -272,14 +274,19 @@ def _intrinsic_table(report: metrics.IntrinsicReport) -> str:
     return f"{header}\n{row}"
 
 
+def _report_ks(ks: Sequence[int], inbox_size: int) -> list[int]:
+    """The cutoffs an inbox is scored at; a k above the inbox is skipped."""
+    if any(k < 1 for k in ks):
+        raise ConfigError(f"every k must be >= 1, got {list(ks)}")
+    return [k for k in ks if k <= inbox_size]
+
+
 def _extrinsic_sections(
     result: rank.TournamentResult,
     inbox: Sequence[LabeledMessage],
     ks: Sequence[int],
-    shuffles: int,
-    seed: int,
 ) -> dict:
-    """The "extrinsic" and "ranking" report sections; a k above the inbox is skipped."""
+    """The "extrinsic" and "ranking" report sections."""
     labels = labels_by_id(inbox)
     sextiles = annotate.sextile_labels_from_winrate(
         [(message_id, result.scores[message_id]) for message_id in result.ranking]
@@ -289,10 +296,8 @@ def _extrinsic_sections(
         for level in range(1, 7)
     ]
     by_k = {}
-    for k in [k for k in ks if k <= len(inbox)]:
-        mean, stddev = metrics.expected_t_ndcg(
-            class_groups, labels, k=k, shuffles=shuffles, seed=seed
-        )
+    for k in _report_ks(ks, len(inbox)):
+        mean, stddev = metrics.expected_t_ndcg(class_groups, labels, k=k)
         by_k[str(k)] = {
             "ndcg": metrics.ndcg_at_k(result.ranking, labels, k=k),
             "t_ndcg": metrics.t_ndcg_at_k(result.ranking, labels, k=k),
@@ -316,7 +321,7 @@ def cmd_evaluate_extrinsic(args: argparse.Namespace) -> int:
     comparator = build_comparator(args.comparator, inbox, **_comparator_options(args))
     result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
     ks = _parse_ints(args.ks, "k list", "10,30")
-    sections = _extrinsic_sections(result, inbox, ks, args.shuffles, args.seed)
+    sections = _extrinsic_sections(result, inbox, ks)
     envelope = _envelope(args.seed, _args_hash(args), comparator.cache_identity)
     _write_report(Path(args.out), envelope, **sections)
     if args.table:
@@ -380,7 +385,6 @@ class RunConfig:
     triplet_cap: int = 4
     inbox_counts: tuple[int, ...] = (5, 5, 5, 5, 5, 5)
     ks: tuple[int, ...] = (10, 30)
-    shuffles: int = 1000
     auto_label: bool = False
     model: str | None = None
     base_url: str | None = None
@@ -396,7 +400,6 @@ class RunConfig:
             "triplet_cap": self.triplet_cap,
             "inbox_counts": list(self.inbox_counts),
             "ks": list(self.ks),
-            "shuffles": self.shuffles,
             "auto_label": self.auto_label,
             "model": self.model,
         }
@@ -427,7 +430,6 @@ _SETTING_TYPES = {
     "seed": ("an integer", _is_int),
     "pair_count": ("an integer", _is_int),
     "triplet_cap": ("an integer", _is_int),
-    "shuffles": ("an integer", _is_int),
     "margin": ("a number", _is_number),
     "flip": (
         "an object mapping integer gaps to numbers",
@@ -511,9 +513,13 @@ def run_pipeline(config: RunConfig) -> dict:
             margin=config.margin, model=config.model, base_url=config.base_url,
         )
 
-    # bad comparator settings fail here, before any stage writes an artifact;
-    # the oracle gets its labels once the corpus is filtered
+    # bad settings fail here, before any stage writes an artifact; the
+    # oracle gets its labels once the corpus is filtered
     _comparator(())
+    spec = InboxSpec.from_counts(config.inbox_counts, seed=config.seed)
+    _report_ks(config.ks, spec.total)
+    check_pair_count(config.pair_count)
+    check_triplet_limits(config.triplet_cap)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
@@ -560,7 +566,6 @@ def run_pipeline(config: RunConfig) -> dict:
     )
 
     def _inbox_stage():
-        spec = InboxSpec.from_counts(config.inbox_counts, seed=config.seed)
         inbox = assemble_inbox(corpus, spec)
         save_corpus(inbox, _artifact("inbox", out_dir / "inbox.jsonl"))
         return inbox
@@ -582,7 +587,7 @@ def run_pipeline(config: RunConfig) -> dict:
         intrinsic = metrics.intrinsic_accuracy(eval_pairs, comparator)
         intrinsic_path = _artifact("intrinsic", out_dir / "intrinsic.json")
         _write_report(intrinsic_path, envelope, intrinsic=intrinsic.to_record())
-        sections = _extrinsic_sections(result, inbox, config.ks, config.shuffles, config.seed)
+        sections = _extrinsic_sections(result, inbox, config.ks)
         extrinsic_path = _artifact("extrinsic", out_dir / "extrinsic.json")
         _write_report(extrinsic_path, envelope, **sections)
         return intrinsic
@@ -688,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--inbox", required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--ks", default="10,30")
-    sub.add_argument("--shuffles", type=int, default=1000)
     sub.add_argument("--table", action="store_true")
     _add_comparator_flags(sub)
 

@@ -11,22 +11,19 @@ The reversal term penalizes urgent messages sorted to the bottom, which
 plain NDCG ignores. Relevance maps level 1 to gain 5 down to level 6 at
 gain 0 (no medical attention needed).
 
-Multi-class rankings with intra-class ties are scored by the expected
-T-NDCG over seeded intra-class shuffles (mean and sample deviation).
+Multi-class rankings with intra-class ties are scored by the exact
+expected T-NDCG over uniform intra-class shuffles and its population
+standard deviation, both in closed form.
 """
 
 from __future__ import annotations
 
 import math
-import random
+import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import getitem
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
-from scipy import stats as scipy_stats
 
 from .compare import Comparator, ComparisonOutcome, Winner, compare
 from .corpus import UrgencyLabel, label_for_level
@@ -185,58 +182,51 @@ def expected_t_ndcg(
     labels: Mapping[str, UrgencyLabel],
     mapping: RelevanceMapping = DEFAULT_RELEVANCE,
     k: int | None = None,
-    shuffles: int = 1000,
-    seed: int = 0,
 ) -> tuple[float, float]:
-    """Mean and sample stddev of T-NDCG over intra-class shuffles.
+    """Exact mean and population stddev of T-NDCG over intra-class shuffles.
 
     ``class_groups`` is the predicted ranking as ordered groups of ids,
-    most urgent class first; order within a group is meaningless and is
-    shuffled independently per trial. Per-trial seeds derive from
-    (seed, trial), so parallel evaluation would match this sequential
-    result.
+    most urgent class first; order within a group is meaningless, and each
+    group is permuted uniformly and independently.
 
-    Each trial equals ``t_ndcg_at_k`` on its shuffled ranking bit for bit,
-    but the gains, the ideal DCG and the per-position DCG terms are
-    computed once: a trial shuffles each id's row of terms and sums only
-    the top k and the reversed bottom k, in ``_dcg``'s order.
+    T-NDCG@k is linear in the gain values x = 2^gain - 1: position p of n
+    carries the weight c_p = [p <= k]/log2(p+1) - [n-p+1 <= k]/log2(n-p+2),
+    its discount in the ranking minus its discount in the reversal. For a
+    group of m values with mean mu and population variance s^2 over the
+    positions P (the tie-aware expectation of McSherry & Najork, ECIR 2008):
+
+        E   = sum_g mu_g sum_{p in P_g} c_p / idealDCG
+        Var = sum_{g, m > 1} s_g^2 (m sum c_p^2 - (sum c_p)^2) / (m - 1) / idealDCG^2
+
+    Singleton groups and groups of equal gains add exactly zero variance.
     """
-    if shuffles < 1:
-        raise ConfigError("shuffles must be >= 1")
     n = sum(len(group) for group in class_groups)
     if k is None:
         k = n
     if not 1 <= k <= n:
         raise ConfigError(f"k must be in 1..{n}, got {k}")
     group_gains = [_gain_vector(group, labels, mapping) for group in class_groups]
-    gains = [gain for group in group_gains for gain in group]
-    ideal = _dcg(sorted(gains, reverse=True), k)
+    ideal = _dcg(sorted((gain for group in group_gains for gain in group), reverse=True), k)
     if ideal == 0.0:
-        # NDCG is 1.0 for the ranking and its reversal in every trial
+        # NDCG is 1.0 for every ranking and its reversal
         return 0.0, 0.0
-    terms = {
-        gain: [(2.0**gain - 1.0) / math.log2(position + 1) for position in range(1, k + 1)]
-        for gain in set(gains)
-    }
-    group_rows = [[terms[gain] for gain in group] for group in group_gains]
-    positions = range(k)
-    values = np.empty(shuffles)
-    for trial in range(shuffles):
-        rng = random.Random(f"{seed}:{trial}")
-        flat: list[list[float]] = []
-        for members in group_rows:
-            members = list(members)
-            rng.shuffle(members)
-            flat.extend(members)
-        top = sum(map(getitem, flat[:k], positions))
-        bottom = sum(map(getitem, flat[:-k - 1:-1], positions))
-        values[trial] = top / ideal - bottom / ideal
-    if shuffles == 1 or np.all(values == values[0]):
-        # identical samples have exactly zero spread; keep float dust out
-        stddev = 0.0
-    else:
-        stddev = float(np.std(values, ddof=1))
-    return float(np.mean(values)), stddev
+    weights = [
+        (1.0 / math.log2(p + 1) if p <= k else 0.0)
+        - (1.0 / math.log2(n - p + 2) if n - p + 1 <= k else 0.0)
+        for p in range(1, n + 1)
+    ]
+    mean = variance = 0.0
+    start = 0
+    for gains in group_gains:
+        m = len(gains)
+        x = [2.0**gain - 1.0 for gain in gains]
+        c = weights[start:start + m]
+        start += m
+        mean += statistics.fmean(x) * math.fsum(c)
+        if m > 1:
+            # m sum c_p^2 - (sum c_p)^2 is m^2 times the population variance of c
+            variance += m * m * statistics.pvariance(x) * statistics.pvariance(c) / (m - 1)
+    return mean / ideal, math.sqrt(variance) / ideal
 
 
 @dataclass(frozen=True)
@@ -248,29 +238,59 @@ class ChiSquareResult:
     n: int
 
 
+def _chi2_upper_tail(x: float, dof: int) -> float:
+    """P(X > x) for X ~ chi-square with an integer dof >= 1.
+
+    With y = x/2 (Abramowitz & Stegun 26.4.4-5), an even dof 2m is the
+    Poisson sum of e^-y y^a / Gamma(a+1) over a = 0..m-1, and an odd dof
+    2m+1 is erfc(sqrt(y)) plus the same terms over a = 1/2..m-1/2. Each
+    term is formed from its logarithm, so no factor of it overflows or
+    underflows on its own.
+    """
+    if x <= 0.0:
+        return 1.0
+    y = x / 2.0
+    if dof % 2:
+        tail, powers = math.erfc(math.sqrt(y)), [j - 0.5 for j in range(1, dof // 2 + 1)]
+    else:
+        tail, powers = 0.0, range(dof // 2)
+    log_y = math.log(y)
+    # near 1 the rounded sum can land an ulp above it
+    return min(1.0, tail + sum(math.exp(a * log_y - math.lgamma(a + 1) - y) for a in powers))
+
+
 def chi_square_independence(table: Sequence[Sequence[float]]) -> ChiSquareResult:
     """Pearson chi-square test of independence, no continuity correction.
 
-    Rows or columns summing to zero are dropped before computing. The
-    p-value comes from the chi-square distribution with (r-1)(c-1)
-    degrees of freedom; Cramér's V = sqrt(chi2 / (n * min(r-1, c-1))).
+    ``table`` is a rectangle of finite, non-negative counts. Rows or
+    columns summing to zero are dropped before computing. The p-value
+    comes from the chi-square distribution with (r-1)(c-1) degrees of
+    freedom; Cramér's V = sqrt(chi2 / (n * min(r-1, c-1))).
     """
-    observed = np.asarray(table, dtype=float)
-    if observed.ndim != 2 or observed.size == 0:
+    try:
+        observed = [[float(count) for count in row] for row in table]
+    except (TypeError, ValueError):
+        observed = []
+    if not observed or not observed[0] or any(len(row) != len(observed[0]) for row in observed):
         raise DataError("contingency table must be 2-dimensional and non-empty")
-    if (observed < 0).any():
-        raise DataError("contingency table has negative counts")
-    observed = observed[observed.sum(axis=1) > 0][:, observed.sum(axis=0) > 0]
-    n = float(observed.sum())
+    if not all(0.0 <= count < math.inf for row in observed for count in row):
+        raise DataError("contingency table counts must be finite and non-negative")
+    observed = [row for row in observed if sum(row) > 0]
+    columns = [column for column in zip(*observed) if sum(column) > 0]
+    n = sum(map(sum, columns))
     if n == 0:
         raise DataError("contingency table is empty")
-    rows, cols = observed.shape
+    rows, cols = len(observed), len(columns)
     dof = (rows - 1) * (cols - 1)
     if dof == 0:
         return ChiSquareResult(0.0, 0, 1.0, 0.0, int(n))
-    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / n
-    chi_square = float(((observed - expected) ** 2 / expected).sum())
-    p_value = float(scipy_stats.chi2.sf(chi_square, dof))
+    col_sums = [sum(column) for column in columns]
+    chi_square = 0.0
+    for i, row_sum in enumerate(map(sum, observed)):
+        for column, col_sum in zip(columns, col_sums):
+            expected = row_sum * col_sum / n
+            chi_square += (column[i] - expected) ** 2 / expected
+    p_value = _chi2_upper_tail(chi_square, dof)
     cramers_v = math.sqrt(chi_square / (n * min(rows - 1, cols - 1)))
     return ChiSquareResult(chi_square, dof, p_value, cramers_v, int(n))
 

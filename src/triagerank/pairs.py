@@ -156,6 +156,12 @@ class _CrossLevelPairs(collections.abc.Sequence):
                 yield i, partners[position]
 
 
+def check_pair_count(count: int) -> None:
+    """Raise the ConfigError build_eval_pairs raises for ``count``."""
+    if count < 0:
+        raise ConfigError("count must be non-negative")
+
+
 def build_eval_pairs(
     corpus: Sequence[LabeledMessage],
     count: int,
@@ -174,8 +180,7 @@ def build_eval_pairs(
     They are never listed: memory is O(N) in the corpus size, and the
     sample for a seed is the same as drawing from the full candidate list.
     """
-    if count < 0:
-        raise ConfigError("count must be non-negative")
+    check_pair_count(count)
     ordinal = _ordinal_only(corpus)
     levels = [labeled.level for labeled in ordinal]
     if len(set(levels)) < 2:
@@ -240,6 +245,14 @@ class Triplet:
 DEFAULT_MAX_USES = 4
 
 
+def check_triplet_limits(max_uses_per_message: int, count: int | None = None) -> None:
+    """Raise the ConfigError build_triplets raises for these arguments."""
+    if max_uses_per_message < 1:
+        raise ConfigError("max_uses_per_message must be >= 1")
+    if count is not None and count < 1:
+        raise ConfigError("count must be >= 1 when given")
+
+
 def build_triplets(
     corpus: Sequence[LabeledMessage],
     max_uses_per_message: int = DEFAULT_MAX_USES,
@@ -255,10 +268,7 @@ def build_triplets(
     anchor is visited once; with it, passes repeat until the target or the
     supply is exhausted.
     """
-    if max_uses_per_message < 1:
-        raise ConfigError("max_uses_per_message must be >= 1")
-    if count is not None and count < 1:
-        raise ConfigError("count must be >= 1 when given")
+    check_triplet_limits(max_uses_per_message, count)
     levels = by_level(corpus)
     anchors = [
         labeled

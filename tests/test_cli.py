@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,7 +163,7 @@ def test_evaluate_extrinsic_table(tmp_path, capsys):
     assert (
         run_cli(
             "evaluate-extrinsic", "--inbox", FIXTURE, "--comparator", "oracle",
-            "--ks", "10,30", "--shuffles", 50, "--out", report_path, "--table",
+            "--ks", "10,30", "--out", report_path, "--table",
         )
         == 0
     )
@@ -244,15 +247,15 @@ def test_pipeline_deterministic(tmp_path):
 
 # sha256 of every artifact of the fixture pipeline below. A change that
 # moves any of them changes artifact bytes and must say so in CHANGES.md.
-# Recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1; the report
-# floats go through numpy's mean and std.
+# Recorded with Python 3.11; every report float is computed in pure
+# Python, so the hashes need no numerical library version.
 GOLDEN_ARTIFACT_SHA256 = {
     "eval_pairs": "5c3bde0ea814ee3e8e73348219d404425e6593c420d32ffed554f4f82d320527",
-    "extrinsic": "5007de91b2bac250a62cff24e9d23082cc2e93797d3ade197d1e246e192474ec",
+    "extrinsic": "d49372decb05eb56c81fcad02a0885bb5569141ea71286948311513459bffddf",
     "filtered_corpus": "166cf60d8f9daa1b17ac2d3aff55dacb809091b3c3c168f7dedc7059c3ac1000",
     "inbox": "5bed1fb4c22391388ce61a68db847b809f80880cfacddfec53f65b52db78f48a",
-    "intrinsic": "e0a1ea29d163f99f025c9276096f5ac844d8b5c0432f6fe87fa2d7c9bff1135a",
-    "ranking": "34aa15da7de48179f5640b4975b1a1dee7f3e9f6ac2f00d4a7448d5b995ccd38",
+    "intrinsic": "9c8c4784058cd350260061c893655179e87d04378ec7737dd2b005d939cbe3af",
+    "ranking": "2550c9d0191b07c73ff3b473778816093abcd9dd38c933710c47051cc1ea1068",
     "reward": "089a268b7e3e42f65c617295158f486b7e6d36a15e295e01d7d124e6a4f05988",
     "sft": "1b7a795fd0fad9fa3e4c272fca0d15a2c79f657b6dae22f90b84be8ce724bc9c",
     "triplets": "590d1c06a421cad4e82bc15df86ed1bae512c0e6fab55f2ae361e15aab2eac7d",
@@ -291,7 +294,6 @@ def test_pipeline_config_file_with_overrides(tmp_path):
                 "out_dir": str(tmp_path / "from_config"),
                 "seed": 3,
                 "pair_count": 20,
-                "shuffles": 50,
             }
         )
     )
@@ -321,7 +323,7 @@ def test_pipeline_unknown_config_key(tmp_path, capsys):
 # comparator or its report moves these.
 GOLDEN_REPORT_SHA256 = {
     "bias": "127d54c4bdeb02a0c7c4e84875508afa805603e5c14a21efcfaa967698a28f6c",
-    "extrinsic": "3b866a1f8993eaf461425f29da60157bf199cb68c08b6cb88fd1d85cadef96b3",
+    "extrinsic": "5e3c1f09f4f8c57f5e0fdb550431aac8b8942f02f3df22e672f08c569527fc78",
     "intrinsic": "95a79a1d91e81a286d1df554ae4f774688a5674b16bd48ae532386249741dec2",
     "rank": "16c2dfd5edfe638b2a4a1fdeddbe12564d5cc58d93db006cb5665dd90746798d",
     "rank_cold": "57a4ab2182019bb18737710b59b0dfa1f6d89607ca431dd91d164c73aac90a8c",
@@ -434,8 +436,16 @@ def test_pipeline_config_rejects_malformed_value(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize(
     "flags, settings",
-    [(["--comparator", "logprob"], {}), ([], {"margin": 0.9}), ([], {"flip": {"1": 1.5}})],
-    ids=["logprob-without-model", "margin", "flip"],
+    [
+        (["--comparator", "logprob"], {}), ([], {"margin": 0.9}), ([], {"flip": {"1": 1.5}}),
+        # out of range for the stage that uses them, checked before stage load
+        ([], {"ks": [0]}), ([], {"inbox_counts": [5, 5, -1, 5, 5, 5]}),
+        ([], {"triplet_cap": 0}), ([], {"pair_count": -1}),
+    ],
+    ids=[
+        "logprob-without-model", "margin", "flip",
+        "ks", "inbox_counts", "triplet_cap", "pair_count",
+    ],
 )
 def test_pipeline_bad_comparator_settings_write_nothing(tmp_path, flags, settings):
     config_path = tmp_path / "config.json"
@@ -445,6 +455,39 @@ def test_pipeline_bad_comparator_settings_write_nothing(tmp_path, flags, setting
     )
     assert run_cli("pipeline", "--config", config_path, *flags) == 2
     assert not out_dir.exists()
+
+
+def test_shuffle_count_setting_is_gone(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"corpus": FIXTURE, "out_dir": str(tmp_path / "run"), "shuffles": 1000})
+    )
+    assert run_cli("pipeline", "--config", config_path) == 2
+    assert "unknown config keys: ['shuffles']" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(
+            "evaluate-extrinsic", "--inbox", FIXTURE, "--shuffles", 50,
+            "--out", tmp_path / "extrinsic.json",
+        )
+    assert exit_info.value.code == 2
+
+
+def test_import_loads_no_third_party_module_but_requests():
+    """The package and its CLI import only the standard library and requests."""
+    script = (
+        "import sys\n"
+        "import requests\n"
+        "before = {name.partition('.')[0] for name in sys.modules}\n"
+        "import triagerank, triagerank.cli\n"
+        "added = {name.partition('.')[0] for name in sys.modules} - before\n"
+        "print(sorted(added - set(sys.stdlib_module_names)))\n"
+    )
+    source_root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(source_root)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "['triagerank']"
 
 
 @pytest.mark.parametrize("corrupt", ["{not json", "[1, 2]"], ids=["json", "array"])

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import statistics
 
-import numpy as np
 import pytest
 
 from triagerank.compare import (
@@ -19,6 +20,7 @@ from triagerank.errors import ConfigError, DataError, MissingLabel, NoStrata, No
 from triagerank.metrics import (
     BiasScheme,
     RelevanceMapping,
+    _chi2_upper_tail,
     agreement,
     bias_strata,
     chi_square_independence,
@@ -183,55 +185,74 @@ def test_t_ndcg_constant_relevance_is_zero():
 def test_expected_singleton_classes_degenerate():
     ranking, labels = labels_for(IDEAL_30)
     groups = [[message_id] for message_id in ranking]
-    mean, stddev = expected_t_ndcg(groups, labels, k=30, shuffles=50, seed=1)
+    mean, stddev = expected_t_ndcg(groups, labels, k=30)
     assert stddev == 0.0
     assert mean == pytest.approx(t_ndcg_at_k(ranking, labels, k=30), abs=1e-12)
 
 
 def test_expected_single_class_mean_near_zero():
     ranking, labels = labels_for(IDEAL_30)
-    mean, stddev = expected_t_ndcg([ranking], labels, k=30, shuffles=2000, seed=3)
+    mean, stddev = expected_t_ndcg([ranking], labels, k=30)
     assert abs(mean) < 0.05
     assert stddev > 0.0
 
 
 def test_expected_two_class_matches_high_shuffle_oracle():
-    """Pinned from an independent 10^5-shuffle brute-force run."""
+    """Pinned from an independent 10^5-shuffle brute-force run.
+
+    The tolerance is 3 standard errors of that run: sigma / sqrt(N) for
+    its mean and, in the normal approximation, sigma / sqrt(2N) for its
+    standard deviation.
+    """
     ranking, labels = labels_for(IDEAL_30)
     groups = [ranking[:15], ranking[15:]]
     oracle = {10: (0.6434876427357737, 0.09567219908700915),
               30: (0.3238723196696982, 0.0630296537361598)}
-    shuffles = 4000
+    oracle_shuffles = 100_000
     for k, (oracle_mean, oracle_std) in oracle.items():
-        mean, stddev = expected_t_ndcg(groups, labels, k=k, shuffles=shuffles, seed=7)
-        standard_error = oracle_std / math.sqrt(shuffles)
-        assert mean == pytest.approx(oracle_mean, abs=3 * standard_error)
-        assert stddev == pytest.approx(oracle_std, abs=0.01)
+        mean, stddev = expected_t_ndcg(groups, labels, k=k)
+        assert mean == pytest.approx(oracle_mean, abs=3 * oracle_std / math.sqrt(oracle_shuffles))
+        assert stddev == pytest.approx(
+            oracle_std, abs=3 * oracle_std / math.sqrt(2 * oracle_shuffles)
+        )
 
 
-def test_expected_shuffles_one_equals_concrete_shuffle():
-    ranking, labels = labels_for([1, 4, 2, 6, 3, 5, 2, 1])
-    groups = [ranking[:4], ranking[4:]]
-    mean, stddev = expected_t_ndcg(groups, labels, k=8, shuffles=1, seed=13)
-    rng = random.Random("13:0")
-    flat = []
-    for group in groups:
-        members = list(group)
-        rng.shuffle(members)
-        flat.extend(members)
-    assert mean == t_ndcg_at_k(flat, labels, k=8)
-    assert stddev == 0.0
+def _random_groups(rng, ranking, max_size=9):
+    groups, rest = [], list(ranking)
+    while rest:
+        size = rng.randint(1, max_size)
+        groups.append(rest[:size])
+        rest = rest[size:]
+    return groups
 
 
-def test_expected_requires_positive_shuffles():
-    ranking, labels = labels_for([1, 6])
-    with pytest.raises(ConfigError):
-        expected_t_ndcg([ranking], labels, k=2, shuffles=0)
+def _orderings(groups):
+    """Every ranking the groups allow, each group permuted in place."""
+    for combination in itertools.product(*map(itertools.permutations, groups)):
+        yield [message_id for group in combination for message_id in group]
+
+
+def test_expected_equals_exhaustive_enumeration():
+    rng = random.Random(17)
+    cases = 0
+    while cases < 40:
+        n = rng.randint(1, 8)
+        ranking, labels = labels_for([rng.randint(1, 6) for _ in range(n)], prefix=f"e{cases}_")
+        groups = _random_groups(rng, ranking, max_size=5)
+        if math.prod(math.factorial(len(group)) for group in groups) > 2000:
+            continue
+        cases += 1
+        for k in sorted({1, max(1, n // 2), n}):
+            values = [t_ndcg_at_k(ordering, labels, k=k) for ordering in _orderings(groups)]
+            mean, stddev = expected_t_ndcg(groups, labels, k=k)
+            assert mean == pytest.approx(statistics.fmean(values), abs=1e-12)
+            assert stddev == pytest.approx(statistics.pstdev(values), abs=1e-12)
 
 
 def per_trial_expected(groups, labels, k, shuffles, seed):
-    """expected_t_ndcg as it was written: t_ndcg_at_k on every shuffled list."""
-    values = np.empty(shuffles)
+    """Seeded Monte Carlo reference: mean and sample stddev of t_ndcg_at_k
+    over ``shuffles`` independently shuffled rankings."""
+    values = []
     for trial in range(shuffles):
         rng = random.Random(f"{seed}:{trial}")
         flat = []
@@ -239,41 +260,28 @@ def per_trial_expected(groups, labels, k, shuffles, seed):
             members = list(group)
             rng.shuffle(members)
             flat.extend(members)
-        values[trial] = t_ndcg_at_k(flat, labels, k=k)
-    if shuffles == 1 or np.all(values == values[0]):
-        return float(np.mean(values)), 0.0
-    return float(np.mean(values)), float(np.std(values, ddof=1))
+        values.append(t_ndcg_at_k(flat, labels, k=k))
+    return statistics.fmean(values), statistics.stdev(values)
 
 
-def _random_groups(rng, ranking):
-    groups, rest = [], list(ranking)
-    while rest:
-        size = rng.randint(1, 9)
-        groups.append(rest[:size])
-        rest = rest[size:]
-    return groups
-
-
-def test_expected_equals_per_trial_formula_bit_for_bit():
+def test_expected_within_four_standard_errors_of_monte_carlo():
     rng = random.Random(31)
-    for case in range(25):
-        n = rng.randint(1, 45)
-        ranking, labels = labels_for([rng.randint(1, 6) for _ in range(n)], prefix=f"c{case}_")
-        rng.shuffle(ranking)
-        groups = _random_groups(rng, ranking)
-        for k in sorted({1, min(10, n), n}) + [None]:
-            for shuffles in (1, 2, 60):
-                seed = rng.randrange(10_000)
-                assert expected_t_ndcg(
-                    groups, labels, k=k, shuffles=shuffles, seed=seed
-                ) == per_trial_expected(groups, labels, k, shuffles, seed)
+    ranking, labels = labels_for([rng.randint(1, 6) for _ in range(45)], prefix="mc_")
+    rng.shuffle(ranking)
+    groups = _random_groups(rng, ranking)
+    shuffles = 2000
+    for k in (1, 10, 45):
+        mc_mean, mc_std = per_trial_expected(groups, labels, k, shuffles, seed=k)
+        mean, stddev = expected_t_ndcg(groups, labels, k=k)
+        assert mean == pytest.approx(mc_mean, abs=4 * mc_std / math.sqrt(shuffles))
+        assert stddev == pytest.approx(mc_std, abs=4 * mc_std / math.sqrt(2 * shuffles))
 
 
 def test_expected_all_l6_inbox_is_zero_like_per_trial_formula():
     ranking, labels = labels_for([6] * 12)
     groups = [ranking[:5], ranking[5:]]
     for k in (1, 10, 12, None):
-        result = expected_t_ndcg(groups, labels, k=k, shuffles=20, seed=4)
+        result = expected_t_ndcg(groups, labels, k=k)
         assert result == per_trial_expected(groups, labels, k, 20, 4) == (0.0, 0.0)
 
 
@@ -282,14 +290,14 @@ def test_expected_rejects_bad_k_and_unlabeled_ids():
     groups = [ranking[:2], ranking[2:]]
     for k in (0, 5, -1):
         with pytest.raises(ConfigError):
-            expected_t_ndcg(groups, labels, k=k, shuffles=3)
+            expected_t_ndcg(groups, labels, k=k)
     with pytest.raises(ConfigError):
-        expected_t_ndcg([], labels, shuffles=3)
+        expected_t_ndcg([], labels)
     with pytest.raises(MissingLabel):
-        expected_t_ndcg(groups + [["ghost"]], labels, k=2, shuffles=3)
+        expected_t_ndcg(groups + [["ghost"]], labels, k=2)
     labels[ranking[0]] = UrgencyLabel.UNCLEAR
     with pytest.raises(MissingLabel):
-        expected_t_ndcg(groups, labels, k=2, shuffles=3)
+        expected_t_ndcg(groups, labels, k=2)
 
 
 # ----------------------------------------------------------------- intrinsic
@@ -387,6 +395,89 @@ def test_chi_square_rejects_bad_tables():
         chi_square_independence([[1, -2], [3, 4]])
     with pytest.raises(DataError):
         chi_square_independence([[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[1, 2], [3]], [[1, math.nan], [3, 4]], [[1, math.inf], [3, 4]], [1, 2], [[[1]]], [], [[]]],
+    ids=["ragged", "nan", "inf", "one-dimensional", "three-dimensional", "empty", "empty-row"],
+)
+def test_chi_square_rejects_malformed_tables(table):
+    with pytest.raises(DataError):
+        chi_square_independence(table)
+
+
+# SciPy 1.17.1 ``chi2.sf(x, dof)`` at CHI2_XS, recorded once; the tests
+# compare against these literals and need no SciPy.
+CHI2_XS = (0.0, 0.5, 1.0, 3.84, 10.0, 50.0, 200.0, 700.0, 1400.0)
+CHI2_SF = {
+    1: (
+        1.0, 0.47950012218695337, 0.31731050786291115,
+        0.05004352124870519, 0.001565402258002549, 1.537459794428033e-12,
+        2.0884875837625688e-45, 2.990226975124623e-154, 2.1010145162644003e-306,
+    ),
+    2: (
+        1.0, 0.7788007830714049, 0.6065306597126334,
+        0.14660696213035013, 0.006737946999085468, 1.3887943864964e-11,
+        3.7200759760208177e-44, 9.929590396265143e-153, 9.85967654375939e-305,
+    ),
+    3: (
+        1.0, 0.9188914116546758, 0.8012519569012009,
+        0.27926761711860965, 0.01856613546304325, 7.989179244951495e-11,
+        4.218541107192018e-43, 2.0991308534204487e-151, 2.945619361016289e-303,
+    ),
+    4: (
+        1.0, 0.9735009788392561, 0.9097959895689501,
+        0.4280923294206225, 0.04042768199451279, 3.610865404890647e-10,
+        3.75727673578106e-42, 3.4852862290889247e-150, 6.911633257175853e-302,
+    ),
+    5: (
+        1.0, 0.9921232932326296, 0.9625657732472964,
+        0.5726744598320888, 0.07523524614651217, 1.3857973367009573e-09,
+        2.8406228986415534e-41, 4.911986103573117e-149, 1.3765875143943142e-300,
+    ),
+    6: (
+        1.0, 0.9978385033102375, 0.9856123220330293,
+        0.6983182820192837, 0.12465201948308108, 4.701068998290324e-09,
+        1.8976107553682236e-40, 6.116726980003133e-148, 2.4225323864784486e-299,
+    ),
+    7: (
+        1.0, 0.9994464813904249, 0.9948285365165155,
+        0.79801091503604, 0.18857346751344997, 1.4444852779215397e-08,
+        1.147781224014262e-39, 6.896512574090415e-147, 3.85996318123752e-298,
+    ),
+    8: (
+        1.0, 0.999866630349486, 0.9982483774437092,
+        0.871262891682427, 0.2650259152973616, 4.0867589479967445e-08,
+        6.389887702238276e-39, 7.156687073797783e-146, 5.660673748047227e-297,
+    ),
+    9: (
+        1.0, 0.9999695662588389, 0.9994375026978325,
+        0.9216240561764936, 0.3504852123233613, 1.0772382022574693e-07,
+        3.312992393909567e-38, 6.916357838795454e-145, 7.730994243998953e-296,
+    ),
+    10: (
+        1.0, 0.999993388289439, 0.9998278843700441,
+        0.9542763043207358, 0.44049328506521257, 2.669083424904495e-07,
+        1.6139305336977317e-37, 6.280146699235733e-144, 9.92039147980046e-295,
+    ),
+    25: (
+        1.0, 1.0, 0.9999999999999364,
+        0.9999996531639935, 0.996652640733739, 0.002131151919103168,
+        3.0673491634731327e-29, 1.3550525784141208e-131, 3.832215930973459e-280,
+    ),
+    200: (
+        1.0, 1.0, 1.0,
+        1.0, 1.0, 1.0,
+        0.48670120172085135, 1.079900895730226e-56, 5.684208283879863e-179,
+    ),
+}
+
+
+@pytest.mark.parametrize("dof", sorted(CHI2_SF))
+def test_chi2_upper_tail_matches_recorded_values(dof):
+    for x, expected in zip(CHI2_XS, CHI2_SF[dof]):
+        assert _chi2_upper_tail(x, dof) == pytest.approx(expected, rel=1e-12, abs=0), x
 
 
 # --------------------------------------------------------------------- bias

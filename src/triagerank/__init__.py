@@ -37,12 +37,12 @@ from .corpus import (
     Message,
     Source,
     UrgencyLabel,
-    filter_ordinal,
     labels_by_id,
     load_corpus,
     load_fixture_corpus,
     load_messages,
     save_corpus,
+    split_ordinal,
 )
 from .gateway import CompletionResult, EndpointConfig, complete, score
 from .metrics import (
@@ -50,7 +50,6 @@ from .metrics import (
     BiasReport,
     BiasScheme,
     IntrinsicReport,
-    RelevanceMapping,
     agreement,
     bias_strata,
     chi_square_independence,

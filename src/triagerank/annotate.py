@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -225,39 +224,26 @@ def _accepted(auto_label: Winner, v1: Verdict, v2: Verdict) -> bool:
     return _matches(v1, auto_label) and _matches(v2, auto_label)
 
 
-def _ordered_map(func, items: Sequence, max_workers: int) -> list:
-    """Apply func to items, optionally in parallel, preserving input order."""
-    if max_workers <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(func, items))
-
-
 def auto_label_corpus(
     messages: Sequence[Message],
     classifier: ResponseClassifier,
-    max_workers: int = 1,
 ) -> list[LabeledMessage]:
     """Label each message from its clinician response.
 
     Messages without a response are skipped and reported (MissingResponse
     logged per id), not fatal. Sentinel labels are retained; run
-    filter_ordinal downstream to drop them. Classifier calls on distinct
-    messages may run concurrently; the output order follows the input.
+    split_ordinal downstream to drop them.
     """
-
-    def _classify(message: Message) -> LabeledMessage | None:
+    labeled: list[LabeledMessage] = []
+    for message in messages:
         if message.clinician_response is None:
             logger.warning(
                 "MissingResponse: message %r has no clinician response, skipped",
                 message.id,
             )
-            return None
+            continue
         label = classifier.classify(message.clinician_response, message.text)
-        return LabeledMessage(message=message, label=label)
-
-    results = _ordered_map(_classify, messages, max_workers)
-    labeled = [item for item in results if item is not None]
+        labeled.append(LabeledMessage(message=message, label=label))
     if len(labeled) < len(messages):
         logger.info(
             "auto-label skipped %d of %d messages",
@@ -270,13 +256,11 @@ def auto_label_corpus(
 def filter_pairs(
     pairs: Iterable[tuple[LabeledMessage, LabeledMessage]],
     judge: PairJudge,
-    max_workers: int = 1,
 ) -> list[JudgedPair]:
     """Run the two-pass judge filtration over candidate pairs.
 
     Every input pair appears in the output with its accepted flag; the
-    accepted subset forms the test-set candidates. Judge calls on distinct
-    pairs may run concurrently; output order follows the input.
+    accepted subset forms the test-set candidates.
     """
     pairs = list(pairs)
     for a, b in pairs:
@@ -285,21 +269,22 @@ def filter_pairs(
         if a.level == b.level:
             raise EqualLabels(f"pair ({a.id}, {b.id}) has equal urgency levels")
 
-    def _judge(pair: tuple[LabeledMessage, LabeledMessage]) -> JudgedPair:
-        a, b = pair
+    judged: list[JudgedPair] = []
+    for a, b in pairs:
         auto_label = Winner.A if a.level < b.level else Winner.B
         verdict_v1 = judge.judge(a, b, JudgeVariant.V1)
         verdict_v2 = judge.judge(a, b, JudgeVariant.V2)
-        return JudgedPair(
-            a_id=a.id,
-            b_id=b.id,
-            auto_label=auto_label,
-            verdict_v1=verdict_v1,
-            verdict_v2=verdict_v2,
-            accepted=_accepted(auto_label, verdict_v1, verdict_v2),
+        judged.append(
+            JudgedPair(
+                a_id=a.id,
+                b_id=b.id,
+                auto_label=auto_label,
+                verdict_v1=verdict_v1,
+                verdict_v2=verdict_v2,
+                accepted=_accepted(auto_label, verdict_v1, verdict_v2),
+            )
         )
-
-    return _ordered_map(_judge, pairs, max_workers)
+    return judged
 
 
 def write_judged_pairs(pairs: Iterable[JudgedPair], path: str | Path) -> int:

@@ -517,6 +517,10 @@ def run_pipeline(config: RunConfig) -> dict:
     # oracle gets its labels once the corpus is filtered
     _comparator(())
     spec = InboxSpec.from_counts(config.inbox_counts, seed=config.seed)
+    if spec.total < 6:
+        raise ConfigError(
+            f"inbox_counts must request >= 6 messages for sextile labeling, got {spec.total}"
+        )
     _report_ks(config.ks, spec.total)
     check_pair_count(config.pair_count)
     check_triplet_limits(config.triplet_cap)
@@ -639,17 +643,21 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def _sub(
-        name: str, func, seed_default: int | None = 0, **kwargs
+        name: str, func, seed_default: int | None = 0, *, seeded: bool = True, **kwargs
     ) -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, **kwargs)
         sub.set_defaults(func=func)
-        sub.add_argument("--seed", type=int, default=seed_default)
+        if seeded:
+            sub.add_argument("--seed", type=int, default=seed_default)
         return sub
 
-    sub = _sub("load-validate", cmd_load_validate, help="validate a corpus file")
+    sub = _sub("load-validate", cmd_load_validate, seeded=False, help="validate a corpus file")
     sub.add_argument("--corpus", required=True)
 
-    sub = _sub("auto-label", cmd_auto_label, help="label messages from clinician responses")
+    sub = _sub(
+        "auto-label", cmd_auto_label, seeded=False,
+        help="label messages from clinician responses",
+    )
     sub.add_argument("--messages", required=True)
     sub.add_argument("--out", required=True)
 

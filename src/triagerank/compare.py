@@ -22,7 +22,6 @@ import os
 import random
 import re
 import threading
-import time
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -296,30 +295,30 @@ class RewardComparator:
 class ComparisonCache:
     """Append-only on-disk store of directed scores.
 
-    File format: one JSON object per line with fields key, value, kind,
-    timestamp. Later entries win; the file is compacted on load when
-    duplicates or corrupt lines are found. Corrupt lines are dropped with
-    a warning and those keys fall back to the backend. Compaction writes a
-    temporary file and swaps it in, so a crash leaves the old file whole.
+    File format: one JSON object per line with fields key, kind and value;
+    other fields are ignored. Later entries win; the file is compacted on
+    load when duplicates or corrupt lines are found. Corrupt lines are
+    dropped with a warning and those keys fall back to the backend.
+    Compaction writes a temporary file and swaps it in, so a crash leaves
+    the old file whole.
 
     Writes go through one append handle, opened on the first put and
     flushed after every line, so another store opened on the same path
     sees every entry written so far.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self._path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self._path = Path(path)
         self._entries: dict[str, DirectionScore] = {}
         self._lock = threading.Lock()
         self._handle = None
-        if self._path is not None and self._path.exists():
+        if self._path.exists():
             self._load()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def _load(self) -> None:
-        assert self._path is not None
         try:
             text = self._path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -353,7 +352,6 @@ class ComparisonCache:
             self._compact()
 
     def _compact(self) -> None:
-        assert self._path is not None
         temporary = self._path.with_name(f"{self._path.name}.{os.getpid()}.tmp")
         try:
             with temporary.open("w", encoding="utf-8") as handle:
@@ -368,21 +366,12 @@ class ComparisonCache:
 
     @staticmethod
     def _format_line(key: str, value: float, kind: str) -> str:
-        return (
-            json.dumps(
-                {"key": key, "value": value, "kind": kind, "timestamp": time.time()},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        return json.dumps({"key": key, "kind": kind, "value": value}) + "\n"
 
     def get(self, key: str) -> DirectionScore | None:
         return self._entries.get(key)
 
     def put(self, key: str, score: DirectionScore) -> None:
-        if self._path is None:
-            self._entries[key] = score
-            return
         line = self._format_line(key, score.value, score.kind.value)
         with self._lock:
             self._entries[key] = score
@@ -396,19 +385,9 @@ class ComparisonCache:
     def close(self) -> None:
         """Close the append handle; a later put opens it again."""
         with self._lock:
-            self._close_handle()
-
-    def _close_handle(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def clear(self) -> None:
-        with self._lock:
-            self._close_handle()
-            self._entries.clear()
-            if self._path is not None and self._path.exists():
-                self._path.unlink()
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 class CachedComparator:

@@ -15,7 +15,6 @@ consumers after load.
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -31,8 +30,6 @@ from .errors import (
     ExportFailed,
     MalformedRecord,
 )
-
-logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -71,15 +68,6 @@ class UrgencyLabel(Enum):
             return cls(token)
         except ValueError:
             raise BadLabel(f"unknown label token {token!r}") from None
-
-
-ORDINAL_LABELS: tuple[UrgencyLabel, ...] = tuple(
-    label for label in UrgencyLabel if label.is_ordinal
-)
-SENTINEL_LABELS: tuple[UrgencyLabel, ...] = (
-    UrgencyLabel.UNCLEAR,
-    UrgencyLabel.SUPPORTIVE_CARE,
-)
 
 
 def label_for_level(level: int) -> UrgencyLabel:
@@ -214,7 +202,7 @@ class LabeledMessage:
     """A message plus its urgency label.
 
     Only L1..L6 labels may enter the pair/triplet pipeline; use
-    ``filter_ordinal`` to drop sentinel-labeled records first.
+    ``split_ordinal`` to drop sentinel-labeled records first.
     """
 
     message: Message
@@ -339,19 +327,6 @@ def split_ordinal(
         else:
             removed[labeled.label] += 1
     return kept, removed
-
-
-def filter_ordinal(corpus: Sequence[LabeledMessage]) -> list[LabeledMessage]:
-    """Drop UNCLEAR and SUPPORTIVE_CARE records, preserving order.
-
-    Removal counts per sentinel are logged; use ``split_ordinal`` to get
-    them programmatically.
-    """
-    kept, removed = split_ordinal(corpus)
-    for sentinel in SENTINEL_LABELS:
-        if removed[sentinel]:
-            logger.info("filtered %d %s records", removed[sentinel], sentinel.value)
-    return kept
 
 
 def labels_by_id(corpus: Iterable[LabeledMessage]) -> dict[str, UrgencyLabel]:

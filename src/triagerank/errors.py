@@ -123,7 +123,7 @@ class UnparseableAnswer(BackendError):
 
 # metrics
 class MissingLabel(DataError):
-    """A ranked id has no label in the relevance mapping input."""
+    """A ranked id has no label, or a sentinel label with no relevance."""
 
 
 class NoStrata(DataError):

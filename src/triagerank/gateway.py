@@ -252,15 +252,11 @@ def score(config: EndpointConfig, prompt: str, completion: str) -> float:
     return value
 
 
-def config_from_env(
-    model_name: str,
-    base_url: str | None = None,
-    **overrides,
-) -> EndpointConfig:
+def config_from_env(model_name: str, base_url: str | None = None) -> EndpointConfig:
     """Build an EndpointConfig, honoring the base-URL override variable."""
     url = base_url or os.environ.get(BASE_URL_ENV)
     if not url:
         raise ConfigError(
             f"no endpoint base URL given and {BASE_URL_ENV} is not set"
         )
-    return EndpointConfig(base_url=url, model_name=model_name, **overrides)
+    return EndpointConfig(base_url=url, model_name=model_name)

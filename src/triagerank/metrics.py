@@ -8,8 +8,8 @@ gain and its tail-normalized variant:
     T-NDCG@k = NDCG@k(L) - NDCG@k(reverse(L)) in [-1, 1]
 
 The reversal term penalizes urgent messages sorted to the bottom, which
-plain NDCG ignores. Relevance maps level 1 to gain 5 down to level 6 at
-gain 0 (no medical attention needed).
+plain NDCG ignores. The relevance of a message is 6 - level: gain 5 at
+level 1 down to gain 0 at level 6 (no medical attention needed).
 
 Multi-class rankings with intra-class ties are scored by the exact
 expected T-NDCG over uniform intra-class shuffles and its population
@@ -21,47 +21,14 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .compare import Comparator, ComparisonOutcome, Winner, compare
-from .corpus import UrgencyLabel, label_for_level
+from .corpus import UrgencyLabel
 from .errors import ConfigError, DataError, MissingLabel, NoStrata, NoValidPairs
 from .pairs import Difficulty, EvalPair
-
-
-def _default_gains() -> dict[UrgencyLabel, int]:
-    return {label_for_level(level): 6 - level for level in range(1, 7)}
-
-
-@dataclass(frozen=True)
-class RelevanceMapping:
-    """Urgency level to relevance gain; must strictly decrease, L6 -> 0."""
-
-    gains: Mapping[UrgencyLabel, int] = field(default_factory=_default_gains)
-
-    def __post_init__(self):
-        gains = dict(self.gains)
-        previous = None
-        for level in range(1, 7):
-            label = label_for_level(level)
-            if label not in gains:
-                raise ConfigError(f"relevance mapping is missing {label.value}")
-            if previous is not None and gains[label] >= previous:
-                raise ConfigError("relevance must strictly decrease with level")
-            previous = gains[label]
-        if gains[UrgencyLabel.L6] != 0:
-            raise ConfigError("L6 must map to relevance 0")
-        object.__setattr__(self, "gains", gains)
-
-    def relevance(self, label: UrgencyLabel) -> int:
-        if not label.is_ordinal:
-            raise MissingLabel(f"{label.value} has no relevance")
-        return self.gains[label]
-
-
-DEFAULT_RELEVANCE = RelevanceMapping()
 
 
 @dataclass(frozen=True)
@@ -122,16 +89,15 @@ def intrinsic_accuracy(
     )
 
 
-def _gain_vector(
-    ranking: Sequence[str],
-    labels: Mapping[str, UrgencyLabel],
-    mapping: RelevanceMapping,
-) -> list[int]:
+def _gain_vector(ranking: Sequence[str], labels: Mapping[str, UrgencyLabel]) -> list[int]:
     gains = []
     for message_id in ranking:
         if message_id not in labels:
             raise MissingLabel(f"no label for ranked id {message_id!r}")
-        gains.append(mapping.relevance(labels[message_id]))
+        label = labels[message_id]
+        if not label.is_ordinal:
+            raise MissingLabel(f"{label.value} has no relevance")
+        gains.append(6 - label.level)
     return gains
 
 
@@ -145,7 +111,6 @@ def _dcg(gains: Sequence[int], k: int) -> float:
 def ndcg_at_k(
     ranking: Sequence[str],
     labels: Mapping[str, UrgencyLabel],
-    mapping: RelevanceMapping = DEFAULT_RELEVANCE,
     k: int | None = None,
 ) -> float:
     """NDCG@k with exponential gain; 1.0 when the ideal DCG is 0.
@@ -157,7 +122,7 @@ def ndcg_at_k(
         k = len(ranking)
     if not 1 <= k <= len(ranking):
         raise ConfigError(f"k must be in 1..{len(ranking)}, got {k}")
-    gains = _gain_vector(ranking, labels, mapping)
+    gains = _gain_vector(ranking, labels)
     ideal = _dcg(sorted(gains, reverse=True), k)
     if ideal == 0.0:
         return 1.0
@@ -167,20 +132,16 @@ def ndcg_at_k(
 def t_ndcg_at_k(
     ranking: Sequence[str],
     labels: Mapping[str, UrgencyLabel],
-    mapping: RelevanceMapping = DEFAULT_RELEVANCE,
     k: int | None = None,
 ) -> float:
     """Tail-normalized NDCG: NDCG@k(L) - NDCG@k(exact reversal of L)."""
     reversed_ranking = list(reversed(ranking))
-    return ndcg_at_k(ranking, labels, mapping, k) - ndcg_at_k(
-        reversed_ranking, labels, mapping, k
-    )
+    return ndcg_at_k(ranking, labels, k) - ndcg_at_k(reversed_ranking, labels, k)
 
 
 def expected_t_ndcg(
     class_groups: Sequence[Sequence[str]],
     labels: Mapping[str, UrgencyLabel],
-    mapping: RelevanceMapping = DEFAULT_RELEVANCE,
     k: int | None = None,
 ) -> tuple[float, float]:
     """Exact mean and population stddev of T-NDCG over intra-class shuffles.
@@ -205,7 +166,7 @@ def expected_t_ndcg(
         k = n
     if not 1 <= k <= n:
         raise ConfigError(f"k must be in 1..{n}, got {k}")
-    group_gains = [_gain_vector(group, labels, mapping) for group in class_groups]
+    group_gains = [_gain_vector(group, labels) for group in class_groups]
     ideal = _dcg(sorted((gain for group in group_gains for gain in group), reverse=True), k)
     if ideal == 0.0:
         # NDCG is 1.0 for every ranking and its reversal

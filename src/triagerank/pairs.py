@@ -441,13 +441,6 @@ class InboxSpec:
         return sum(self.counts.values())
 
     @classmethod
-    def uniform(cls, per_level: int = 5, seed: int = 0) -> "InboxSpec":
-        return cls(
-            counts={label_for_level(level): per_level for level in range(1, 7)},
-            seed=seed,
-        )
-
-    @classmethod
     def from_counts(cls, counts: Sequence[int], seed: int = 0) -> "InboxSpec":
         """Counts for L1..L6 in order, e.g. (5, 3, 5, 7, 7, 4)."""
         if len(counts) != 6:

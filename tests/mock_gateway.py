@@ -1,6 +1,6 @@
 """Offline HTTP stand-in for a model endpoint.
 
-Replays a queue of scripted (status, payload) responses and records every
+Replays a queue of scripted (status, body) responses and records every
 request, so gateway retry/auth/protocol behavior is testable without any
 network access. Canned payloads live in tests/fixtures/gateway/.
 """
@@ -21,7 +21,7 @@ def load_fixture(name: str) -> dict:
 
 class MockEndpoint:
     def __init__(self):
-        self.responses: list[tuple[int, dict]] = []
+        self.responses: list[tuple[int, bytes]] = []
         self.requests: list[dict] = []
         self._server = HTTPServer(("127.0.0.1", 0), self._make_handler())
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
@@ -41,10 +41,9 @@ class MockEndpoint:
                     }
                 )
                 if endpoint.responses:
-                    status, payload = endpoint.responses.pop(0)
+                    status, data = endpoint.responses.pop(0)
                 else:
-                    status, payload = 500, {"error": "no scripted response left"}
-                data = json.dumps(payload).encode("utf-8")
+                    status, data = 500, b'{"error": "no scripted response left"}'
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -70,7 +69,11 @@ class MockEndpoint:
         return f"http://{host}:{port}"
 
     def enqueue(self, status: int, payload: dict) -> None:
-        self.responses.append((status, payload))
+        self.enqueue_raw(status, json.dumps(payload).encode("utf-8"))
+
+    def enqueue_raw(self, status: int, body: bytes) -> None:
+        """Script a reply whose body is sent as given, JSON or not."""
+        self.responses.append((status, body))
 
     def enqueue_fixture(self, name: str, status: int = 200) -> None:
-        self.responses.append((status, load_fixture(name)))
+        self.enqueue(status, load_fixture(name))

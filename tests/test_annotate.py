@@ -180,23 +180,6 @@ def test_ordinal_mock_judge():
     assert cautious.judge(a, b, JudgeVariant.V1) is Verdict.UNCLEAR
 
 
-def test_filter_pairs_parallel_matches_sequential():
-    pairs = [
-        (make_labeled(f"a{i}", 1 + i % 3), make_labeled(f"b{i}", 4 + i % 3))
-        for i in range(30)
-    ]
-    judge = OrdinalPairJudge()
-    assert filter_pairs(pairs, judge, max_workers=4) == filter_pairs(pairs, judge)
-
-
-def test_auto_label_parallel_matches_sequential(fixture_corpus):
-    messages = [labeled.message for labeled in fixture_corpus]
-    classifier = KeywordResponseClassifier()
-    assert auto_label_corpus(messages, classifier, max_workers=4) == auto_label_corpus(
-        messages, classifier
-    )
-
-
 def test_audit_log_round_trip(tmp_path):
     judge = OrdinalPairJudge()
     judged = filter_pairs([_pair(), (make_labeled("c", 5), make_labeled("d", 2))], judge)

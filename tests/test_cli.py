@@ -48,6 +48,16 @@ def test_unknown_flag_exits_two():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag", [("load-validate", "--corpus"), ("auto-label", "--messages")])
+def test_commands_that_draw_nothing_take_no_seed(tmp_path, command, flag):
+    out = tmp_path / "labeled.jsonl"
+    argv = [command, flag, FIXTURE] + (["--out", out] if command == "auto-label" else [])
+    assert run_cli(*argv) == 0
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv, "--seed", 0)
+    assert excinfo.value.code == 2
+
+
 def test_auto_label_round_trip(tmp_path, capsys):
     out = tmp_path / "labeled.jsonl"
     assert run_cli("auto-label", "--messages", FIXTURE, "--out", out) == 0
@@ -441,10 +451,12 @@ def test_pipeline_config_rejects_malformed_value(tmp_path, capsys, key, value):
         # out of range for the stage that uses them, checked before stage load
         ([], {"ks": [0]}), ([], {"inbox_counts": [5, 5, -1, 5, 5, 5]}),
         ([], {"triplet_cap": 0}), ([], {"pair_count": -1}),
+        # too few messages to cut into sextiles at stage metrics
+        ([], {"inbox_counts": [1, 1, 1, 1, 0, 0]}),
     ],
     ids=[
         "logprob-without-model", "margin", "flip",
-        "ks", "inbox_counts", "triplet_cap", "pair_count",
+        "ks", "inbox_counts", "triplet_cap", "pair_count", "inbox_below_six",
     ],
 )
 def test_pipeline_bad_comparator_settings_write_nothing(tmp_path, flags, settings):

@@ -399,8 +399,8 @@ def test_cache_cleared_behaves_like_uncached(tmp_path, fixture_corpus):
     comparator = CachedComparator(CountingComparator(oracle), store)
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
     cached_outcome = compare(comparator, a, b)
-    store.clear()
-    fresh_outcome = compare(CachedComparator(CountingComparator(oracle), store), a, b)
+    fresh_store = ComparisonCache(tmp_path / "fresh.jsonl")
+    fresh_outcome = compare(CachedComparator(CountingComparator(oracle), fresh_store), a, b)
     plain_outcome = compare(oracle, a, b)
     assert cached_outcome.eta == fresh_outcome.eta == plain_outcome.eta
 
@@ -415,6 +415,17 @@ def test_cache_persists_across_instances(tmp_path, fixture_corpus):
     compare(reopened, a, b)
     assert counting.backend_calls == 2
     assert reopened.hits == 2
+
+
+def test_cache_lines_hold_key_kind_value(tmp_path, fixture_corpus):
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    a, b = fixture_corpus[0].message, fixture_corpus[7].message
+    compare(CachedComparator(perfect_oracle(fixture_corpus), store), a, b)
+    store.close()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert all(list(json.loads(line)) == ["key", "kind", "value"] for line in lines)
 
 
 def test_cache_corruption_falls_back_and_compacts(tmp_path, fixture_corpus, caplog):
@@ -487,20 +498,6 @@ def test_cache_counters_exact_under_parallel_tournaments(tmp_path, fixture_corpu
         sys.setswitchinterval(interval)
     n = len(messages)
     assert comparator.hits == comparator.misses == n * (n - 1)
-
-
-def test_cache_put_after_clear_recreates_file(tmp_path, fixture_corpus):
-    path = tmp_path / "cache.jsonl"
-    store = ComparisonCache(path)
-    comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
-    a, b = fixture_corpus[0].message, fixture_corpus[7].message
-    compare(comparator, a, b)
-    store.clear()
-    assert not path.exists() and len(store) == 0
-    compare(comparator, a, b)
-    assert path.exists()
-    assert len(ComparisonCache(path)) == 2
-    store.close()
 
 
 def test_second_store_sees_entries_while_first_holds_handle(tmp_path, fixture_corpus):

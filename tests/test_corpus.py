@@ -13,7 +13,6 @@ from triagerank.corpus import (
     LabeledMessage,
     Message,
     UrgencyLabel,
-    filter_ordinal,
     load_corpus,
     load_messages,
     save_corpus,
@@ -103,15 +102,15 @@ def test_filter_ordinal_drops_sentinels():
     l2 = make_labeled("a", 2)
     unclear = LabeledMessage(message=l2.message, label=UrgencyLabel.UNCLEAR)
     l5 = make_labeled("b", 5)
-    assert filter_ordinal([l2, unclear, l5]) == [l2, l5]
+    assert split_ordinal([l2, unclear, l5])[0] == [l2, l5]
 
 
 def test_filter_ordinal_supportive_care_and_empty():
     supportive = LabeledMessage(
         message=make_labeled("s", 3).message, label=UrgencyLabel.SUPPORTIVE_CARE
     )
-    assert filter_ordinal([supportive]) == []
-    assert filter_ordinal([]) == []
+    assert split_ordinal([supportive])[0] == []
+    assert split_ordinal([])[0] == []
 
 
 def test_filter_ordinal_idempotent_and_counts():
@@ -125,7 +124,7 @@ def test_filter_ordinal_idempotent_and_counts():
     assert [labeled.id for labeled in kept] == ["a"]
     assert removed[UrgencyLabel.UNCLEAR] == 2
     assert removed[UrgencyLabel.SUPPORTIVE_CARE] == 1
-    assert filter_ordinal(kept) == kept
+    assert split_ordinal(kept)[0] == kept
 
 
 def test_ehr_validation():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import socket
 
 import pytest
 
@@ -137,10 +138,11 @@ def test_retry_then_success(mock_endpoint):
 
 
 def test_4xx_rejected_without_retry(mock_endpoint):
-    mock_endpoint.enqueue(401, {"error": "bad key"})
+    mock_endpoint.enqueue_raw(401, b"bad key")
     with pytest.raises(RequestRejected) as excinfo:
         complete(config_for(mock_endpoint), "sys", "user")
     assert excinfo.value.status == 401
+    assert excinfo.value.body == "bad key"
     assert len(mock_endpoint.requests) == 1
 
 
@@ -150,6 +152,30 @@ def test_exhausted_retries(mock_endpoint):
     with pytest.raises(EndpointUnavailable):
         complete(config_for(mock_endpoint, max_retries=2), "sys", "user")
     assert len(mock_endpoint.requests) == 3
+
+
+def test_refused_connection_is_unavailable_after_every_attempt(caplog):
+    with socket.socket() as probe:  # a loopback port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    config = EndpointConfig(
+        base_url=f"http://127.0.0.1:{port}", model_name="m", max_retries=2, retry_backoff=0
+    )
+    with caplog.at_level("WARNING", logger="triagerank.gateway"):
+        with pytest.raises(EndpointUnavailable, match="after 3 attempts"):
+            complete(config, "sys", "user")
+    attempts = [record for record in caplog.records if record.name == "triagerank.gateway"]
+    assert len(attempts) == 3
+
+
+@pytest.mark.parametrize(
+    "body", [b"<html>bad gateway</html>", b"[1, 2]"], ids=["not-json", "array"]
+)
+def test_200_without_a_json_object_is_protocol_error(mock_endpoint, body):
+    mock_endpoint.enqueue_raw(200, body)
+    with pytest.raises(ProtocolError):
+        complete(config_for(mock_endpoint), "sys", "user")
+    assert len(mock_endpoint.requests) == 1
 
 
 def test_malformed_completion_is_protocol_error(mock_endpoint):

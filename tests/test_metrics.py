@@ -19,7 +19,6 @@ from triagerank.corpus import EhrRecord, Gender, UrgencyLabel
 from triagerank.errors import ConfigError, DataError, MissingLabel, NoStrata, NoValidPairs
 from triagerank.metrics import (
     BiasScheme,
-    RelevanceMapping,
     _chi2_upper_tail,
     agreement,
     bias_strata,
@@ -67,20 +66,12 @@ PINNED_T_NDCG_4ITEM = 0.2081149691680262
 
 
 def test_default_relevance_mapping():
-    mapping = RelevanceMapping()
-    assert mapping.relevance(UrgencyLabel.L1) == 5
-    assert mapping.relevance(UrgencyLabel.L6) == 0
-    with pytest.raises(MissingLabel):
-        mapping.relevance(UrgencyLabel.UNCLEAR)
-
-
-def test_relevance_mapping_validation():
-    with pytest.raises(ConfigError):
-        RelevanceMapping({UrgencyLabel(f"L{i}"): 1 for i in range(1, 7)})
-    with pytest.raises(ConfigError):
-        RelevanceMapping(
-            {UrgencyLabel(f"L{i}"): gain for i, gain in zip(range(1, 7), (9, 7, 5, 3, 2, 1))}
-        )
+    # the gain is 6 - level: L1 -> 5, L2 -> 4, L6 -> 0; a sentinel has none
+    ranking, labels = labels_for([2, 1, 6])
+    assert ndcg_at_k(ranking, labels, k=3) == pytest.approx(brute_ndcg([4, 5, 0], 3))
+    for sentinel in (UrgencyLabel.UNCLEAR, UrgencyLabel.SUPPORTIVE_CARE):
+        with pytest.raises(MissingLabel):
+            ndcg_at_k(ranking, {**labels, ranking[2]: sentinel}, k=3)
 
 
 # ---------------------------------------------------------------------- ndcg

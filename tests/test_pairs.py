@@ -486,7 +486,7 @@ def test_export_io_failure(tmp_path, fixture_corpus, writer_name):
 
 
 def test_assemble_uniform_inbox(fixture_corpus):
-    inbox = assemble_inbox(fixture_corpus, InboxSpec.uniform(5, seed=0))
+    inbox = assemble_inbox(fixture_corpus, InboxSpec.from_counts((5,) * 6, seed=0))
     assert len(inbox) == 30
     counts = Counter(labeled.level for labeled in inbox)
     assert all(counts[level] == 5 for level in range(1, 7))
@@ -504,12 +504,12 @@ def test_assemble_skewed_inbox():
 def test_assemble_insufficient_level():
     corpus = level_corpus({1: 3, 2: 5, 3: 5, 4: 5, 5: 5, 6: 5})
     with pytest.raises(InsufficientLevel) as excinfo:
-        assemble_inbox(corpus, InboxSpec.uniform(5, seed=0))
+        assemble_inbox(corpus, InboxSpec.from_counts((5,) * 6, seed=0))
     assert excinfo.value.label.value == "L1"
 
 
 def test_assemble_seeded_and_shuffled(fixture_corpus):
-    spec = InboxSpec.uniform(5, seed=11)
+    spec = InboxSpec.from_counts((5,) * 6, seed=11)
     first = assemble_inbox(fixture_corpus, spec)
     second = assemble_inbox(fixture_corpus, spec)
     assert first == second

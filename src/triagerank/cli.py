@@ -13,7 +13,8 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -77,6 +78,11 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# The output paths and the endpoint URL say where a run writes and whom it
+# asks, not what it computes, so no config hash covers them.
+_UNHASHED = frozenset({"out", "out_dir", "base_url"})
+
+
 def _write_report(path: Path, envelope: dict, **sections) -> None:
     report = {**envelope, **sections}
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -91,27 +97,29 @@ def _envelope(seed: int, config_hash: str, comparator_identity: str) -> dict:
     }
 
 
-def _args_hash(args: argparse.Namespace) -> str:
-    relevant = {
+def _write_args_report(args: argparse.Namespace, comparator_identity: str, **sections) -> None:
+    """Write a subcommand's report to --out, its config hash taken over its arguments."""
+    hashed = {
         key: str(value)
-        for key, value in sorted(vars(args).items())
-        if key != "func"
+        for key, value in vars(args).items()
+        if key != "func" and key not in _UNHASHED
     }
-    return _sha256_text(json.dumps(relevant, sort_keys=True))
+    envelope = _envelope(
+        args.seed, _sha256_text(json.dumps(hashed, sort_keys=True)), comparator_identity
+    )
+    _write_report(Path(args.out), envelope, **sections)
 
 
-def _parse_flip(text: str) -> dict[int, float]:
-    """Parse a gap:probability list like '1:0.3,2:0.15'."""
-    flip: dict[int, float] = {}
-    if not text:
-        return flip
-    for chunk in text.split(","):
+def _parse_entries(text: str, what: str, expected: str, key, value) -> dict:
+    """Parse a name:value list like '1:0.3,2:0.15'; an empty text is an empty map."""
+    entries: dict = {}
+    for chunk in text.split(",") if text else ():
         try:
-            gap, probability = chunk.split(":")
-            flip[int(gap)] = float(probability)
+            name, number = chunk.split(":")
+            entries[key(name)] = value(number)
         except ValueError:
-            raise ConfigError(f"bad flip entry {chunk!r}, expected gap:prob") from None
-    return flip
+            raise ConfigError(f"bad {what} entry {chunk!r}, expected {expected}") from None
+    return entries
 
 
 def _parse_ints(text: str, what: str, example: str) -> tuple[int, ...]:
@@ -120,19 +128,6 @@ def _parse_ints(text: str, what: str, example: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"bad {what} {text!r}, expected e.g. {example}") from None
-
-
-def _parse_quotas(text: str) -> dict[Difficulty, int]:
-    quotas: dict[Difficulty, int] = {}
-    for chunk in text.split(","):
-        try:
-            name, count = chunk.split(":")
-            quotas[Difficulty(name.strip())] = int(count)
-        except ValueError:
-            raise ConfigError(
-                f"bad quota entry {chunk!r}, expected difficulty:count"
-            ) from None
-    return quotas
 
 
 def build_comparator(
@@ -161,7 +156,8 @@ def build_comparator(
 def _comparator_options(args: argparse.Namespace) -> dict:
     """build_comparator's keywords from a subcommand's comparator flags."""
     return dict(
-        seed=args.seed, flip=_parse_flip(args.flip), margin=args.margin,
+        seed=args.seed, margin=args.margin,
+        flip=_parse_entries(args.flip, "flip", "gap:prob", int, float),
         model=args.model, base_url=args.base_url, cache=args.cache,
     )
 
@@ -193,7 +189,9 @@ def cmd_auto_label(args: argparse.Namespace) -> int:
 
 def cmd_build_pairs(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    quotas = _parse_quotas(args.quotas) if args.quotas else None
+    quotas = _parse_entries(
+        args.quotas, "quota", "difficulty:count", lambda name: Difficulty(name.strip()), int
+    ) if args.quotas else None
     eval_pairs = build_eval_pairs(corpus, args.count, args.seed, quotas)
     written = write_eval_pairs(eval_pairs, args.out)
     print(f"wrote {written} eval pairs -> {args.out}")
@@ -242,8 +240,7 @@ def cmd_rank_inbox(args: argparse.Namespace) -> int:
     inbox = load_corpus(args.inbox)
     comparator = build_comparator(args.comparator, inbox, **_comparator_options(args))
     result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
-    envelope = _envelope(args.seed, _args_hash(args), comparator.cache_identity)
-    _write_report(Path(args.out), envelope, tournament=result.to_record())
+    _write_args_report(args, comparator.cache_identity, tournament=result.to_record())
     print(f"ranked {len(inbox)} messages -> {args.out}")
     print("  top of inbox:", ", ".join(result.ranking[:5]))
     return 0
@@ -254,8 +251,7 @@ def cmd_evaluate_intrinsic(args: argparse.Namespace) -> int:
     labeled = [pair.a for pair in eval_pairs] + [pair.b for pair in eval_pairs]
     comparator = build_comparator(args.comparator, labeled, **_comparator_options(args))
     report = metrics.intrinsic_accuracy(eval_pairs, comparator)
-    envelope = _envelope(args.seed, _args_hash(args), comparator.cache_identity)
-    _write_report(Path(args.out), envelope, intrinsic=report.to_record())
+    _write_args_report(args, comparator.cache_identity, intrinsic=report.to_record())
     if args.table:
         print(_intrinsic_table(report))
     print(f"intrinsic accuracy {report.overall_accuracy:.4f} -> {args.out}")
@@ -322,8 +318,7 @@ def cmd_evaluate_extrinsic(args: argparse.Namespace) -> int:
     result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
     ks = _parse_ints(args.ks, "k list", "10,30")
     sections = _extrinsic_sections(result, inbox, ks)
-    envelope = _envelope(args.seed, _args_hash(args), comparator.cache_identity)
-    _write_report(Path(args.out), envelope, **sections)
+    _write_args_report(args, comparator.cache_identity, **sections)
     if args.table:
         print(_extrinsic_table(sections["extrinsic"]))
     print(f"extrinsic report -> {args.out}")
@@ -339,8 +334,7 @@ def cmd_bias_report(args: argparse.Namespace) -> int:
         for pair in eval_pairs
     ]
     report = metrics.bias_strata(eval_pairs, outcomes, metrics.BiasScheme(args.scheme))
-    envelope = _envelope(args.seed, _args_hash(args), comparator.cache_identity)
-    _write_report(Path(args.out), envelope, bias=report.to_record())
+    _write_args_report(args, comparator.cache_identity, bias=report.to_record())
     print(
         f"{args.scheme}: chi2={report.chi_square:.4f} p={report.p_value:.4f} "
         f"V={report.cramers_v:.4f} -> {args.out}"
@@ -358,8 +352,7 @@ def _annotation(record: dict) -> tuple:
 def cmd_agreement(args: argparse.Namespace) -> int:
     rows = read_jsonl(args.annotations, _annotation)
     report = metrics.agreement(rows)
-    envelope = _envelope(args.seed, _args_hash(args), "n/a")
-    _write_report(Path(args.out), envelope, agreement=report.to_record())
+    _write_args_report(args, "n/a", agreement=report.to_record())
     print(
         f"agreement {report.percent_agreement:.4f}, "
         f"kappa {report.cohens_kappa:.4f} -> {args.out}"
@@ -390,19 +383,14 @@ class RunConfig:
     base_url: str | None = None
 
     def canonical(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "seed": self.seed,
-            "comparator": self.comparator,
-            "flip": {str(k): v for k, v in sorted(self.flip.items())},
-            "margin": self.margin,
-            "pair_count": self.pair_count,
-            "triplet_cap": self.triplet_cap,
-            "inbox_counts": list(self.inbox_counts),
-            "ks": list(self.ks),
-            "auto_label": self.auto_label,
-            "model": self.model,
+        """Every setting the config hash covers, as JSON would hold it."""
+        settings = {
+            setting.name: getattr(self, setting.name)
+            for setting in fields(self)
+            if setting.name not in _UNHASHED
         }
+        settings["flip"] = {str(gap): p for gap, p in sorted(self.flip.items())}
+        return settings
 
     @property
     def config_hash(self) -> str:
@@ -462,20 +450,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for key in ("inbox_counts", "ks"):
             if key in settings:
                 settings[key] = tuple(settings[key])
-    overrides = {
-        "corpus": args.corpus,
-        "out_dir": args.out_dir,
-        "seed": args.seed,
-        "comparator": args.comparator,
-        "model": args.model,
-        "base_url": args.base_url,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = value
-    if args.auto_label:
-        settings["auto_label"] = True
-    unknown = set(settings) - {f.name for f in RunConfig.__dataclass_fields__.values()}
+    names = {setting.name for setting in fields(RunConfig)}
+    for name in names:
+        flag = getattr(args, name, None)  # None when not given or not a pipeline flag
+        if flag is not None:
+            settings[name] = flag
+    unknown = set(settings) - names
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "corpus" not in settings or "out_dir" not in settings:
@@ -490,15 +470,29 @@ class _StageFailure(Exception):
         self.cause = cause
 
 
-def _run_stage(stage: str, func):
+@contextmanager
+def _stage(name: str):
+    """Name the pipeline stage the body runs in any failure it raises."""
     try:
-        return func()
-    except _StageFailure:
-        raise
+        yield
     except OSError as exc:
-        raise _StageFailure(stage, DataError(str(exc))) from exc
+        raise _StageFailure(name, DataError(str(exc))) from exc
     except Exception as exc:
-        raise _StageFailure(stage, exc) from exc
+        raise _StageFailure(name, exc) from exc
+
+
+# every artifact run_pipeline writes to out_dir, by manifest name
+_ARTIFACTS = {
+    "filtered_corpus": "filtered.jsonl",
+    "eval_pairs": "eval_pairs.jsonl",
+    "triplets": "triplets.jsonl",
+    "sft": "sft.jsonl",
+    "reward": "reward.jsonl",
+    "inbox": "inbox.jsonl",
+    "ranking": "ranking.json",
+    "intrinsic": "intrinsic.json",
+    "extrinsic": "extrinsic.json",
+}
 
 
 def run_pipeline(config: RunConfig) -> dict:
@@ -526,89 +520,54 @@ def run_pipeline(config: RunConfig) -> dict:
     check_triplet_limits(config.triplet_cap)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {}
+    path = {name: out_dir / file_name for name, file_name in _ARTIFACTS.items()}
 
-    def _artifact(name: str, path: Path) -> Path:
-        artifacts[name] = path
-        return path
-
-    raw = _run_stage("load", lambda: load_corpus(config.corpus))
-
-    def _filter_stage() -> list[LabeledMessage]:
-        kept, removed = split_ordinal(raw)
+    with _stage("load"):
+        raw = load_corpus(config.corpus)
+    with _stage("filter"):
+        corpus, _ = split_ordinal(raw)
         if config.auto_label:
             relabeled = annotate.auto_label_corpus(
-                [labeled.message for labeled in kept],
+                [labeled.message for labeled in corpus],
                 annotate.KeywordResponseClassifier(),
             )
-            kept, _ = split_ordinal(relabeled)
-        save_corpus(kept, _artifact("filtered_corpus", out_dir / "filtered.jsonl"))
-        return kept
-
-    corpus = _run_stage("filter", _filter_stage)
-
-    def _pairs_stage():
+            corpus, _ = split_ordinal(relabeled)
+        save_corpus(corpus, path["filtered_corpus"])
+    with _stage("pairs"):
         eval_pairs = build_eval_pairs(corpus, config.pair_count, config.seed)
-        write_eval_pairs(eval_pairs, _artifact("eval_pairs", out_dir / "eval_pairs.jsonl"))
-        return eval_pairs
-
-    eval_pairs = _run_stage("pairs", _pairs_stage)
-
-    def _triplets_stage():
+        write_eval_pairs(eval_pairs, path["eval_pairs"])
+    with _stage("triplets"):
         triplets = build_triplets(corpus, config.triplet_cap, config.seed)
-        write_triplets(triplets, _artifact("triplets", out_dir / "triplets.jsonl"))
-        return triplets
-
-    triplets = _run_stage("triplets", _triplets_stage)
-    _run_stage(
-        "export_sft",
-        lambda: export_sft(triplets, _artifact("sft", out_dir / "sft.jsonl")),
-    )
-    _run_stage(
-        "export_reward",
-        lambda: export_reward(triplets, _artifact("reward", out_dir / "reward.jsonl")),
-    )
-
-    def _inbox_stage():
+        write_triplets(triplets, path["triplets"])
+    with _stage("export_sft"):
+        export_sft(triplets, path["sft"])
+    with _stage("export_reward"):
+        export_reward(triplets, path["reward"])
+    with _stage("inbox"):
         inbox = assemble_inbox(corpus, spec)
-        save_corpus(inbox, _artifact("inbox", out_dir / "inbox.jsonl"))
-        return inbox
-
-    inbox = _run_stage("inbox", _inbox_stage)
-
-    comparator = _run_stage("comparator", lambda: _comparator(corpus))
+        save_corpus(inbox, path["inbox"])
+    with _stage("comparator"):
+        comparator = _comparator(corpus)
     envelope = _envelope(config.seed, config.config_hash, comparator.cache_identity)
-
-    def _tournament_stage():
+    with _stage("tournament"):
         result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
-        ranking_path = _artifact("ranking", out_dir / "ranking.json")
-        _write_report(ranking_path, envelope, tournament=result.to_record())
-        return result
-
-    result = _run_stage("tournament", _tournament_stage)
-
-    def _metrics_stage():
+        _write_report(path["ranking"], envelope, tournament=result.to_record())
+    with _stage("metrics"):
         intrinsic = metrics.intrinsic_accuracy(eval_pairs, comparator)
-        intrinsic_path = _artifact("intrinsic", out_dir / "intrinsic.json")
-        _write_report(intrinsic_path, envelope, intrinsic=intrinsic.to_record())
+        _write_report(path["intrinsic"], envelope, intrinsic=intrinsic.to_record())
         sections = _extrinsic_sections(result, inbox, config.ks)
-        extrinsic_path = _artifact("extrinsic", out_dir / "extrinsic.json")
-        _write_report(extrinsic_path, envelope, **sections)
-        return intrinsic
-
-    _run_stage("metrics", _metrics_stage)
-
-    def _manifest_stage() -> dict:
-        manifest = dict(envelope)
-        manifest["config"] = config.canonical()
-        manifest["artifacts"] = {
-            name: {"path": path.name, "sha256": _sha256_file(path)}
-            for name, path in sorted(artifacts.items())
+        _write_report(path["extrinsic"], envelope, **sections)
+    with _stage("manifest"):
+        manifest = {
+            **envelope,
+            "config": config.canonical(),
+            "artifacts": {
+                name: {"path": _ARTIFACTS[name], "sha256": _sha256_file(path[name])}
+                for name in sorted(_ARTIFACTS)
+            },
         }
         _write_report(out_dir / "manifest.json", manifest)
-        return manifest
-
-    return _run_stage("manifest", _manifest_stage)
+    return manifest
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -725,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--comparator", choices=COMPARATOR_CHOICES)
     sub.add_argument("--model")
     sub.add_argument("--base-url")
-    sub.add_argument("--auto-label", action="store_true")
+    sub.add_argument("--auto-label", action="store_true", default=None)
 
     return parser
 

@@ -173,17 +173,14 @@ def extract_yes_no_probabilities(
 
 
 def _candidate_probabilities(entries) -> dict[str, float]:
-    """Accept both the OpenAI list-of-dicts shape and a plain token->logprob map."""
-    candidates: dict[str, float] = {}
-    if isinstance(entries, Mapping):
-        items = entries.items()
-    elif isinstance(entries, list):
-        try:
-            items = [(entry["token"], entry["logprob"]) for entry in entries]
-        except (TypeError, KeyError):
-            raise ProtocolError("malformed top_logprobs entries") from None
-    else:
+    """Sum exp(logprob) per token over the schema's list of {token, logprob} objects."""
+    if not isinstance(entries, list):
         raise ProtocolError("malformed top_logprobs entries")
+    try:
+        items = [(entry["token"], entry["logprob"]) for entry in entries]
+    except (TypeError, KeyError):
+        raise ProtocolError("malformed top_logprobs entries") from None
+    candidates: dict[str, float] = {}
     for token, logprob in items:
         if not isinstance(logprob, (int, float)) or not math.isfinite(logprob):
             raise ProtocolError(f"non-finite logprob for token {token!r}")

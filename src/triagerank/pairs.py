@@ -28,6 +28,7 @@ from .corpus import (
     by_level,
     label_for_level,
     read_jsonl,
+    split_ordinal,
     write_jsonl,
 )
 from .errors import (
@@ -110,10 +111,6 @@ def make_eval_pair(a: LabeledMessage, b: LabeledMessage) -> EvalPair:
     )
 
 
-def _ordinal_only(corpus: Iterable[LabeledMessage]) -> list[LabeledMessage]:
-    return [labeled for labeled in corpus if labeled.label.is_ordinal]
-
-
 class _CrossLevelPairs(collections.abc.Sequence):
     """Index pairs (i, j), i < j, whose level gap is in ``gaps``, row by row.
 
@@ -181,7 +178,7 @@ def build_eval_pairs(
     sample for a seed is the same as drawing from the full candidate list.
     """
     check_pair_count(count)
-    ordinal = _ordinal_only(corpus)
+    ordinal = split_ordinal(corpus)[0]
     levels = [labeled.level for labeled in ordinal]
     if len(set(levels)) < 2:
         raise NoValidPairs("corpus has fewer than two distinct urgency levels")

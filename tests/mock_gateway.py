@@ -24,7 +24,10 @@ class MockEndpoint:
         self.responses: list[tuple[int, bytes]] = []
         self.requests: list[dict] = []
         self._server = HTTPServer(("127.0.0.1", 0), self._make_handler())
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll, so poll often
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     def _make_handler(self):
         endpoint = self

@@ -11,6 +11,7 @@ import pytest
 
 from triagerank import cli
 from triagerank.corpus import fixture_corpus_path, load_corpus, save_corpus
+from triagerank.errors import ComparisonFailed
 from triagerank.pairs import build_triplets, make_eval_pair
 
 FIXTURE = str(fixture_corpus_path())
@@ -295,6 +296,44 @@ def test_pipeline_missing_corpus_signals_load_stage(tmp_path, capsys):
     assert "stage 'load'" in capsys.readouterr().err
 
 
+def _raise_comparison_failed(*args, **kwargs):
+    raise ComparisonFailed("backend gave no answer")
+
+
+_BEFORE_INBOX = [
+    "filtered.jsonl", "eval_pairs.jsonl", "triplets.jsonl", "sft.jsonl", "reward.jsonl",
+]
+
+
+@pytest.mark.parametrize(
+    "stage, settings, broken, code, written",
+    [
+        ("load", {"corpus": "absent.jsonl"}, None, 3, []),
+        # the fixture holds five messages per level, six are asked for
+        ("inbox", {"inbox_counts": [6, 5, 5, 5, 5, 5]}, None, 3, _BEFORE_INBOX),
+        ("tournament", {}, (cli.rank, "run_tournament"), 4, _BEFORE_INBOX + ["inbox.jsonl"]),
+        (
+            "metrics", {}, (cli.metrics, "intrinsic_accuracy"), 4,
+            _BEFORE_INBOX + ["inbox.jsonl", "ranking.json"],
+        ),
+    ],
+)
+def test_pipeline_stage_failure_keeps_earlier_artifacts(
+    tmp_path, capsys, monkeypatch, stage, settings, broken, code, written
+):
+    if broken:
+        monkeypatch.setattr(*broken, _raise_comparison_failed)
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "run"
+    config_path.write_text(
+        json.dumps({"corpus": FIXTURE, "out_dir": str(out_dir), **settings})
+    )
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("pipeline", "--config", config_path) == code
+    assert f"pipeline failed at stage {stage!r}" in capsys.readouterr().err
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(written)
+
+
 def test_pipeline_config_file_with_overrides(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(
@@ -329,15 +368,15 @@ def test_pipeline_unknown_config_key(tmp_path, capsys):
 
 # sha256 of the reports the comparator subcommands write for the fixture
 # (oracle, seed 3, flip 1:0.3,2:0.15, relative paths). Every report embeds
-# a hash of its arguments, so a change to how a subcommand builds its
-# comparator or its report moves these.
+# a hash of its arguments but --out and --base-url, so a change to how a
+# subcommand builds its comparator or its report moves these.
 GOLDEN_REPORT_SHA256 = {
-    "bias": "127d54c4bdeb02a0c7c4e84875508afa805603e5c14a21efcfaa967698a28f6c",
-    "extrinsic": "5e3c1f09f4f8c57f5e0fdb550431aac8b8942f02f3df22e672f08c569527fc78",
-    "intrinsic": "95a79a1d91e81a286d1df554ae4f774688a5674b16bd48ae532386249741dec2",
-    "rank": "16c2dfd5edfe638b2a4a1fdeddbe12564d5cc58d93db006cb5665dd90746798d",
-    "rank_cold": "57a4ab2182019bb18737710b59b0dfa1f6d89607ca431dd91d164c73aac90a8c",
-    "rank_warm": "7edae49b9a3afdcd7ee06b75707c9facefb007e29e9d511dd84a78d6731a0cf5",
+    "bias": "ff568e256731251c9005f90f5ecde3920f2e2da7b30e3711bc0d806eaf4d7af7",
+    "extrinsic": "031baf8cf2397f23d52494994534374049f97f289123bdf605c5f8afe0f9026c",
+    "intrinsic": "cc0aba8330913a0d2b121fdeb60c5b6b42c9c2d21b2e7d8cf614219460fce1a9",
+    "rank": "a47bc8f920824f4334f1299406739818a2d1f4c94d0b4db9e4809b0d6e99aedc",
+    "rank_cold": "ae5fd878fe1c2c294dfc2bce93185c8521565d1ccecd4e36db049a39c413ebc5",
+    "rank_warm": "739359bd28dad9f767e3a18596fa2a7f1009f1ed9416ed93dfa4f654c0c2762e",
 }
 
 
@@ -362,6 +401,15 @@ def test_subcommand_report_hashes_golden(tmp_path, monkeypatch):
         assert run_cli(*argv, *oracle, "--out", f"{name}.json") == 0, name
         hashes[name] = hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
     assert hashes == GOLDEN_REPORT_SHA256
+
+
+def test_report_does_not_depend_on_output_path(tmp_path):
+    for name in ("a.json", "b.json"):
+        assert run_cli(
+            "rank-inbox", "--inbox", FIXTURE, "--base-url", f"http://localhost/{name}",
+            "--out", tmp_path / name,
+        ) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,21 @@ def test_logprob_fixture_one_sided_short_mass(mock_endpoint):
     assert result.token_probabilities["NO"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "top_logprobs",
+    [{" YES": -0.22, " NO": -1.61}, [{"token": " YES", "logprob": -0.22}, -1.61]],
+    ids=["mapping", "non-object-entry"],
+)
+def test_malformed_top_logprobs_is_protocol_error(mock_endpoint, top_logprobs):
+    from .mock_gateway import load_fixture
+
+    payload = load_fixture("logprob_top2")
+    payload["choices"][0]["logprobs"]["content"][0]["top_logprobs"] = top_logprobs
+    mock_endpoint.enqueue(200, payload)
+    with pytest.raises(ProtocolError, match="malformed top_logprobs"):
+        complete(config_for(mock_endpoint), "sys", "user", want_logprobs=True)
+
+
 def test_request_payload_shape(mock_endpoint, monkeypatch):
     monkeypatch.setenv("TRIAGERANK_API_KEY", "sk-test")
     mock_endpoint.enqueue_fixture("logprob_top2")

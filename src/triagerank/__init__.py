@@ -68,7 +68,6 @@ from .pairs import (
     build_triplets,
     export_reward,
     export_sft,
-    make_eval_pair,
 )
 from .rank import TournamentResult, insert_incremental, run_tournament
 

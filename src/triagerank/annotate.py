@@ -28,7 +28,8 @@ from .corpus import (
     read_jsonl,
     write_jsonl,
 )
-from .errors import BadLabel, DataError, EqualLabels, TooFewMessages
+from .errors import DataError, TooFewMessages
+from .pairs import EvalPair
 
 logger = logging.getLogger(__name__)
 
@@ -260,24 +261,20 @@ def filter_pairs(
     """Run the two-pass judge filtration over candidate pairs.
 
     Every input pair appears in the output with its accepted flag; the
-    accepted subset forms the test-set candidates.
+    accepted subset forms the test-set candidates. Every pair is checked
+    before the first judge call: a sentinel label raises BadLabel, equal
+    levels raise EqualLabels.
     """
-    pairs = list(pairs)
-    for a, b in pairs:
-        if not (a.label.is_ordinal and b.label.is_ordinal):
-            raise BadLabel(f"pair ({a.id}, {b.id}) carries a sentinel label")
-        if a.level == b.level:
-            raise EqualLabels(f"pair ({a.id}, {b.id}) has equal urgency levels")
-
+    eval_pairs = [EvalPair(a, b) for a, b in pairs]
     judged: list[JudgedPair] = []
-    for a, b in pairs:
-        auto_label = Winner.A if a.level < b.level else Winner.B
-        verdict_v1 = judge.judge(a, b, JudgeVariant.V1)
-        verdict_v2 = judge.judge(a, b, JudgeVariant.V2)
+    for pair in eval_pairs:
+        auto_label = pair.gold_more_urgent
+        verdict_v1 = judge.judge(pair.a, pair.b, JudgeVariant.V1)
+        verdict_v2 = judge.judge(pair.a, pair.b, JudgeVariant.V2)
         judged.append(
             JudgedPair(
-                a_id=a.id,
-                b_id=b.id,
+                a_id=pair.a.id,
+                b_id=pair.b.id,
                 auto_label=auto_label,
                 verdict_v1=verdict_v1,
                 verdict_v2=verdict_v2,

@@ -116,9 +116,12 @@ def _parse_entries(text: str, what: str, expected: str, key, value) -> dict:
     for chunk in text.split(",") if text else ():
         try:
             name, number = chunk.split(":")
-            entries[key(name)] = value(number)
+            name, number = key(name), value(number)
         except ValueError:
             raise ConfigError(f"bad {what} entry {chunk!r}, expected {expected}") from None
+        if name in entries:
+            raise ConfigError(f"{what} entry {chunk!r} repeats a name")
+        entries[name] = number
     return entries
 
 
@@ -229,7 +232,7 @@ def cmd_export_reward(args: argparse.Namespace) -> int:
 def cmd_assemble_inbox(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     counts = _parse_ints(args.spec, "counts", "5,5,5,5,5,5")
-    spec = InboxSpec.from_counts(counts, seed=args.seed)
+    spec = InboxSpec(counts, seed=args.seed)
     inbox = assemble_inbox(corpus, spec)
     written = save_corpus(inbox, args.out)
     print(f"assembled {written}-message inbox -> {args.out}")
@@ -446,7 +449,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                     f"config key {key!r} must be {expected}, got {settings[key]!r}"
                 )
         if "flip" in settings:
-            settings["flip"] = {int(k): float(v) for k, v in settings["flip"].items()}
+            flip = {int(k): float(v) for k, v in settings["flip"].items()}
+            if len(flip) != len(settings["flip"]):
+                raise ConfigError(f"config key 'flip' names a gap twice: {settings['flip']!r}")
+            settings["flip"] = flip
         for key in ("inbox_counts", "ks"):
             if key in settings:
                 settings[key] = tuple(settings[key])
@@ -510,7 +516,7 @@ def run_pipeline(config: RunConfig) -> dict:
     # bad settings fail here, before any stage writes an artifact; the
     # oracle gets its labels once the corpus is filtered
     _comparator(())
-    spec = InboxSpec.from_counts(config.inbox_counts, seed=config.seed)
+    spec = InboxSpec(config.inbox_counts, seed=config.seed)
     if spec.total < 6:
         raise ConfigError(
             f"inbox_counts must request >= 6 messages for sextile labeling, got {spec.total}"

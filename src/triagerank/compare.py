@@ -172,6 +172,8 @@ class NoisyOracleComparator:
         }
         self._flip = dict(flip_prob_by_gap or {})
         for gap, probability in self._flip.items():
+            if not 1 <= gap <= 5:
+                raise ConfigError(f"flip gap {gap} out of 1..5, the gaps between two levels")
             if not 0.0 <= probability <= 1.0:
                 raise ConfigError(f"flip probability for gap {gap} out of [0, 1]")
         if not 0.0 < margin <= 0.5:

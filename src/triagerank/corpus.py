@@ -176,6 +176,11 @@ class Message:
         for field in ("id", "text"):
             if field not in record:
                 raise MalformedRecord(f"record is missing field {field!r}")
+        message_id = record["id"]
+        if not isinstance(message_id, (str, int)) or isinstance(message_id, bool):
+            raise MalformedRecord(
+                f"field 'id' must be a string or an integer, got {message_id!r}"
+            )
         if not isinstance(record["text"], str):
             raise MalformedRecord("field 'text' must be a string")
         try:
@@ -189,7 +194,7 @@ class Message:
         if response is not None and not isinstance(response, str):
             raise MalformedRecord("field 'clinician_response' must be a string")
         return cls(
-            id=str(record["id"]),
+            id=str(message_id),
             text=record["text"],
             ehr=EhrRecord.from_record(ehr) if ehr is not None else None,
             clinician_response=response,

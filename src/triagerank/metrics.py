@@ -14,6 +14,10 @@ level 1 down to gain 0 at level 6 (no medical attention needed).
 Multi-class rankings with intra-class ties are scored by the exact
 expected T-NDCG over uniform intra-class shuffles and its population
 standard deviation, both in closed form.
+
+Float sums use ``math.fsum``: builtin ``sum`` of floats is compensated
+from Python 3.12 on, and a correctly rounded sum keeps every report
+byte-identical across Python versions.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ def _gain_vector(ranking: Sequence[str], labels: Mapping[str, UrgencyLabel]) -> 
 
 
 def _dcg(gains: Sequence[int], k: int) -> float:
-    return sum(
+    return math.fsum(
         (2.0**gain - 1.0) / math.log2(position + 1)
         for position, gain in enumerate(gains[:k], start=1)
     )
@@ -216,8 +220,9 @@ def _chi2_upper_tail(x: float, dof: int) -> float:
     else:
         tail, powers = 0.0, range(dof // 2)
     log_y = math.log(y)
+    terms = [math.exp(a * log_y - math.lgamma(a + 1) - y) for a in powers]
     # near 1 the rounded sum can land an ulp above it
-    return min(1.0, tail + sum(math.exp(a * log_y - math.lgamma(a + 1) - y) for a in powers))
+    return min(1.0, math.fsum([tail, *terms]))
 
 
 def chi_square_independence(table: Sequence[Sequence[float]]) -> ChiSquareResult:
@@ -236,18 +241,18 @@ def chi_square_independence(table: Sequence[Sequence[float]]) -> ChiSquareResult
         raise DataError("contingency table must be 2-dimensional and non-empty")
     if not all(0.0 <= count < math.inf for row in observed for count in row):
         raise DataError("contingency table counts must be finite and non-negative")
-    observed = [row for row in observed if sum(row) > 0]
-    columns = [column for column in zip(*observed) if sum(column) > 0]
-    n = sum(map(sum, columns))
+    observed = [row for row in observed if math.fsum(row) > 0]
+    columns = [column for column in zip(*observed) if math.fsum(column) > 0]
+    n = math.fsum(map(math.fsum, columns))
     if n == 0:
         raise DataError("contingency table is empty")
     rows, cols = len(observed), len(columns)
     dof = (rows - 1) * (cols - 1)
     if dof == 0:
         return ChiSquareResult(0.0, 0, 1.0, 0.0, int(n))
-    col_sums = [sum(column) for column in columns]
+    col_sums = [math.fsum(column) for column in columns]
     chi_square = 0.0
-    for i, row_sum in enumerate(map(sum, observed)):
+    for i, row_sum in enumerate(map(math.fsum, observed)):
         for column, col_sum in zip(columns, col_sums):
             expected = row_sum * col_sum / n
             chi_square += (column[i] - expected) ** 2 / expected
@@ -391,7 +396,7 @@ def agreement(
     observed = sum(a == b for a, b in zip(slot_1, slot_2)) / n
     marginals_1 = Counter(slot_1)
     marginals_2 = Counter(slot_2)
-    chance = sum(
+    chance = math.fsum(
         (marginals_1[category] / n) * (marginals_2[category] / n)
         for category in set(marginals_1) | set(marginals_2)
     )

@@ -24,7 +24,6 @@ from . import prompts
 from .compare import Winner
 from .corpus import (
     LabeledMessage,
-    UrgencyLabel,
     by_level,
     label_for_level,
     read_jsonl,
@@ -58,27 +57,30 @@ def difficulty_for_gap(gap: int) -> Difficulty:
 
 @dataclass(frozen=True)
 class EvalPair:
-    """A gold-labeled comparison pair with its difficulty stratum."""
+    """Two messages of different urgency levels.
+
+    The gold side, the gap and the difficulty stratum all follow from the
+    two levels: the lower level is the more urgent message.
+    """
 
     a: LabeledMessage
     b: LabeledMessage
-    gold_more_urgent: Winner
-    difficulty: Difficulty
-    gap: int
 
     def __post_init__(self):
-        if self.gap != abs(self.a.level - self.b.level):
-            raise EqualLabels("gap does not match the label levels")
+        if self.a.level == self.b.level:
+            raise EqualLabels(f"pair ({self.a.id}, {self.b.id}) has equal urgency levels")
 
-    def swapped(self) -> "EvalPair":
-        """Same pair with the argument order flipped."""
-        return EvalPair(
-            a=self.b,
-            b=self.a,
-            gold_more_urgent=Winner.B if self.gold_more_urgent is Winner.A else Winner.A,
-            difficulty=self.difficulty,
-            gap=self.gap,
-        )
+    @property
+    def gold_more_urgent(self) -> Winner:
+        return Winner.A if self.a.level < self.b.level else Winner.B
+
+    @property
+    def gap(self) -> int:
+        return abs(self.a.level - self.b.level)
+
+    @property
+    def difficulty(self) -> Difficulty:
+        return difficulty_for_gap(self.gap)
 
     def to_record(self) -> dict:
         return {
@@ -91,24 +93,11 @@ class EvalPair:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "EvalPair":
-        return make_eval_pair(
+        """Read the two messages; the stored derived fields are ignored."""
+        return cls(
             LabeledMessage.from_record(record["a"]),
             LabeledMessage.from_record(record["b"]),
         )
-
-
-def make_eval_pair(a: LabeledMessage, b: LabeledMessage) -> EvalPair:
-    """Derive gold label, gap and difficulty for a cross-level pair."""
-    if a.level == b.level:
-        raise EqualLabels(f"pair ({a.id}, {b.id}) has equal urgency levels")
-    gap = abs(a.level - b.level)
-    return EvalPair(
-        a=a,
-        b=b,
-        gold_more_urgent=Winner.A if a.level < b.level else Winner.B,
-        difficulty=difficulty_for_gap(gap),
-        gap=gap,
-    )
 
 
 class _CrossLevelPairs(collections.abc.Sequence):
@@ -189,7 +178,7 @@ def build_eval_pairs(
         drawn = []
         for i, j in chosen:
             first, second = (i, j) if rng.random() < 0.5 else (j, i)
-            drawn.append(make_eval_pair(ordinal[first], ordinal[second]))
+            drawn.append(EvalPair(ordinal[first], ordinal[second]))
         return drawn
 
     if difficulty_quotas is None:
@@ -417,38 +406,25 @@ def export_reward(triplets: Sequence[Triplet], path: str | Path) -> ExportSummar
 
 @dataclass(frozen=True)
 class InboxSpec:
-    """Per-level message counts plus the sampling seed."""
+    """Message counts for L1..L6 in order, e.g. (5, 3, 5, 7, 7, 4), plus the sampling seed."""
 
-    counts: Mapping[UrgencyLabel, int]
+    counts: tuple[int, ...]
     seed: int = 0
 
     def __post_init__(self):
-        counts = dict(self.counts)
-        for label, count in counts.items():
-            if not label.is_ordinal:
-                raise ConfigError(f"inbox spec cannot request {label.value} messages")
+        counts = tuple(self.counts)
+        if len(counts) != 6:
+            raise ConfigError("inbox spec needs exactly 6 counts (L1..L6)")
+        for level, count in enumerate(counts, start=1):
             if count < 0:
-                raise ConfigError(f"negative count for {label.value}")
-        if sum(counts.values()) < 2:
+                raise ConfigError(f"negative count for L{level}")
+        if sum(counts) < 2:
             raise ConfigError("inbox spec must request at least 2 messages")
         object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int], seed: int = 0) -> "InboxSpec":
-        """Counts for L1..L6 in order, e.g. (5, 3, 5, 7, 7, 4)."""
-        if len(counts) != 6:
-            raise ConfigError("inbox spec needs exactly 6 counts (L1..L6)")
-        return cls(
-            counts={
-                label_for_level(level): count
-                for level, count in enumerate(counts, start=1)
-            },
-            seed=seed,
-        )
+        return sum(self.counts)
 
 
 def assemble_inbox(
@@ -462,13 +438,12 @@ def assemble_inbox(
     levels = by_level(corpus)
     rng = random.Random(spec.seed)
     picked: list[LabeledMessage] = []
-    for level in range(1, 7):
-        label = label_for_level(level)
-        wanted = spec.counts.get(label, 0)
+    for level, wanted in enumerate(spec.counts, start=1):
         if wanted == 0:
             continue
         pool = levels.get(level, [])
         if len(pool) < wanted:
+            label = label_for_level(level)
             raise InsufficientLevel(
                 f"need {wanted} {label.value} messages, corpus has {len(pool)}",
                 label=label,

@@ -50,10 +50,10 @@ from triagerank.metrics import (
 )
 from triagerank.pairs import (
     Difficulty,
+    EvalPair,
     build_triplets,
     export_reward,
     export_sft,
-    make_eval_pair,
 )
 from triagerank.rank import insert_incremental, run_tournament
 
@@ -80,7 +80,7 @@ def test_criterion_01_perfect_oracle_recovery():
     oracle = perfect_oracle(corpus)
 
     pairs = [
-        make_eval_pair(a, b)
+        EvalPair(a, b)
         for i, a in enumerate(corpus)
         for b in corpus[i + 1 :]
         if a.level != b.level
@@ -195,7 +195,7 @@ def test_criterion_06_difficulty_monotonicity():
             b = make_labeled(f"g{gap}b{index}", high_level + gap)
             if rng.random() < 0.5:
                 a, b = b, a
-            pairs.append(make_eval_pair(a, b))
+            pairs.append(EvalPair(a, b))
     labels = {}
     for pair in pairs:
         labels[pair.a.id] = pair.a.label

@@ -20,7 +20,7 @@ from triagerank.annotate import (
     write_judged_pairs,
 )
 from triagerank.compare import Winner
-from triagerank.corpus import EhrRecord, UrgencyLabel
+from triagerank.corpus import EhrRecord, LabeledMessage, UrgencyLabel
 from triagerank.errors import BadLabel, DataError, EqualLabels, TooFewMessages
 
 from .conftest import make_labeled, make_message
@@ -133,11 +133,30 @@ def test_filter_pairs_equal_labels_error():
 
 
 def test_filter_pairs_sentinel_error():
-    from triagerank.corpus import LabeledMessage
-
     sentinel = LabeledMessage(make_message("s"), UrgencyLabel.UNCLEAR)
     with pytest.raises(BadLabel):
         filter_pairs([(sentinel, make_labeled("b", 3))], OrdinalPairJudge())
+
+
+@pytest.mark.parametrize(
+    "last, error",
+    [
+        ((make_labeled("c", 3), make_labeled("d", 3)), EqualLabels),
+        ((make_labeled("c", 3), LabeledMessage(make_message("s"), UrgencyLabel.UNCLEAR)), BadLabel),
+    ],
+    ids=["equal-levels", "sentinel"],
+)
+def test_filter_pairs_checks_every_pair_before_judging(last, error):
+    calls = []
+
+    class CountingJudge(OrdinalPairJudge):
+        def judge(self, a, b, variant):
+            calls.append((a.id, b.id, variant))
+            return super().judge(a, b, variant)
+
+    with pytest.raises(error):
+        filter_pairs([_pair(), _pair(), last], CountingJudge())
+    assert calls == []
 
 
 def test_acceptance_monotone_in_unclear():

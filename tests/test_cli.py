@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from triagerank import cli
 from triagerank.corpus import fixture_corpus_path, load_corpus, save_corpus
 from triagerank.errors import ComparisonFailed
-from triagerank.pairs import build_triplets, make_eval_pair
+from triagerank.pairs import EvalPair, build_triplets
 
 FIXTURE = str(fixture_corpus_path())
 
@@ -23,6 +24,25 @@ def run_cli(*argv) -> int:
 
 def read_json(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _readme_commands() -> list[list[str]]:
+    """The triagerank lines of README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line.replace("$FIXTURE", shlex.quote(FIXTURE)))[1:]
+        for line in block.splitlines()
+        if line.startswith("triagerank ")
+    ]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
 
 
 def test_load_validate_ok(capsys):
@@ -258,11 +278,12 @@ def test_pipeline_deterministic(tmp_path):
 
 # sha256 of every artifact of the fixture pipeline below. A change that
 # moves any of them changes artifact bytes and must say so in CHANGES.md.
-# Recorded with Python 3.11; every report float is computed in pure
-# Python, so the hashes need no numerical library version.
+# Every report float is computed in pure Python with correctly rounded
+# sums, so the hashes hold on Python 3.10 to 3.13 and need no numerical
+# library version.
 GOLDEN_ARTIFACT_SHA256 = {
     "eval_pairs": "5c3bde0ea814ee3e8e73348219d404425e6593c420d32ffed554f4f82d320527",
-    "extrinsic": "d49372decb05eb56c81fcad02a0885bb5569141ea71286948311513459bffddf",
+    "extrinsic": "d0909ea914212bc0d13b27169280783f2b6cab70164200a02b3b619f8254205f",
     "filtered_corpus": "166cf60d8f9daa1b17ac2d3aff55dacb809091b3c3c168f7dedc7059c3ac1000",
     "inbox": "5bed1fb4c22391388ce61a68db847b809f80880cfacddfec53f65b52db78f48a",
     "intrinsic": "9c8c4784058cd350260061c893655179e87d04378ec7737dd2b005d939cbe3af",
@@ -372,7 +393,7 @@ def test_pipeline_unknown_config_key(tmp_path, capsys):
 # subcommand builds its comparator or its report moves these.
 GOLDEN_REPORT_SHA256 = {
     "bias": "ff568e256731251c9005f90f5ecde3920f2e2da7b30e3711bc0d806eaf4d7af7",
-    "extrinsic": "031baf8cf2397f23d52494994534374049f97f289123bdf605c5f8afe0f9026c",
+    "extrinsic": "1480c8281cb57c82cc35254c66178aad226444b60e62db8d64e609696013136b",
     "intrinsic": "cc0aba8330913a0d2b121fdeb60c5b6b42c9c2d21b2e7d8cf614219460fce1a9",
     "rank": "a47bc8f920824f4334f1299406739818a2d1f4c94d0b4db9e4809b0d6e99aedc",
     "rank_cold": "ae5fd878fe1c2c294dfc2bce93185c8521565d1ccecd4e36db049a39c413ebc5",
@@ -458,6 +479,24 @@ def test_remote_comparator_without_model_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # no two levels are 0 or 7 apart, so these flips would never apply
+        ("rank-inbox", "--inbox", FIXTURE, "--flip", "0:0.5"),
+        ("rank-inbox", "--inbox", FIXTURE, "--flip", "7:0.9"),
+        # a repeated name would silently keep only its last value
+        ("rank-inbox", "--inbox", FIXTURE, "--flip", "1:0.3,1:0.0"),
+        ("build-pairs", "--corpus", FIXTURE, "--quotas", "easy:3,easy:5"),
+    ],
+    ids=["flip-gap-0", "flip-gap-7", "flip-repeated", "quota-repeated"],
+)
+def test_entry_that_does_nothing_exits_two(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("flip", {"x": 0.3}),
@@ -496,6 +535,7 @@ def test_pipeline_config_rejects_malformed_value(tmp_path, capsys, key, value):
     "flags, settings",
     [
         (["--comparator", "logprob"], {}), ([], {"margin": 0.9}), ([], {"flip": {"1": 1.5}}),
+        ([], {"flip": {"0": 0.5}}), ([], {"flip": {"1": 0.3, "01": 0.0}}),
         # out of range for the stage that uses them, checked before stage load
         ([], {"ks": [0]}), ([], {"inbox_counts": [5, 5, -1, 5, 5, 5]}),
         ([], {"triplet_cap": 0}), ([], {"pair_count": -1}),
@@ -503,7 +543,7 @@ def test_pipeline_config_rejects_malformed_value(tmp_path, capsys, key, value):
         ([], {"inbox_counts": [1, 1, 1, 1, 0, 0]}),
     ],
     ids=[
-        "logprob-without-model", "margin", "flip",
+        "logprob-without-model", "margin", "flip", "flip-gap", "flip-repeated",
         "ks", "inbox_counts", "triplet_cap", "pair_count", "inbox_below_six",
     ],
 )
@@ -565,7 +605,7 @@ def test_corrupt_record_file_exits_three_naming_the_line(
     corpus = load_corpus(FIXTURE)
     other = next(labeled for labeled in corpus if labeled.level != corpus[0].level)
     valid = {
-        "--pairs": make_eval_pair(corpus[0], other).to_record(),
+        "--pairs": EvalPair(corpus[0], other).to_record(),
         "--triplets": build_triplets(corpus, 4, seed=0, count=1)[0].to_record(),
         "--annotations": {"pair_id": "p0", "annotator_id": "a1", "choice": "A"},
     }[flag]

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from triagerank import cli
 from triagerank.annotate import JudgedPair, Verdict, read_judged_pairs
 from triagerank.compare import Winner
 from triagerank.corpus import (
@@ -25,7 +26,7 @@ from triagerank.errors import (
     EmptyMessage,
     MalformedRecord,
 )
-from triagerank.pairs import Triplet, make_eval_pair, read_eval_pairs, read_triplets
+from triagerank.pairs import EvalPair, Triplet, read_eval_pairs, read_triplets
 
 from .conftest import make_labeled, make_message
 
@@ -54,6 +55,22 @@ def test_unknown_label_reports_line_number(tmp_path):
     with pytest.raises(BadLabel) as excinfo:
         load_corpus(path)
     assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "bad_id", [None, True, ["a"], 1.5], ids=["null", "true", "array", "float"]
+)
+def test_non_string_id_rejected_with_its_line(tmp_path, capsys, bad_id):
+    path = write_lines(tmp_path, [record("a"), record(bad_id)])
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_corpus(path)
+    assert excinfo.value.line == 2
+    assert cli.main(["load-validate", "--corpus", str(path)]) == 3
+    assert "line 2: " in capsys.readouterr().err
+
+
+def test_integer_id_loads_as_string(tmp_path):
+    assert load_corpus(write_lines(tmp_path, [record(7)]))[0].id == "7"
 
 
 def test_duplicate_id_rejected(tmp_path):
@@ -187,7 +204,7 @@ def _without(record: dict, key: str) -> dict:
 
 
 _LABELED = make_labeled("b", 3).to_record()
-_PAIR = make_eval_pair(make_labeled("a", 1), make_labeled("b", 3)).to_record()
+_PAIR = EvalPair(make_labeled("a", 1), make_labeled("b", 3)).to_record()
 _TRIPLET = Triplet(
     anchor=make_labeled("a", 3),
     more_urgent=make_labeled("b", 1),

@@ -20,6 +20,7 @@ from triagerank.errors import ConfigError, DataError, MissingLabel, NoStrata, No
 from triagerank.metrics import (
     BiasScheme,
     _chi2_upper_tail,
+    _dcg,
     agreement,
     bias_strata,
     chi_square_independence,
@@ -28,7 +29,7 @@ from triagerank.metrics import (
     ndcg_at_k,
     t_ndcg_at_k,
 )
-from triagerank.pairs import Difficulty, make_eval_pair
+from triagerank.pairs import Difficulty, EvalPair
 
 from .conftest import make_labeled
 
@@ -95,6 +96,21 @@ def test_ndcg_constant_relevance_is_one():
 def test_ndcg_all_l6_ideal_dcg_zero():
     ranking, labels = labels_for([6] * 6)
     assert ndcg_at_k(ranking, labels, k=6) == 1.0
+
+
+def test_dcg_is_correctly_rounded():
+    # summed left to right, as builtin sum() does before Python 3.12, these
+    # terms land one ulp away from their correctly rounded sum
+    gains = [5, 3, 3, 2]
+    terms = [
+        (2.0**gain - 1.0) / math.log2(position + 1)
+        for position, gain in enumerate(gains, start=1)
+    ]
+    left_to_right = 0.0
+    for term in terms:
+        left_to_right += term
+    assert left_to_right != math.fsum(terms)
+    assert _dcg(gains, k=4) == math.fsum(terms)
 
 
 def test_ndcg_pinned_four_item_fixture():
@@ -299,7 +315,7 @@ def _fixture_pairs(corpus):
     for i, a in enumerate(corpus):
         for b in corpus[i + 1 :]:
             if a.level != b.level:
-                pairs.append(make_eval_pair(a, b))
+                pairs.append(EvalPair(a, b))
     return pairs
 
 
@@ -481,7 +497,7 @@ def _demographic_pair(index, more_gender, less_gender, more_age, less_age):
     less = make_labeled(
         f"less{index:03d}", 5, ehr=EhrRecord(age=less_age, gender=less_gender)
     )
-    return make_eval_pair(more, less)
+    return EvalPair(more, less)
 
 
 def test_bias_gender_strata_counts():
@@ -557,7 +573,7 @@ def _scripted_for(pair, eta):
 
 
 def test_bias_skips_pairs_without_demographics(fixture_corpus):
-    plain = make_eval_pair(make_labeled("x", 1), make_labeled("y", 5))
+    plain = EvalPair(make_labeled("x", 1), make_labeled("y", 5))
     pair_with_ehr = _demographic_pair(0, Gender.MALE, Gender.FEMALE, 40, 20)
     labels = {
         "x": UrgencyLabel.L1,
@@ -573,7 +589,7 @@ def test_bias_skips_pairs_without_demographics(fixture_corpus):
 
 
 def test_bias_no_strata():
-    plain = make_eval_pair(make_labeled("x", 1), make_labeled("y", 5))
+    plain = EvalPair(make_labeled("x", 1), make_labeled("y", 5))
     oracle = perfect_oracle({"x": UrgencyLabel.L1, "y": UrgencyLabel.L5})
     outcome = compare(oracle, plain.a.message, plain.b.message)
     with pytest.raises(NoStrata):

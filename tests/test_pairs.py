@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ from triagerank.annotate import OrdinalPairJudge, filter_pairs, write_judged_pai
 from triagerank.compare import Winner
 from triagerank.corpus import LabeledMessage, UrgencyLabel, save_corpus
 from triagerank.errors import (
+    BadLabel,
     ConfigError,
     EqualLabels,
     ExportFailed,
@@ -19,6 +21,7 @@ from triagerank.errors import (
 )
 from triagerank.pairs import (
     Difficulty,
+    EvalPair,
     _CrossLevelPairs,
     InboxSpec,
     Triplet,
@@ -28,7 +31,6 @@ from triagerank.pairs import (
     difficulty_for_gap,
     export_reward,
     export_sft,
-    make_eval_pair,
     read_eval_pairs,
     read_triplets,
     reward_records,
@@ -44,11 +46,11 @@ from .conftest import level_corpus, make_labeled, make_message
 
 
 def test_difficulty_examples():
-    easy = make_eval_pair(make_labeled("a", 1), make_labeled("b", 5))
+    easy = EvalPair(make_labeled("a", 1), make_labeled("b", 5))
     assert easy.difficulty is Difficulty.EASY and easy.gap == 4
-    hard = make_eval_pair(make_labeled("a", 2), make_labeled("b", 3))
+    hard = EvalPair(make_labeled("a", 2), make_labeled("b", 3))
     assert hard.difficulty is Difficulty.HARD and hard.gap == 1
-    medium = make_eval_pair(make_labeled("a", 1), make_labeled("b", 3))
+    medium = EvalPair(make_labeled("a", 1), make_labeled("b", 3))
     assert medium.difficulty is Difficulty.MEDIUM and medium.gap == 2
 
 
@@ -69,8 +71,8 @@ def test_swap_flips_gold_preserves_difficulty():
         level_b = rng.randint(1, 6)
         if level_a == level_b:
             continue
-        pair = make_eval_pair(make_labeled("a", level_a), make_labeled("b", level_b))
-        swapped = pair.swapped()
+        pair = EvalPair(make_labeled("a", level_a), make_labeled("b", level_b))
+        swapped = EvalPair(pair.b, pair.a)
         assert swapped.gold_more_urgent is not pair.gold_more_urgent
         assert swapped.difficulty is pair.difficulty
         assert swapped.gap == pair.gap
@@ -78,7 +80,13 @@ def test_swap_flips_gold_preserves_difficulty():
 
 def test_equal_levels_rejected():
     with pytest.raises(EqualLabels):
-        make_eval_pair(make_labeled("a", 3), make_labeled("b", 3))
+        EvalPair(make_labeled("a", 3), make_labeled("b", 3))
+
+
+def test_eval_pair_holds_only_its_two_messages():
+    assert [field.name for field in dataclasses.fields(EvalPair)] == ["a", "b"]
+    with pytest.raises(BadLabel):
+        EvalPair(LabeledMessage(make_message("s"), UrgencyLabel.UNCLEAR), make_labeled("b", 3))
 
 
 # ---------------------------------------------------------------- build pairs
@@ -137,6 +145,17 @@ def test_eval_pairs_file_round_trip(tmp_path, fixture_corpus):
     assert read_eval_pairs(path) == pairs
 
 
+def test_read_eval_pairs_derives_fields_from_levels(tmp_path):
+    record = EvalPair(make_labeled("a", 1), make_labeled("b", 3)).to_record()
+    record.update(gold_more_urgent="B", difficulty="hard", gap=5)
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    (pair,) = read_eval_pairs(path)
+    assert pair.gold_more_urgent is Winner.A
+    assert pair.gap == 2
+    assert pair.difficulty is Difficulty.MEDIUM
+
+
 def _random_corpus(rng: random.Random, size: int, id_pool: int | None = None):
     """Random levels with some sentinel records; ``id_pool`` reuses ids."""
     corpus = []
@@ -188,7 +207,7 @@ def _materialised_eval_pairs(corpus, count, seed, difficulty_quotas=None):
         drawn = []
         for i, j in chosen:
             first, second = (i, j) if rng.random() < 0.5 else (j, i)
-            drawn.append(make_eval_pair(ordinal[first], ordinal[second]))
+            drawn.append(EvalPair(ordinal[first], ordinal[second]))
         return drawn
 
     if difficulty_quotas is None:
@@ -486,7 +505,7 @@ def test_export_io_failure(tmp_path, fixture_corpus, writer_name):
 
 
 def test_assemble_uniform_inbox(fixture_corpus):
-    inbox = assemble_inbox(fixture_corpus, InboxSpec.from_counts((5,) * 6, seed=0))
+    inbox = assemble_inbox(fixture_corpus, InboxSpec((5,) * 6, seed=0))
     assert len(inbox) == 30
     counts = Counter(labeled.level for labeled in inbox)
     assert all(counts[level] == 5 for level in range(1, 7))
@@ -494,7 +513,7 @@ def test_assemble_uniform_inbox(fixture_corpus):
 
 def test_assemble_skewed_inbox():
     corpus = level_corpus({level: 8 for level in range(1, 7)})
-    spec = InboxSpec.from_counts((5, 3, 5, 7, 7, 4), seed=1)
+    spec = InboxSpec((5, 3, 5, 7, 7, 4), seed=1)
     inbox = assemble_inbox(corpus, spec)
     assert len(inbox) == 31
     counts = Counter(labeled.level for labeled in inbox)
@@ -504,12 +523,12 @@ def test_assemble_skewed_inbox():
 def test_assemble_insufficient_level():
     corpus = level_corpus({1: 3, 2: 5, 3: 5, 4: 5, 5: 5, 6: 5})
     with pytest.raises(InsufficientLevel) as excinfo:
-        assemble_inbox(corpus, InboxSpec.from_counts((5,) * 6, seed=0))
+        assemble_inbox(corpus, InboxSpec((5,) * 6, seed=0))
     assert excinfo.value.label.value == "L1"
 
 
 def test_assemble_seeded_and_shuffled(fixture_corpus):
-    spec = InboxSpec.from_counts((5,) * 6, seed=11)
+    spec = InboxSpec((5,) * 6, seed=11)
     first = assemble_inbox(fixture_corpus, spec)
     second = assemble_inbox(fixture_corpus, spec)
     assert first == second
@@ -518,13 +537,7 @@ def test_assemble_seeded_and_shuffled(fixture_corpus):
 
 
 def test_inbox_spec_validation():
-    from triagerank.corpus import UrgencyLabel
-
-    with pytest.raises(ConfigError):
-        InboxSpec(counts={UrgencyLabel.UNCLEAR: 2})
-    with pytest.raises(ConfigError):
-        InboxSpec(counts={UrgencyLabel.L1: 1})
-    with pytest.raises(ConfigError):
-        InboxSpec.from_counts((5, 5, 5), seed=0)
-    with pytest.raises(ConfigError):
-        InboxSpec.from_counts((5, 5, 5, 5, 5, -1), seed=0)
+    for counts in ((5,) * 5, (5,) * 7, (5, 5, 5, 5, 5, -1), (1, 0, 0, 0, 0, 0)):
+        with pytest.raises(ConfigError):
+            InboxSpec(counts, seed=0)
+    assert InboxSpec([1, 0, 0, 0, 0, 1]).counts == (1, 0, 0, 0, 0, 1)

@@ -3,8 +3,9 @@
 One subcommand per pipeline stage plus ``pipeline`` for an end-to-end
 run. Reports are machine-first JSON; every report embeds the seed, a hash
 of the resolved configuration, the comparator identity, and the prompt
-catalog version. Exit codes: 0 success, 2 config error, 3 data error,
-4 backend error, 5 internal.
+catalog version. A command prints its summary once its work is done, so
+a reader that closes stdout early does not fail the run. Exit codes:
+0 success, 2 config error, 3 data error, 4 backend error, 5 internal.
 """
 
 from __future__ import annotations
@@ -12,19 +13,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import annotate, gateway, metrics, prompts, rank
 from .compare import (
     CachedComparator,
     Comparator,
     ComparisonCache,
+    ComparisonOutcome,
     LogprobComparator,
     NoisyOracleComparator,
+    ORACLE_MARGIN,
     ReasoningComparator,
     RewardComparator,
     compare,
@@ -83,9 +89,95 @@ def _sha256_file(path: Path) -> str:
 _UNHASHED = frozenset({"out", "out_dir", "base_url"})
 
 
+def _indented(value, level: int) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) as it reads ``level`` objects deep."""
+    # an indented dump has newlines only between tokens; strings escape theirs
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _object_chunks(members: Mapping[str, Iterable[str]], level: int) -> Iterator[str]:
+    """A non-empty JSON object laid out as ``_indented``, from each member value's chunks."""
+    inner = "\n" + "  " * (level + 1)
+    opening = "{"
+    for key in sorted(members):
+        yield f"{opening}{inner}{encode_basestring_ascii(key)}: "
+        yield from members[key]
+        opening = ","
+    yield "\n" + "  " * level + "}"
+
+
+def _outcome_chunks(outcomes: Sequence[ComparisonOutcome]) -> Iterator[str]:
+    """``[outcome.to_record() for outcome in outcomes]`` as a tournament section holds it.
+
+    Each record is formatted from the outcome's fields, in the layout an
+    indented dump gives it three objects deep (keys sorted), with json's
+    own string escaping and float text (``repr``). No record dict is built
+    and the pure-Python encoder never runs. A record with a value that is
+    not a plain str or finite float goes through json.dumps instead.
+    """
+    if not outcomes:
+        yield "[]"
+        return
+    encoded: dict[str, str] = {}
+
+    def text(string: str) -> str:
+        json_text = encoded.get(string)
+        if json_text is None:
+            json_text = encoded[string] = encode_basestring_ascii(string)
+        return json_text
+
+    separator = "[\n"
+    for outcome in outcomes:
+        a_id, b_id, eta = outcome.a_id, outcome.b_id, outcome.eta
+        s_ab, s_ba = outcome.s_ab.value, outcome.s_ba.value
+        kind, winner = outcome.s_ab.kind.value, outcome.winner.value
+        if (
+            type(a_id) is str and type(b_id) is str
+            and type(kind) is str and type(winner) is str
+            and type(eta) is float and type(s_ab) is float and type(s_ba) is float
+            and isfinite(eta) and isfinite(s_ab) and isfinite(s_ba)
+        ):
+            yield (
+                f"{separator}      {{\n"
+                f'        "a_id": {text(a_id)},\n'
+                f'        "b_id": {text(b_id)},\n'
+                f'        "eta": {eta!r},\n'
+                f'        "kind": {text(kind)},\n'
+                f'        "s_ab": {s_ab!r},\n'
+                f'        "s_ba": {s_ba!r},\n'
+                f'        "winner": {text(winner)}\n'
+                "      }"
+            )
+        else:
+            yield separator + "      " + _indented(outcome.to_record(), 3)
+        separator = ",\n"
+    yield "\n    ]"
+
+
+def _section_chunks(value) -> Iterable[str]:
+    """One report section; a TournamentResult reads as its to_record()."""
+    if not isinstance(value, rank.TournamentResult):
+        return (_indented(value, 1),)
+    # every field but the outcomes, as the record defines them
+    record = replace(value, outcomes=()).to_record()
+    members = {key: (_indented(item, 2),) for key, item in record.items()}
+    members["outcomes"] = _outcome_chunks(value.outcomes)
+    return _object_chunks(members, 1)
+
+
 def _write_report(path: Path, envelope: dict, **sections) -> None:
+    """Write ``json.dumps({**envelope, **sections}, sort_keys=True, indent=2)``.
+
+    A section may be a TournamentResult: it is written as its to_record()
+    would be, without building its outcome records. Every chunk of text
+    is made before the file is opened, so a value json cannot encode
+    leaves no partial report, and no copy of the whole text is built.
+    """
     report = {**envelope, **sections}
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    members = {key: _section_chunks(value) for key, value in report.items()}
+    chunks = [*_object_chunks(members, 0), "\n"]
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
 
 
 def _envelope(seed: int, config_hash: str, comparator_identity: str) -> dict:
@@ -145,6 +237,10 @@ def build_comparator(
     if name in _REMOTE_COMPARATORS:
         if not model:
             raise ConfigError(f"comparator {name!r} needs --model")
+        if flip or margin != ORACLE_MARGIN:
+            raise ConfigError(
+                f"--flip and --margin set the oracle's noise; comparator {name!r} takes neither"
+            )
         endpoint = gateway.config_from_env(model_name=model, base_url=base_url)
         comparator: Comparator = _REMOTE_COMPARATORS[name](endpoint)
     elif name == "oracle":
@@ -169,44 +265,39 @@ def _comparator_options(args: argparse.Namespace) -> dict:
 # subcommands
 
 
-def cmd_load_validate(args: argparse.Namespace) -> int:
+def cmd_load_validate(args: argparse.Namespace) -> str:
     records = load_corpus(args.corpus)
     counts = {label.value: 0 for label in UrgencyLabel}
     for labeled in records:
         counts[labeled.label.value] += 1
-    print(f"{args.corpus}: {len(records)} records valid")
-    for token, count in counts.items():
-        if count:
-            print(f"  {token}: {count}")
-    return 0
+    lines = [f"{args.corpus}: {len(records)} records valid"]
+    lines += [f"  {token}: {count}" for token, count in counts.items() if count]
+    return "\n".join(lines)
 
 
-def cmd_auto_label(args: argparse.Namespace) -> int:
+def cmd_auto_label(args: argparse.Namespace) -> str:
     messages = load_messages(args.messages)
     labeled = annotate.auto_label_corpus(messages, annotate.KeywordResponseClassifier())
     written = save_corpus(labeled, args.out)
     skipped = len(messages) - len(labeled)
-    print(f"labeled {written} messages -> {args.out} ({skipped} skipped, no response)")
-    return 0
+    return f"labeled {written} messages -> {args.out} ({skipped} skipped, no response)"
 
 
-def cmd_build_pairs(args: argparse.Namespace) -> int:
+def cmd_build_pairs(args: argparse.Namespace) -> str:
     corpus = load_corpus(args.corpus)
     quotas = _parse_entries(
         args.quotas, "quota", "difficulty:count", lambda name: Difficulty(name.strip()), int
     ) if args.quotas else None
     eval_pairs = build_eval_pairs(corpus, args.count, args.seed, quotas)
     written = write_eval_pairs(eval_pairs, args.out)
-    print(f"wrote {written} eval pairs -> {args.out}")
-    return 0
+    return f"wrote {written} eval pairs -> {args.out}"
 
 
-def cmd_build_triplets(args: argparse.Namespace) -> int:
+def cmd_build_triplets(args: argparse.Namespace) -> str:
     corpus = load_corpus(args.corpus)
     triplets = build_triplets(corpus, args.cap, args.seed, args.count)
     written = write_triplets(triplets, args.out)
-    print(f"wrote {written} triplets -> {args.out}")
-    return 0
+    return f"wrote {written} triplets -> {args.out}"
 
 
 def _triplets_from_args(args: argparse.Namespace):
@@ -217,48 +308,42 @@ def _triplets_from_args(args: argparse.Namespace):
     return build_triplets(load_corpus(args.corpus), args.cap, args.seed, args.count)
 
 
-def cmd_export_sft(args: argparse.Namespace) -> int:
+def cmd_export_sft(args: argparse.Namespace) -> str:
     summary = export_sft(_triplets_from_args(args), args.out)
-    print(f"wrote {summary.records} SFT records -> {summary.path}")
-    return 0
+    return f"wrote {summary.records} SFT records -> {summary.path}"
 
 
-def cmd_export_reward(args: argparse.Namespace) -> int:
+def cmd_export_reward(args: argparse.Namespace) -> str:
     summary = export_reward(_triplets_from_args(args), args.out)
-    print(f"wrote {summary.records} reward records -> {summary.path}")
-    return 0
+    return f"wrote {summary.records} reward records -> {summary.path}"
 
 
-def cmd_assemble_inbox(args: argparse.Namespace) -> int:
+def cmd_assemble_inbox(args: argparse.Namespace) -> str:
     corpus = load_corpus(args.corpus)
     counts = _parse_ints(args.spec, "counts", "5,5,5,5,5,5")
     spec = InboxSpec(counts, seed=args.seed)
     inbox = assemble_inbox(corpus, spec)
     written = save_corpus(inbox, args.out)
-    print(f"assembled {written}-message inbox -> {args.out}")
-    return 0
+    return f"assembled {written}-message inbox -> {args.out}"
 
 
-def cmd_rank_inbox(args: argparse.Namespace) -> int:
+def cmd_rank_inbox(args: argparse.Namespace) -> str:
     inbox = load_corpus(args.inbox)
     comparator = build_comparator(args.comparator, inbox, **_comparator_options(args))
     result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
-    _write_args_report(args, comparator.cache_identity, tournament=result.to_record())
-    print(f"ranked {len(inbox)} messages -> {args.out}")
-    print("  top of inbox:", ", ".join(result.ranking[:5]))
-    return 0
+    _write_args_report(args, comparator.cache_identity, tournament=result)
+    top = ", ".join(result.ranking[:5])
+    return f"ranked {len(inbox)} messages -> {args.out}\n  top of inbox: {top}"
 
 
-def cmd_evaluate_intrinsic(args: argparse.Namespace) -> int:
+def cmd_evaluate_intrinsic(args: argparse.Namespace) -> str:
     eval_pairs = read_eval_pairs(args.pairs)
     labeled = [pair.a for pair in eval_pairs] + [pair.b for pair in eval_pairs]
     comparator = build_comparator(args.comparator, labeled, **_comparator_options(args))
     report = metrics.intrinsic_accuracy(eval_pairs, comparator)
     _write_args_report(args, comparator.cache_identity, intrinsic=report.to_record())
-    if args.table:
-        print(_intrinsic_table(report))
-    print(f"intrinsic accuracy {report.overall_accuracy:.4f} -> {args.out}")
-    return 0
+    summary = f"intrinsic accuracy {report.overall_accuracy:.4f} -> {args.out}"
+    return f"{_intrinsic_table(report)}\n{summary}" if args.table else summary
 
 
 def _intrinsic_table(report: metrics.IntrinsicReport) -> str:
@@ -315,20 +400,18 @@ def _extrinsic_table(extrinsic: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_evaluate_extrinsic(args: argparse.Namespace) -> int:
+def cmd_evaluate_extrinsic(args: argparse.Namespace) -> str:
     inbox = load_corpus(args.inbox)
     comparator = build_comparator(args.comparator, inbox, **_comparator_options(args))
     result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
     ks = _parse_ints(args.ks, "k list", "10,30")
     sections = _extrinsic_sections(result, inbox, ks)
     _write_args_report(args, comparator.cache_identity, **sections)
-    if args.table:
-        print(_extrinsic_table(sections["extrinsic"]))
-    print(f"extrinsic report -> {args.out}")
-    return 0
+    summary = f"extrinsic report -> {args.out}"
+    return f"{_extrinsic_table(sections['extrinsic'])}\n{summary}" if args.table else summary
 
 
-def cmd_bias_report(args: argparse.Namespace) -> int:
+def cmd_bias_report(args: argparse.Namespace) -> str:
     eval_pairs = read_eval_pairs(args.pairs)
     labeled = [pair.a for pair in eval_pairs] + [pair.b for pair in eval_pairs]
     comparator = build_comparator(args.comparator, labeled, **_comparator_options(args))
@@ -338,11 +421,10 @@ def cmd_bias_report(args: argparse.Namespace) -> int:
     ]
     report = metrics.bias_strata(eval_pairs, outcomes, metrics.BiasScheme(args.scheme))
     _write_args_report(args, comparator.cache_identity, bias=report.to_record())
-    print(
+    return (
         f"{args.scheme}: chi2={report.chi_square:.4f} p={report.p_value:.4f} "
         f"V={report.cramers_v:.4f} -> {args.out}"
     )
-    return 0
 
 
 def _annotation(record: dict) -> tuple:
@@ -352,15 +434,14 @@ def _annotation(record: dict) -> tuple:
     return row
 
 
-def cmd_agreement(args: argparse.Namespace) -> int:
+def cmd_agreement(args: argparse.Namespace) -> str:
     rows = read_jsonl(args.annotations, _annotation)
     report = metrics.agreement(rows)
     _write_args_report(args, "n/a", agreement=report.to_record())
-    print(
+    return (
         f"agreement {report.percent_agreement:.4f}, "
         f"kappa {report.cohens_kappa:.4f} -> {args.out}"
     )
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +457,7 @@ class RunConfig:
     seed: int = 0
     comparator: str = "oracle"
     flip: dict[int, float] = field(default_factory=dict)
-    margin: float = 0.4
+    margin: float = ORACLE_MARGIN
     pair_count: int = 60
     triplet_cap: int = 4
     inbox_counts: tuple[int, ...] = (5, 5, 5, 5, 5, 5)
@@ -557,7 +638,7 @@ def run_pipeline(config: RunConfig) -> dict:
     envelope = _envelope(config.seed, config.config_hash, comparator.cache_identity)
     with _stage("tournament"):
         result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
-        _write_report(path["ranking"], envelope, tournament=result.to_record())
+        _write_report(path["ranking"], envelope, tournament=result)
     with _stage("metrics"):
         intrinsic = metrics.intrinsic_accuracy(eval_pairs, comparator)
         _write_report(path["intrinsic"], envelope, intrinsic=intrinsic.to_record())
@@ -576,13 +657,13 @@ def run_pipeline(config: RunConfig) -> dict:
     return manifest
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
+def cmd_pipeline(args: argparse.Namespace) -> str:
     config = _config_from_args(args)
     manifest = run_pipeline(config)
-    print(f"pipeline complete -> {config.out_dir}")
-    for name in sorted(manifest["artifacts"]):
-        print(f"  {name}: {manifest['artifacts'][name]['path']}")
-    return 0
+    artifacts = manifest["artifacts"]
+    lines = [f"pipeline complete -> {config.out_dir}"]
+    lines += [f"  {name}: {artifacts[name]['path']}" for name in sorted(artifacts)]
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -594,7 +675,7 @@ def _add_comparator_flags(parser: argparse.ArgumentParser) -> None:
         "--comparator", choices=COMPARATOR_CHOICES, default="oracle"
     )
     parser.add_argument("--flip", default="", help="oracle flip map, e.g. 1:0.3,2:0.15")
-    parser.add_argument("--margin", type=float, default=0.4)
+    parser.add_argument("--margin", type=float, default=ORACLE_MARGIN)
     parser.add_argument("--model", help="endpoint model name (remote comparators)")
     parser.add_argument("--base-url", help="endpoint base URL (remote comparators)")
     parser.add_argument("--cache", help="comparison cache file")
@@ -699,7 +780,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        summary = args.func(args)
     except _StageFailure as failure:
         print(failure, file=sys.stderr)
         return exit_code_for(failure.cause)
@@ -712,6 +793,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
+    try:
+        print(summary, flush=True)
+    except BrokenPipeError:
+        # The reader of stdout left, but the run is done and its files are
+        # written. What print left buffered goes to the null device, so the
+        # flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 0
 
 
 if __name__ == "__main__":

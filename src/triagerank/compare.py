@@ -147,6 +147,10 @@ def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome
     return ComparisonOutcome(a.id, b.id, s_ab, s_ba, eta, winner)
 
 
+# the oracle's probability distance from 0.5 unless a caller sets one
+ORACLE_MARGIN = 0.4
+
+
 class NoisyOracleComparator:
     """Label-aware test double with gap-dependent error.
 
@@ -161,7 +165,7 @@ class NoisyOracleComparator:
         labels: Mapping[str, UrgencyLabel] | Iterable[LabeledMessage],
         flip_prob_by_gap: Mapping[int, float] | None = None,
         seed: int = 0,
-        margin: float = 0.4,
+        margin: float = ORACLE_MARGIN,
     ):
         if not isinstance(labels, Mapping):
             labels = {item.id: item.label for item in labels}
@@ -179,7 +183,10 @@ class NoisyOracleComparator:
         if not 0.0 < margin <= 0.5:
             raise ConfigError("margin must be in (0, 0.5]")
         self._seed = seed
-        self._margin = margin
+        # the only three scores the oracle gives, built and checked once
+        self._more_urgent = DirectionScore(0.5 + margin, ScoreKind.PROBABILITY)
+        self._less_urgent = DirectionScore(0.5 - margin, ScoreKind.PROBABILITY)
+        self._even = DirectionScore(0.5, ScoreKind.PROBABILITY)
         self._last_draw: tuple[tuple[str, str] | None, bool] = (None, False)
         self.cache_identity = (
             f"oracle(seed={seed},margin={margin},"
@@ -214,14 +221,13 @@ class NoisyOracleComparator:
         level_existing = self._level(existing)
         level_new = self._level(new)
         if level_existing == level_new:
-            return DirectionScore(0.5, ScoreKind.PROBABILITY)
+            return self._even
         flip = self._flip.get(abs(level_existing - level_new), 0.0)
         flipped = flip > 0.0 and self._flipped(existing.id, new.id, flip)
         new_is_more_urgent = level_new < level_existing
         if flipped:
             new_is_more_urgent = not new_is_more_urgent
-        value = 0.5 + self._margin if new_is_more_urgent else 0.5 - self._margin
-        return DirectionScore(value, ScoreKind.PROBABILITY)
+        return self._more_urgent if new_is_more_urgent else self._less_urgent
 
 
 def perfect_oracle(

@@ -6,14 +6,25 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from triagerank import cli
+from triagerank.compare import (
+    ComparisonOutcome,
+    DirectionScore,
+    NoisyOracleComparator,
+    ScoreKind,
+    Winner,
+)
 from triagerank.corpus import fixture_corpus_path, load_corpus, save_corpus
 from triagerank.errors import ComparisonFailed
 from triagerank.pairs import EvalPair, build_triplets
+from triagerank.rank import run_tournament
+
+from .conftest import level_corpus, make_labeled
 
 FIXTURE = str(fixture_corpus_path())
 
@@ -433,6 +444,117 @@ def test_report_does_not_depend_on_output_path(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+class ScriptedReward:
+    """Reward comparator whose directed scores come from a table."""
+
+    cache_identity = 'reward(m "outcomes": [)'
+
+    def __init__(self, values):
+        self.values = values
+
+    def score_directed(self, existing, new):
+        return DirectionScore(self.values[existing.id, new.id], ScoreKind.REWARD)
+
+
+def _oracle_tournament(labeled, flip=None, seed=0):
+    oracle = NoisyOracleComparator(labeled, flip, seed=seed)
+    return run_tournament([item.message for item in labeled], oracle)
+
+
+def _reward_tournament():
+    values = [5e-324, 1e-07, 1e16, -1e16, -2.5, -0.0, 0.0, -5e-324, 1e-07, 3.0, 0.1, 1 / 3]
+    messages = [make_labeled(f"r{index}", 1).message for index in range(4)]
+    # one value per directed pair: four messages give twelve
+    directed = [(a.id, b.id) for a in messages for b in messages if a is not b]
+    return run_tournament(messages, ScriptedReward(dict(zip(directed, values, strict=True))))
+
+
+class FloatWithRepr(float):
+    def __repr__(self):
+        return "not json"
+
+
+class StrSubclass(str):
+    pass
+
+
+def _odd_value_tournament():
+    """Outcomes with values json.dumps must write: ints, bools, subclasses, non-finite."""
+    result = _oracle_tournament([make_labeled("a", 1), make_labeled("b", 2)])
+    plain = result.outcomes[0]
+    score = DirectionScore(0.9, ScoreKind.PROBABILITY)
+    odd = [
+        plain,
+        ComparisonOutcome("a", "b", score, score, float("nan"), Winner.TIE),
+        ComparisonOutcome("a", "b", score, score, float("-inf"), Winner.A),
+        ComparisonOutcome("a", "b", score, score, FloatWithRepr(0.5), Winner.B),
+        ComparisonOutcome("a", "b", score, score, True, Winner.B),
+        ComparisonOutcome(7, StrSubclass("b"), score, score, 1, Winner.B),
+        ComparisonOutcome("a", 8, score, score, 0.5, Winner.B),
+        ComparisonOutcome("a", "b", DirectionScore(1, ScoreKind.REWARD), score, 0.0, Winner.TIE),
+        ComparisonOutcome(
+            "a", "b", score, DirectionScore(FloatWithRepr(0.25), ScoreKind.PROBABILITY),
+            0.0, Winner.TIE,
+        ),
+        plain,
+    ]
+    return replace(result, outcomes=tuple(odd))
+
+
+WRITER_CASES = {
+    "escaped-ids": lambda: _oracle_tournament([
+        make_labeled('say "hi"', 1), make_labeled("back\\slash", 2),
+        make_labeled("na\u00efve \u6025 \U0001f691", 3), make_labeled("tab\tline\nnul\x00\x1f", 4),
+        make_labeled("sep\u2028\x7f", 5),
+    ], {1: 0.5}, seed=1),
+    "marker-ids": lambda: _oracle_tournament([
+        make_labeled("outcomes", 1), make_labeled('"outcomes": [', 2),
+        make_labeled("tournament", 2), make_labeled("\n    ]", 3),
+    ]),
+    "reward-values": _reward_tournament,
+    "ties": lambda: _oracle_tournament([make_labeled(f"t{index}", 4) for index in range(6)]),
+    "odd-values": _odd_value_tournament,
+    "seeded-300": lambda: _oracle_tournament(
+        level_corpus({level: 50 for level in range(1, 7)}), {1: 0.3, 2: 0.15}, seed=31
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_tournament_report_equals_indented_dump(tmp_path, case):
+    result = WRITER_CASES[case]()
+    for identity in ("oracle(seed=0)", ScriptedReward.cache_identity, "outcomes\u00e9\n"):
+        envelope = cli._envelope(3, "config-hash", identity)
+        cli._write_report(tmp_path / "report.json", envelope, tournament=result)
+        expected = json.dumps(
+            {**envelope, "tournament": result.to_record()}, sort_keys=True, indent=2
+        ) + "\n"
+        assert (tmp_path / "report.json").read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_after_finished_run_exits_zero(tmp_path, unbuffered):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader leaves before the summary is printed
+    try:
+        completed = subprocess.run(
+            [
+                sys.executable, "-X", "dev", "-m", "triagerank.cli", "pipeline",
+                "--corpus", FIXTURE, "--out-dir", str(tmp_path / "run"),
+            ],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == b""
+    assert (tmp_path / "run" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "kind, responses",
     [
@@ -476,6 +598,22 @@ def test_remote_comparator_without_model_exits_two(tmp_path, capsys):
         "--comparator", "logprob",
     ) == 2
     assert "--model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--flip", "1:0.3"), ("--margin", "0.3"), ("--flip", "0:0.5", "--margin", "0.9")],
+    ids=["flip", "margin", "invalid-flip-and-margin"],
+)
+def test_remote_comparator_rejects_oracle_flags(tmp_path, mock_endpoint, capsys, flags):
+    out = tmp_path / "rank.json"
+    assert run_cli(
+        "rank-inbox", "--inbox", FIXTURE, "--comparator", "reward", "--model", "m",
+        "--base-url", mock_endpoint.base_url, *flags, "--out", out,
+    ) == 2
+    assert "--flip and --margin" in capsys.readouterr().err
+    assert mock_endpoint.requests == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -531,10 +669,17 @@ def test_pipeline_config_rejects_malformed_value(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
+# a loopback port nothing listens on: a check that let the run through
+# would fail at its first request, not pass
+REMOTE = ["--comparator", "logprob", "--model", "m", "--base-url", "http://127.0.0.1:9"]
+
+
 @pytest.mark.parametrize(
     "flags, settings",
     [
         (["--comparator", "logprob"], {}), ([], {"margin": 0.9}), ([], {"flip": {"1": 1.5}}),
+        # the oracle's noise settings given to a remote comparator
+        (REMOTE, {"flip": {"1": 0.3}}), (REMOTE, {"margin": 0.3}),
         ([], {"flip": {"0": 0.5}}), ([], {"flip": {"1": 0.3, "01": 0.0}}),
         # out of range for the stage that uses them, checked before stage load
         ([], {"ks": [0]}), ([], {"inbox_counts": [5, 5, -1, 5, 5, 5]}),
@@ -543,7 +688,8 @@ def test_pipeline_config_rejects_malformed_value(tmp_path, capsys, key, value):
         ([], {"inbox_counts": [1, 1, 1, 1, 0, 0]}),
     ],
     ids=[
-        "logprob-without-model", "margin", "flip", "flip-gap", "flip-repeated",
+        "logprob-without-model", "margin", "flip", "remote-flip", "remote-margin",
+        "flip-gap", "flip-repeated",
         "ks", "inbox_counts", "triplet_cap", "pair_count", "inbox_below_six",
     ],
 )

@@ -229,22 +229,27 @@ def _noisy_inbox(count=36, seed=2):
 
 def test_oracle_equals_always_draw_reference_with_interleaved_pairs():
     labeled = _noisy_inbox()
-    oracle = NoisyOracleComparator(labeled, NOISY_FLIP, seed=5)
-    reference = AlwaysDrawOracle(labeled, NOISY_FLIP, seed=5)
     messages = [item.message for item in labeled]
-    rng = random.Random(8)
-    for _ in range(3000):
-        existing, new = rng.sample(messages, 2)
-        assert oracle.score_directed(existing, new) == reference.score_directed(existing, new)
-    # both directions of one pair, then of another, then back: the memo of
-    # the last draw must never answer for a different pair
-    pairs = [rng.sample(messages, 2) for _ in range(200)]
-    for (a, b), (c, d) in zip(pairs, pairs[1:]):
-        for existing, new in ((a, b), (c, d), (b, a), (d, c), (b, a)):
+    # the oracle's scores are built once per instance: they must equal the
+    # reference's fresh ones, also at the edge margin whose scores are 1 and 0
+    for margin in (0.4, 0.5):
+        oracle = NoisyOracleComparator(labeled, NOISY_FLIP, seed=5, margin=margin)
+        reference = AlwaysDrawOracle(labeled, NOISY_FLIP, seed=5, margin=margin)
+        rng = random.Random(8)
+        for _ in range(3000):
+            existing, new = rng.sample(messages, 2)
             assert oracle.score_directed(existing, new) == reference.score_directed(
                 existing, new
             )
-        assert compare(oracle, a, b) == compare(reference, a, b)
+        # both directions of one pair, then of another, then back: the memo
+        # of the last draw must never answer for a different pair
+        pairs = [rng.sample(messages, 2) for _ in range(200)]
+        for (a, b), (c, d) in zip(pairs, pairs[1:]):
+            for existing, new in ((a, b), (c, d), (b, a), (d, c), (b, a)):
+                assert oracle.score_directed(existing, new) == reference.score_directed(
+                    existing, new
+                )
+            assert compare(oracle, a, b) == compare(reference, a, b)
 
 
 def test_oracle_equals_always_draw_reference_in_parallel_tournament():

@@ -25,6 +25,8 @@ import threading
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
@@ -66,6 +68,9 @@ class DirectionScore:
     kind: ScoreKind
 
     def __post_init__(self):
+        # a bool is an int subclass, not a number here
+        if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
+            raise BadScore(f"direction score is not a number: {self.value!r}")
         if not math.isfinite(self.value):
             raise BadScore(f"direction score is not finite: {self.value!r}")
         if self.kind is ScoreKind.PROBABILITY and not 0.0 <= self.value <= 1.0:
@@ -300,13 +305,54 @@ class RewardComparator:
         return DirectionScore(value, ScoreKind.REWARD)
 
 
+_CANONICAL_HEAD = '{"key": "'
+# what follows the key in a canonical line: the kind and a JSON number,
+# whose fraction or exponent (group 3) makes json read it as a float
+_CANONICAL_TAIL = re.compile(
+    r', "kind": "(' + "|".join(map(re.escape, _KINDS)) + r')", '
+    r'"value": (-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))\}'
+)
+
+
+def _read_line(line: str) -> tuple[str, DirectionScore]:
+    """The key and score of one cache line; raises on a corrupt line.
+
+    A canonical line is read by scanning its key string and matching the
+    rest; any other line is parsed by json.loads. Both read the value as
+    json.loads would, and DirectionScore accepts only a finite number.
+    """
+    if line.startswith(_CANONICAL_HEAD):
+        try:
+            key, end = scanstring(line, len(_CANONICAL_HEAD))
+        except ValueError:
+            pass  # json.loads below rejects the same string
+        else:
+            match = _CANONICAL_TAIL.fullmatch(line, end)
+            if match is not None:
+                kind, number, fraction = match.groups()
+                value = float(number) if fraction else float(int(number))
+                return key, DirectionScore(value, _KINDS[kind])
+    entry = json.loads(line)
+    key = entry["key"]
+    if not isinstance(key, str):
+        raise TypeError("key is not a string")
+    value = entry["value"]
+    if type(value) is int:
+        value = float(value)
+    return key, DirectionScore(value, _KINDS[entry["kind"]])
+
+
 class ComparisonCache:
     """Append-only on-disk store of directed scores.
 
     File format: one JSON object per line with fields key, kind and value;
-    other fields are ignored. Later entries win; the file is compacted on
-    load when duplicates or corrupt lines are found. Corrupt lines are
-    dropped with a warning and those keys fall back to the backend.
+    other fields are ignored. Lines are written in one canonical form,
+    ``{"key": ..., "kind": ..., "value": ...}`` as json.dumps writes it,
+    which the load reads without the generic JSON parser; any other
+    well-formed line goes through json.loads. Later entries win; the file
+    is compacted on load when duplicates or corrupt lines are found.
+    Corrupt lines, a value that is not a finite JSON number among them,
+    are dropped with a warning and those keys fall back to the backend.
     Compaction writes a temporary file and swaps it in, so a crash leaves
     the old file whole.
 
@@ -342,12 +388,8 @@ class ComparisonCache:
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
-                key = entry["key"]
-                if not isinstance(key, str):
-                    raise TypeError("key is not a string")
-                score = DirectionScore(float(entry["value"]), _KINDS[entry["kind"]])
-            except (ValueError, KeyError, TypeError, BadScore):
+                key, score = _read_line(line)
+            except (ValueError, KeyError, TypeError, OverflowError, BadScore):
                 logger.warning(
                     "CacheInvalid: dropping corrupt cache line in %s", self._path
                 )
@@ -374,7 +416,17 @@ class ComparisonCache:
 
     @staticmethod
     def _format_line(key: str, value: float, kind: str) -> str:
-        return json.dumps({"key": key, "kind": kind, "value": value}) + "\n"
+        """``json.dumps({"key": key, "kind": kind, "value": value}) + "\\n"``.
+
+        A plain float is written by repr, as json.dumps writes a finite one;
+        an int or a float subclass goes through json.dumps.
+        """
+        if type(value) is not float:
+            return json.dumps({"key": key, "kind": kind, "value": value}) + "\n"
+        return (
+            f'{{"key": {encode_basestring_ascii(key)}, '
+            f'"kind": {encode_basestring_ascii(kind)}, "value": {value!r}}}\n'
+        )
 
     def get(self, key: str) -> DirectionScore | None:
         return self._entries.get(key)

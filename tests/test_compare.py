@@ -563,6 +563,179 @@ def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl"]
 
 
+_AWKWARD_KEYS = [
+    json.dumps(["oracle(seed=3)", "default", "m-1", "m-2"]),
+    'quote " and backslash \\ and slash /',
+    "controls \x00\x01\x1f\t\n\r\x7f",
+    "non-ASCII caf\u00e9 \u4e2d \U0001f600 \u2028",
+    "lone surrogate \ud800 and \udfff",
+]
+_AWKWARD_VALUES = [
+    (5e-324, "probability"),
+    (1e-07, "probability"),
+    (0.1 + 0.2, "probability"),
+    (-0.0, "probability"),
+    (1e16, "reward"),
+    (-3.75, "reward"),
+    (2, "reward"),  # an int score, built by a caller, goes through json.dumps
+]
+
+
+@pytest.mark.parametrize("key", _AWKWARD_KEYS)
+@pytest.mark.parametrize("value,kind", _AWKWARD_VALUES)
+def test_cache_line_bytes_equal_json_dumps(key, value, kind):
+    expected = json.dumps({"key": key, "kind": kind, "value": value}) + "\n"
+    assert ComparisonCache._format_line(key, value, kind) == expected
+
+
+class _FloatSubclass(float):
+    pass
+
+
+@pytest.mark.parametrize("value", [True, False, "0.25", None], ids=repr)
+def test_direction_score_value_must_be_a_number(value):
+    with pytest.raises(BadScore):
+        DirectionScore(value, ScoreKind.REWARD)
+
+
+@pytest.mark.parametrize("value", [2, -0.0, 1e16, 5e-324, _FloatSubclass(0.25)], ids=repr)
+def test_cache_reads_back_every_score_it_writes(tmp_path, monkeypatch, value):
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    store.put("k", DirectionScore(value, ScoreKind.REWARD))
+    store.close()
+    reloaded, compacted = _load_spying_compaction(path, monkeypatch)
+    assert not compacted
+    assert repr(reloaded.get("k").value) == repr(float(value))
+
+
+def _reference_load(text):
+    """The cache reload rule with json.loads alone: entries and whether to compact."""
+    entries = {}
+    dirty = bool(text) and not text.endswith("\n")
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+            key, value = entry["key"], entry["value"]
+            if not isinstance(key, str) or type(value) not in (int, float):
+                raise TypeError
+            score = DirectionScore(float(value), ScoreKind(entry["kind"]))
+        except (ValueError, KeyError, TypeError, OverflowError, BadScore):
+            dirty = True
+            continue
+        dirty = dirty or key in entries
+        entries[key] = (repr(score.value), score.kind)
+    return entries, dirty
+
+
+def _load_spying_compaction(path, monkeypatch):
+    compactions = []
+    compact = ComparisonCache._compact
+
+    def spy(self):
+        compactions.append(self)
+        compact(self)
+
+    monkeypatch.setattr(ComparisonCache, "_compact", spy)
+    return ComparisonCache(path), bool(compactions)
+
+
+_GOOD_LINE = json.dumps({"key": "good", "kind": "probability", "value": 0.9}) + "\n"
+_READER_CASES = {
+    "canonical": _GOOD_LINE.replace("good", "other"),
+    "canonical int value": '{"key": "k", "kind": "reward", "value": 3}\n',
+    "canonical negative zero": '{"key": "k", "kind": "reward", "value": -0}\n',
+    "canonical exponent": '{"key": "k", "kind": "reward", "value": -2.5E+2}\n',
+    "escaped key": json.dumps({"key": _AWKWARD_KEYS[3], "kind": "reward", "value": 1.5})
+    + "\n",
+    "legacy sort_keys with timestamp": json.dumps(
+        {"key": "k", "value": 0.25, "kind": "probability", "timestamp": 0.0}, sort_keys=True
+    )
+    + "\n",
+    "leading whitespace": "  " + _GOOD_LINE.replace("good", "k"),
+    "trailing whitespace": _GOOD_LINE.replace("good", "k")[:-1] + " \t\n",
+    "NaN value": '{"key": "k", "kind": "reward", "value": NaN}\n',
+    "Infinity value": '{"key": "k", "kind": "reward", "value": Infinity}\n',
+    "1e400 value": '{"key": "k", "kind": "reward", "value": 1e400}\n',
+    "leading zero value": '{"key": "k", "kind": "reward", "value": 07}\n',
+    "non-ASCII digit value": '{"key": "k", "kind": "reward", "value": 1\u0663}\n',
+    "non-ASCII digit in fraction": '{"key": "k", "kind": "reward", "value": 1.\u0663}\n',
+    "probability out of range": '{"key": "k", "kind": "probability", "value": 1.5}\n',
+    "malformed escape in key": '{"key": "bad \\q", "kind": "reward", "value": 1.5}\n',
+    "raw control character in key": '{"key": "bad \x01", "kind": "reward", "value": 1.5}\n',
+    "unterminated key": '{"key": "k\n',
+    "unknown kind": '{"key": "k", "kind": "logit", "value": 0.5}\n',
+    "field after value": '{"key": "k", "kind": "reward", "value": 1.5, "key": "j"}\n',
+    "duplicate key": _GOOD_LINE.replace("0.9", "0.1"),
+    "missing final newline": _GOOD_LINE.replace("good", "k")[:-1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_cache_reload_equals_json_loads_reference(tmp_path, monkeypatch, case):
+    text = _GOOD_LINE + _READER_CASES[case]
+    path = tmp_path / "cache.jsonl"
+    path.write_text(text, encoding="utf-8")
+    expected, expected_dirty = _reference_load(text)
+    store, compacted = _load_spying_compaction(path, monkeypatch)
+    assert compacted is expected_dirty
+    assert len(store) == len(expected)
+    for key, (value_repr, kind) in expected.items():
+        score = store.get(key)
+        assert (repr(score.value), score.kind) == (value_repr, kind)
+    if not expected_dirty:
+        assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("layout", ["canonical", "legacy"])
+@pytest.mark.parametrize(
+    "value_json", ["1" * 400, "true", '"0.25"', '" 7 "'], ids=["400-digit int", "bool", "numeric string", "padded string"]
+)
+def test_cache_value_that_is_not_a_finite_json_number_is_corrupt(
+    tmp_path, caplog, layout, value_json
+):
+    if layout == "canonical":
+        bad_line = f'{{"key": "bad", "kind": "reward", "value": {value_json}}}\n'
+    else:
+        bad_line = f'{{"key": "bad", "kind": "reward", "timestamp": 0.0, "value": {value_json}}}\n'
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_GOOD_LINE + bad_line, encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        store = ComparisonCache(path)
+    assert any("CacheInvalid" in record.message for record in caplog.records)
+    assert store.get("bad") is None and len(store) == 1
+    assert path.read_text(encoding="utf-8") == _GOOD_LINE
+
+
+def test_cache_mixed_canonical_and_legacy_lines_hit_without_compaction(
+    tmp_path, fixture_corpus, monkeypatch
+):
+    path = tmp_path / "cache.jsonl"
+    messages = [labeled.message for labeled in fixture_corpus[:6]]
+    store = ComparisonCache(path)
+    oracle = CountingComparator(perfect_oracle(fixture_corpus))
+    run_tournament(messages[:4], CachedComparator(oracle, store))
+    store.close()
+    with path.open("a", encoding="utf-8") as handle:
+        for index, new in enumerate(messages[4:]):
+            for existing in messages[: 4 + index]:
+                for first, second, value in ((existing, new, 0.1), (new, existing, 0.9)):
+                    key = json.dumps(["CountingComparator", "default", first.id, second.id])
+                    line = {"key": key, "value": value, "kind": "probability", "timestamp": 0.0}
+                    handle.write(json.dumps(line, sort_keys=True) + "\n")
+    before = path.read_bytes()
+    reloaded, compacted = _load_spying_compaction(path, monkeypatch)
+    counting = CountingComparator(ScriptedComparator({}))
+    comparator = CachedComparator(counting, reloaded)
+    run_tournament(messages, comparator)
+    n = len(messages)
+    assert counting.backend_calls == 0 and comparator.hits == n * (n - 1)
+    assert not compacted
+    assert path.read_bytes() == before
+
+
 def test_direction_scores_carry_no_backend_payload(mock_endpoint):
     comparator = LogprobComparator(config_for(mock_endpoint))
     mock_endpoint.enqueue_fixture("logprob_top2")

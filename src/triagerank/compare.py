@@ -384,7 +384,9 @@ class ComparisonCache:
             return
         # a last line without its newline would swallow the next append
         dirty = bool(text) and not text.endswith("\n")
-        for line in text.splitlines():
+        # only "\n" ends a line: the text-mode read has turned "\r\n" and "\r"
+        # into it, and str.splitlines would also break a key at U+2028 or U+0085
+        for line in text.split("\n"):
             if not line.strip():
                 continue
             try:

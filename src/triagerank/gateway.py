@@ -1,13 +1,17 @@
 """Remote chat-completion and scalar-scoring client.
 
 Speaks the OpenAI-compatible chat-completions schema plus a minimal
-scoring route (POST {prompt, completion} -> {score}). Transient failures
-(network errors, HTTP 5xx) are retried with exponential backoff; HTTP 4xx
-is rejected immediately. Secrets come only from environment variables.
+scoring route (POST {prompt, completion} -> {score}) over the standard
+library's http.client, one connection per attempt. Transient failures
+(a network, TLS or HTTP framing error, or a status other than 200 outside
+4xx) are retried with exponential backoff; HTTP 4xx is rejected
+immediately. Secrets come only from environment variables.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import math
 import os
@@ -15,8 +19,7 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Mapping
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import (
     BadScore,
@@ -34,6 +37,10 @@ BASE_URL_ENV = "TRIAGERANK_BASE_URL"
 # Fraction of first-position probability mass the top-k must cover before
 # a missing YES/NO probability may be derived as the complement.
 EXHAUSTIVE_MASS = 0.99
+
+
+# the connection class for each URL scheme the gateway speaks
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,17 @@ class EndpointConfig:
     top_logprobs: int = 8
 
     def __post_init__(self):
+        try:
+            url = urlsplit(self.base_url)
+            url.port  # raises on a port that is not a number in range
+        except ValueError as exc:
+            raise ConfigError(f"bad base_url {self.base_url!r}: {exc}") from None
+        if url.scheme not in _CONNECTIONS or not url.hostname:
+            raise ConfigError(
+                f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}"
+            )
+        if not math.isfinite(self.temperature):
+            raise ConfigError(f"temperature must be finite, got {self.temperature!r}")
         if self.timeout <= 0:
             raise ConfigError("timeout must be positive")
         if self.max_retries < 0:
@@ -92,6 +110,11 @@ def _semaphore(config: EndpointConfig) -> threading.BoundedSemaphore:
 
 def _post_json(config: EndpointConfig, path: str, payload: dict) -> dict:
     url = config.base_url.rstrip("/") + path
+    parts = urlsplit(url)
+    connection_type = _CONNECTIONS[parts.scheme]
+    port = parts.port or connection_type.default_port
+    target = parts.path + (f"?{parts.query}" if parts.query else "")
+    body = json.dumps(payload, allow_nan=False).encode()
     headers = {"Content-Type": "application/json"}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"
@@ -99,32 +122,34 @@ def _post_json(config: EndpointConfig, path: str, payload: dict) -> dict:
     for attempt in range(config.max_retries + 1):
         if attempt:
             time.sleep(config.retry_backoff * 2 ** (attempt - 1))
+        connection = connection_type(parts.hostname, port, timeout=config.timeout)
         try:
             with _semaphore(config):
-                response = requests.post(
-                    url, json=payload, headers=headers, timeout=config.timeout
-                )
-        except requests.RequestException as exc:
+                connection.request("POST", target, body, headers)
+                response = connection.getresponse()
+                status, data = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
             last_error = f"{type(exc).__name__}: {exc}"
             logger.warning("request to %s failed (attempt %d): %s", url, attempt + 1, last_error)
             continue
-        if 400 <= response.status_code < 500:
+        finally:
+            connection.close()
+        if 400 <= status < 500:
+            text = data.decode("utf-8", errors="replace")
             raise RequestRejected(
-                f"{url} returned {response.status_code}: {response.text[:500]}",
-                status=response.status_code,
-                body=response.text,
+                f"{url} returned {status}: {text[:500]}", status=status, body=text
             )
-        if response.status_code != 200:
-            last_error = f"HTTP {response.status_code}"
+        if status != 200:
+            last_error = f"HTTP {status}"
             logger.warning("request to %s failed (attempt %d): %s", url, attempt + 1, last_error)
             continue
         try:
-            data = response.json()
+            reply = json.loads(data)
         except ValueError:
             raise ProtocolError(f"{url} returned non-JSON body") from None
-        if not isinstance(data, dict):
+        if not isinstance(reply, dict):
             raise ProtocolError(f"{url} returned a non-object JSON payload")
-        return data
+        return reply
     raise EndpointUnavailable(
         f"{url} unavailable after {config.max_retries + 1} attempts ({last_error})"
     )

@@ -40,6 +40,7 @@ class MockEndpoint:
                     {
                         "path": self.path,
                         "headers": dict(self.headers),
+                        "raw": raw,
                         "body": json.loads(raw or b"{}"),
                     }
                 )

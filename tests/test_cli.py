@@ -600,6 +600,17 @@ def test_remote_comparator_without_model_exits_two(tmp_path, capsys):
     assert "--model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base_url", ["localhost:9", "ftp://127.0.0.1:9", "http://:9"])
+def test_remote_comparator_with_unusable_base_url_exits_two(tmp_path, capsys, base_url):
+    out = tmp_path / "rank.json"
+    assert run_cli(
+        "rank-inbox", "--inbox", FIXTURE, "--comparator", "logprob", "--model", "m",
+        "--base-url", base_url, "--out", out,
+    ) == 2
+    assert "base_url" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--flip", "1:0.3"), ("--margin", "0.3"), ("--flip", "0:0.5", "--margin", "0.9")],
@@ -680,6 +691,7 @@ REMOTE = ["--comparator", "logprob", "--model", "m", "--base-url", "http://127.0
         (["--comparator", "logprob"], {}), ([], {"margin": 0.9}), ([], {"flip": {"1": 1.5}}),
         # the oracle's noise settings given to a remote comparator
         (REMOTE, {"flip": {"1": 0.3}}), (REMOTE, {"margin": 0.3}),
+        (REMOTE[:-1] + ["localhost:9"], {}),
         ([], {"flip": {"0": 0.5}}), ([], {"flip": {"1": 0.3, "01": 0.0}}),
         # out of range for the stage that uses them, checked before stage load
         ([], {"ks": [0]}), ([], {"inbox_counts": [5, 5, -1, 5, 5, 5]}),
@@ -689,6 +701,7 @@ REMOTE = ["--comparator", "logprob", "--model", "m", "--base-url", "http://127.0
     ],
     ids=[
         "logprob-without-model", "margin", "flip", "remote-flip", "remote-margin",
+        "base-url-without-scheme",
         "flip-gap", "flip-repeated",
         "ks", "inbox_counts", "triplet_cap", "pair_count", "inbox_below_six",
     ],
@@ -718,11 +731,10 @@ def test_shuffle_count_setting_is_gone(tmp_path, capsys):
     assert exit_info.value.code == 2
 
 
-def test_import_loads_no_third_party_module_but_requests():
-    """The package and its CLI import only the standard library and requests."""
+def test_import_loads_no_third_party_module():
+    """The package and its CLI import only the standard library."""
     script = (
         "import sys\n"
-        "import requests\n"
         "before = {name.partition('.')[0] for name in sys.modules}\n"
         "import triagerank, triagerank.cli\n"
         "added = {name.partition('.')[0] for name in sys.modules} - before\n"

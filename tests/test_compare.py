@@ -613,7 +613,7 @@ def _reference_load(text):
     """The cache reload rule with json.loads alone: entries and whether to compact."""
     entries = {}
     dirty = bool(text) and not text.endswith("\n")
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line.strip():
             continue
         try:
@@ -665,6 +665,7 @@ _READER_CASES = {
     "probability out of range": '{"key": "k", "kind": "probability", "value": 1.5}\n',
     "malformed escape in key": '{"key": "bad \\q", "kind": "reward", "value": 1.5}\n',
     "raw control character in key": '{"key": "bad \x01", "kind": "reward", "value": 1.5}\n',
+    "raw line separator in key": '{"key": "id\u2028x", "kind": "reward", "value": 1.5}\n',
     "unterminated key": '{"key": "k\n',
     "unknown kind": '{"key": "k", "kind": "logit", "value": 0.5}\n',
     "field after value": '{"key": "k", "kind": "reward", "value": 1.5, "key": "j"}\n',
@@ -687,6 +688,25 @@ def test_cache_reload_equals_json_loads_reference(tmp_path, monkeypatch, case):
         assert (repr(score.value), score.kind) == (value_repr, kind)
     if not expected_dirty:
         assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["LS", "PS", "NEL"])
+def test_cache_key_holding_a_raw_unicode_line_break_loads(
+    tmp_path, caplog, monkeypatch, separator
+):
+    # json.dumps(..., ensure_ascii=False) leaves these characters raw
+    text = json.dumps(
+        {"key": f"id{separator}x", "kind": "reward", "value": 1.5}, ensure_ascii=False
+    ) + "\n"
+    path = tmp_path / "cache.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        store, compacted = _load_spying_compaction(path, monkeypatch)
+    assert len(store) == 1
+    assert store.get(f"id{separator}x") == DirectionScore(1.5, ScoreKind.REWARD)
+    assert not any("CacheInvalid" in record.message for record in caplog.records)
+    assert not compacted
+    assert path.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("layout", ["canonical", "legacy"])

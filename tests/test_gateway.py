@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
 import math
 import socket
+import socketserver
+import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -130,7 +134,20 @@ def test_request_payload_shape(mock_endpoint, monkeypatch):
     complete(config_for(mock_endpoint), "sys prompt", "user prompt", want_logprobs=True)
     request = mock_endpoint.requests[0]
     assert request["path"] == "/v1/chat/completions"
+    assert request["headers"]["Content-Type"] == "application/json"
     assert request["headers"]["Authorization"] == "Bearer sk-test"
+    assert request["raw"] == json.dumps(
+        {
+            "model": "mock-model",
+            "messages": [
+                {"role": "system", "content": "sys prompt"},
+                {"role": "user", "content": "user prompt"},
+            ],
+            "temperature": 0.0,
+            "logprobs": True,
+            "top_logprobs": 8,
+        }
+    ).encode()
     body = request["body"]
     assert body["model"] == "mock-model"
     assert body["temperature"] == 0.0
@@ -161,6 +178,15 @@ def test_4xx_rejected_without_retry(mock_endpoint):
     assert len(mock_endpoint.requests) == 1
 
 
+def test_4xx_with_a_body_that_is_not_utf8_keeps_its_status(mock_endpoint):
+    mock_endpoint.enqueue_raw(403, b"\xff\xfe denied")
+    with pytest.raises(RequestRejected) as excinfo:
+        complete(config_for(mock_endpoint), "sys", "user")
+    assert excinfo.value.status == 403
+    assert excinfo.value.body == "\ufffd\ufffd denied"
+    assert len(mock_endpoint.requests) == 1
+
+
 def test_exhausted_retries(mock_endpoint):
     for _ in range(3):
         mock_endpoint.enqueue(500, {"error": "down"})
@@ -181,6 +207,81 @@ def test_refused_connection_is_unavailable_after_every_attempt(caplog):
             complete(config, "sys", "user")
     attempts = [record for record in caplog.records if record.name == "triagerank.gateway"]
     assert len(attempts) == 3
+
+
+@contextmanager
+def misbehaving_server(reply):
+    """A loopback server that hands each connection to ``reply(socket)``.
+
+    Yields the list of accepted connections, complete once the block exits.
+    """
+    accepted = []
+
+    class Handler(socketserver.BaseRequestHandler):
+        def handle(self):
+            accepted.append(self.client_address)
+            self.request.settimeout(5)
+            reply(self.request)
+
+    with socketserver.TCPServer(("127.0.0.1", 0), Handler) as server:
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+        thread.start()
+        try:
+            host, port = server.server_address
+            yield f"http://{host}:{port}", accepted
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def close_without_reply(connection):
+    connection.recv(65536)
+
+
+def garbage_status_line(connection):
+    connection.recv(65536)
+    connection.sendall(b"NOT-HTTP 200 OK\r\n\r\n{}")
+
+
+def never_answer(connection):
+    while connection.recv(65536):  # until the client gives up and closes
+        pass
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [close_without_reply, garbage_status_line, never_answer],
+    ids=["closed-without-reply", "garbage-status-line", "no-answer"],
+)
+def test_broken_transport_is_unavailable_after_every_attempt(caplog, reply):
+    with misbehaving_server(reply) as (base_url, accepted):
+        config = EndpointConfig(
+            base_url=base_url, model_name="m", timeout=0.2, max_retries=2, retry_backoff=0
+        )
+        with caplog.at_level("WARNING", logger="triagerank.gateway"):
+            with pytest.raises(EndpointUnavailable, match="after 3 attempts"):
+                complete(config, "sys", "user")
+    assert len(accepted) == 3
+    attempts = [record for record in caplog.records if record.name == "triagerank.gateway"]
+    assert len(attempts) == 3
+
+
+def test_https_to_a_plain_http_server_is_unavailable_after_every_attempt(
+    mock_endpoint, caplog
+):
+    config = config_for(
+        mock_endpoint,
+        base_url=mock_endpoint.base_url.replace("http://", "https://"),
+        timeout=0.2,
+        retry_backoff=0,
+    )
+    with caplog.at_level("WARNING", logger="triagerank.gateway"):
+        with pytest.raises(EndpointUnavailable, match="after 3 attempts"):
+            complete(config, "sys", "user")
+    attempts = [record for record in caplog.records if record.name == "triagerank.gateway"]
+    assert len(attempts) == 3
+    assert mock_endpoint.requests == []
 
 
 @pytest.mark.parametrize(
@@ -239,6 +340,23 @@ def test_config_validation():
         EndpointConfig(base_url="http://x", model_name="m", max_retries=-1)
     with pytest.raises(ConfigError):
         EndpointConfig(base_url="http://x", model_name="m", max_parallel=0)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"base_url": "localhost:9"},
+        {"base_url": "ftp://example.test"},
+        {"base_url": "http://"},
+        {"base_url": "http://example.test:port"},
+        {"temperature": math.nan},
+        {"temperature": math.inf},
+    ],
+    ids=["no-scheme", "ftp", "no-host", "bad-port", "nan-temperature", "inf-temperature"],
+)
+def test_unusable_endpoint_is_config_error(settings):
+    with pytest.raises(ConfigError):
+        EndpointConfig(**{"base_url": "http://x", "model_name": "m", **settings})
 
 
 def test_config_from_env(monkeypatch):

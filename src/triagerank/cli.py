@@ -253,7 +253,18 @@ def build_comparator(
 
 
 def _comparator_options(args: argparse.Namespace) -> dict:
-    """build_comparator's keywords from a subcommand's comparator flags."""
+    """build_comparator's keywords from a subcommand's comparator flags.
+
+    --seed seeds only the oracle's flips, so a remote comparator rejects
+    it. An absent --seed is set to 0 in ``args``, which the report's seed
+    and config hash then read.
+    """
+    if args.seed is None:
+        args.seed = 0
+    elif args.comparator in _REMOTE_COMPARATORS:
+        raise ConfigError(
+            f"--seed seeds the oracle's flips; comparator {args.comparator!r} takes none"
+        )
     return dict(
         seed=args.seed, margin=args.margin,
         flip=_parse_entries(args.flip, "flip", "gap:prob", int, float),
@@ -732,25 +743,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--spec", default="5,5,5,5,5,5", help="counts for L1..L6")
     sub.add_argument("--out", required=True)
 
-    sub = _sub("rank-inbox", cmd_rank_inbox, help="run the pairwise tournament")
+    sub = _sub(
+        "rank-inbox", cmd_rank_inbox, seed_default=None, help="run the pairwise tournament"
+    )
     sub.add_argument("--inbox", required=True)
     sub.add_argument("--out", required=True)
     _add_comparator_flags(sub)
 
-    sub = _sub("evaluate-intrinsic", cmd_evaluate_intrinsic, help="pairwise accuracy")
+    sub = _sub(
+        "evaluate-intrinsic", cmd_evaluate_intrinsic, seed_default=None, help="pairwise accuracy"
+    )
     sub.add_argument("--pairs", required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--table", action="store_true")
     _add_comparator_flags(sub)
 
-    sub = _sub("evaluate-extrinsic", cmd_evaluate_extrinsic, help="inbox sorting quality")
+    sub = _sub(
+        "evaluate-extrinsic", cmd_evaluate_extrinsic, seed_default=None,
+        help="inbox sorting quality",
+    )
     sub.add_argument("--inbox", required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--ks", default="10,30")
     sub.add_argument("--table", action="store_true")
     _add_comparator_flags(sub)
 
-    sub = _sub("bias-report", cmd_bias_report, help="demographic stratification")
+    sub = _sub(
+        "bias-report", cmd_bias_report, seed_default=None,
+        help="demographic stratification",
+    )
     sub.add_argument("--pairs", required=True)
     sub.add_argument(
         "--scheme",

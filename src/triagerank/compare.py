@@ -15,11 +15,11 @@ no epsilon band.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
 import os
-import random
 import re
 import threading
 import weakref
@@ -161,7 +161,7 @@ class NoisyOracleComparator:
 
     Knows the gold labels and emits calibrated-looking probabilities of
     0.5 +/- margin. With probability flip(gap) the wrong message is
-    favored. Per-pair randomness derives from (seed, sorted id pair), so
+    favored. A pair's draw is a keyed hash of (seed, sorted id pair), so
     results are independent of call order and concurrency.
     """
 
@@ -193,8 +193,9 @@ class NoisyOracleComparator:
         self._less_urgent = DirectionScore(0.5 - margin, ScoreKind.PROBABILITY)
         self._even = DirectionScore(0.5, ScoreKind.PROBABILITY)
         self._last_draw: tuple[tuple[str, str] | None, bool] = (None, False)
+        # names the draw, so a cache written under another draw rule misses
         self.cache_identity = (
-            f"oracle(seed={seed},margin={margin},"
+            f"oracle(draw=blake2b,seed={seed},margin={margin},"
             f"flip={sorted(self._flip.items())})"
         )
 
@@ -209,16 +210,21 @@ class NoisyOracleComparator:
     def _flipped(self, id_a: str, id_b: str, flip: float) -> bool:
         """The pair's seeded flip draw, shared by both directions.
 
-        The draw (a string-seeded ``random.Random``) is most of a call, so
-        the last pair's result is kept for the reverse direction that
-        ``compare`` asks for next. The memo is one tuple swapped whole, so
+        u is the 8-byte BLAKE2b digest of ``"{seed}|{first}|{second}"``
+        (the ids sorted), read big-endian; its top 53 bits make a float in
+        [0, 1) the way ``random.random()`` builds one, and the pair flips
+        iff that float is below ``flip``. The last pair's result is kept
+        for the reverse direction that ``compare`` asks for next, which
+        saves one hash per pair. The memo is one tuple swapped whole, so
         a concurrent caller can only miss it, never read a mixed entry.
         """
         pair = (id_a, id_b) if id_a < id_b else (id_b, id_a)
         last_pair, last_flipped = self._last_draw
         if last_pair == pair:
             return last_flipped
-        flipped = random.Random(f"{self._seed}|{pair[0]}|{pair[1]}").random() < flip
+        key = f"{self._seed}|{pair[0]}|{pair[1]}".encode()
+        u = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+        flipped = (u >> 11) * 2**-53 < flip
         self._last_draw = (pair, flipped)
         return flipped
 

@@ -294,11 +294,11 @@ def test_pipeline_deterministic(tmp_path):
 # library version.
 GOLDEN_ARTIFACT_SHA256 = {
     "eval_pairs": "5c3bde0ea814ee3e8e73348219d404425e6593c420d32ffed554f4f82d320527",
-    "extrinsic": "d0909ea914212bc0d13b27169280783f2b6cab70164200a02b3b619f8254205f",
+    "extrinsic": "544fde2e929283230a15fd286c2a6192a6e1ec389d463d3871d529f426706faa",
     "filtered_corpus": "166cf60d8f9daa1b17ac2d3aff55dacb809091b3c3c168f7dedc7059c3ac1000",
     "inbox": "5bed1fb4c22391388ce61a68db847b809f80880cfacddfec53f65b52db78f48a",
-    "intrinsic": "9c8c4784058cd350260061c893655179e87d04378ec7737dd2b005d939cbe3af",
-    "ranking": "2550c9d0191b07c73ff3b473778816093abcd9dd38c933710c47051cc1ea1068",
+    "intrinsic": "0026bab88734b7d1ad6c4f479cb47506e1984b986998fa98332d2e919bdd5307",
+    "ranking": "fb104210b22ea3f26c051217637bda2c8bafdbbe3d2c5c3688caaedb4c10081f",
     "reward": "089a268b7e3e42f65c617295158f486b7e6d36a15e295e01d7d124e6a4f05988",
     "sft": "1b7a795fd0fad9fa3e4c272fca0d15a2c79f657b6dae22f90b84be8ce724bc9c",
     "triplets": "590d1c06a421cad4e82bc15df86ed1bae512c0e6fab55f2ae361e15aab2eac7d",
@@ -403,12 +403,12 @@ def test_pipeline_unknown_config_key(tmp_path, capsys):
 # a hash of its arguments but --out and --base-url, so a change to how a
 # subcommand builds its comparator or its report moves these.
 GOLDEN_REPORT_SHA256 = {
-    "bias": "ff568e256731251c9005f90f5ecde3920f2e2da7b30e3711bc0d806eaf4d7af7",
-    "extrinsic": "1480c8281cb57c82cc35254c66178aad226444b60e62db8d64e609696013136b",
-    "intrinsic": "cc0aba8330913a0d2b121fdeb60c5b6b42c9c2d21b2e7d8cf614219460fce1a9",
-    "rank": "a47bc8f920824f4334f1299406739818a2d1f4c94d0b4db9e4809b0d6e99aedc",
-    "rank_cold": "ae5fd878fe1c2c294dfc2bce93185c8521565d1ccecd4e36db049a39c413ebc5",
-    "rank_warm": "739359bd28dad9f767e3a18596fa2a7f1009f1ed9416ed93dfa4f654c0c2762e",
+    "bias": "a9dec6b414e296337d49668bdbb066980898424b53e85ec407085696fb044c2a",
+    "extrinsic": "c25c9b333addf29868971af11b40634d5f09cdaf7877d4a85a526010acd6a2a8",
+    "intrinsic": "027659cbf0c071106851b3e01c91f7b161199a28de847091f2cf2552862644c0",
+    "rank": "81ba678a4540a1ac648729b8a1a4aa8b963ca17fb7fd7b408cc6ad0350caf534",
+    "rank_cold": "4f06984161a65d568f6d19889bea034d032bb2f1338208646a5c63a643dead0c",
+    "rank_warm": "be3a37f3a6c61e4e66043757ee6a5fb65df79f0b8362bca0db2e913852690f9c",
 }
 
 
@@ -625,6 +625,49 @@ def test_remote_comparator_rejects_oracle_flags(tmp_path, mock_endpoint, capsys,
     assert "--flip and --margin" in capsys.readouterr().err
     assert mock_endpoint.requests == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("rank-inbox", "--inbox"), ("evaluate-intrinsic", "--pairs"),
+        ("evaluate-extrinsic", "--inbox"), ("bias-report", "--pairs"),
+    ],
+)
+def test_remote_comparator_rejects_seed(tmp_path, mock_endpoint, capsys, command, inputs):
+    pairs = tmp_path / "pairs.jsonl"
+    assert run_cli("build-pairs", "--corpus", FIXTURE, "--count", 10, "--out", pairs) == 0
+    out = tmp_path / "report.json"
+    source = pairs if inputs == "--pairs" else FIXTURE
+    for seed in (0, 3):
+        assert run_cli(
+            command, inputs, source, "--comparator", "reward", "--model", "m",
+            "--base-url", mock_endpoint.base_url, "--seed", seed, "--out", out,
+        ) == 2
+        assert "--seed" in capsys.readouterr().err
+    assert mock_endpoint.requests == []
+    assert not out.exists()
+
+
+def test_absent_seed_reads_as_zero_in_reports(tmp_path, mock_endpoint, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_corpus(load_corpus(FIXTURE)[:2], tmp_path / "inbox.jsonl")
+    oracle = ("rank-inbox", "--inbox", "inbox.jsonl", "--flip", "1:0.3")
+    assert run_cli(*oracle, "--out", "absent.json") == 0
+    assert run_cli(*oracle, "--seed", 0, "--out", "zero.json") == 0
+    assert (tmp_path / "absent.json").read_bytes() == (tmp_path / "zero.json").read_bytes()
+    for name in ("reward_high", "reward_low"):
+        mock_endpoint.enqueue_fixture(name)
+    assert run_cli(
+        "rank-inbox", "--inbox", "inbox.jsonl", "--comparator", "reward", "--model", "mock",
+        "--base-url", mock_endpoint.base_url, "--out", "remote.json",
+    ) == 0
+    report = read_json(tmp_path / "remote.json")
+    # the seed and config hash this invocation wrote while --seed defaulted to 0
+    assert report["seed"] == 0
+    assert report["config_hash"] == (
+        "53730a71693c2da0188f54ee61f363c308135d22c7be05606413afe118f97d13"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
+import struct
 import sys
 
 import pytest
@@ -31,7 +33,7 @@ from triagerank.errors import (
 )
 from triagerank.rank import run_tournament
 
-from .conftest import make_labeled, make_message
+from .conftest import level_corpus, make_labeled, make_message
 from .test_gateway import config_for
 
 
@@ -200,6 +202,17 @@ def test_oracle_flip_probability_validation():
         NoisyOracleComparator([make_labeled("a", 1)], margin=0.6)
 
 
+def reference_draw(seed, first, second):
+    """The oracle's flip draw u for a sorted id pair: 8 BLAKE2b bytes, big-endian."""
+    key = f"{seed}|{first}|{second}".encode("utf-8")
+    return struct.unpack(">Q", hashlib.blake2b(key, digest_size=8).digest())[0]
+
+
+def reference_uniform(u):
+    """The top 53 bits of u as a float in [0, 1)."""
+    return math.ldexp(u >> 11, -53)
+
+
 class AlwaysDrawOracle:
     """The noisy oracle's rule with a fresh per-pair draw on every call."""
 
@@ -212,8 +225,8 @@ class AlwaysDrawOracle:
         if level_existing == level_new:
             return DirectionScore(0.5, ScoreKind.PROBABILITY)
         first, second = sorted((existing.id, new.id))
-        rng = random.Random(f"{self.seed}|{first}|{second}")
-        flipped = rng.random() < self.flip.get(abs(level_existing - level_new), 0.0)
+        draw = reference_uniform(reference_draw(self.seed, first, second))
+        flipped = draw < self.flip.get(abs(level_existing - level_new), 0.0)
         new_is_more_urgent = (level_new < level_existing) != flipped
         value = 0.5 + self.margin if new_is_more_urgent else 0.5 - self.margin
         return DirectionScore(value, ScoreKind.PROBABILITY)
@@ -267,6 +280,49 @@ def test_oracle_equals_always_draw_reference_in_parallel_tournament():
             assert result.ranking == reference.ranking
     finally:
         sys.setswitchinterval(interval)
+
+
+# (seed, first id, second id) -> u, the draw's 64-bit integer
+PINNED_DRAWS = [
+    ((0, "a", "b"), 0x84F43B621C3848A4),
+    ((3, "m01", "m02"), 0x0B461A74E2AF08A6),
+    ((11, "n00", "n35"), 0xE31FDA55D1808E40),
+    ((42, "msg-7", "msg-70"), 0xB5752A65EF024EBE),
+    ((-1, "na\u00efve", "\u6025"), 0xF8C5658BCD6ABE0C),
+]
+
+
+@pytest.mark.parametrize("key, u", PINNED_DRAWS, ids=[str(key) for key, _ in PINNED_DRAWS])
+def test_oracle_flip_draw_pinned(key, u):
+    seed, first, second = key
+    assert reference_draw(seed, first, second) == u
+    draw = reference_uniform(u)
+    labeled = [make_labeled(first, 1), make_labeled(second, 2)]
+    urgent, less_urgent = labeled[0].message, labeled[1].message
+    # the pair flips iff its draw is below flip: not at flip == draw, but
+    # at the next float up, so the oracle's draw is exactly this one
+    for flip, flipped in ((draw, False), (math.nextafter(draw, 1.0), True)):
+        oracle = NoisyOracleComparator(labeled, {1: flip}, seed=seed)
+        for existing, new in ((less_urgent, urgent), (urgent, less_urgent)):
+            new_wins = oracle.score_directed(existing, new).value > 0.5
+            assert new_wins == ((new is urgent) != flipped), (flip, new.id)
+
+
+@pytest.mark.parametrize("probability", [0.05, 0.3, 0.5])
+def test_oracle_flip_share_is_uniform(probability):
+    # 200 level-1 and 100 level-2 messages: 20,000 distinct pairs at gap 1
+    labeled = level_corpus({1: 200, 2: 100})
+    urgent = [item.message for item in labeled if item.level == 1]
+    less_urgent = [item.message for item in labeled if item.level == 2]
+    oracle = NoisyOracleComparator(labeled, {1: probability}, seed=7)
+    flips = sum(
+        oracle.score_directed(existing, new).value < 0.5
+        for existing in less_urgent
+        for new in urgent
+    )
+    pairs = len(urgent) * len(less_urgent)
+    sigma = math.sqrt(pairs * probability * (1 - probability))
+    assert abs(flips - pairs * probability) <= 4 * sigma, (flips, pairs)
 
 
 # -------------------------------------------------- gateway-backed comparators
@@ -486,6 +542,36 @@ def test_cache_serves_hand_written_old_style_keys(tmp_path):
     assert counting.backend_calls == 0
     assert comparator.hits == 2 and comparator.misses == 0
     assert (outcome.s_ab.value, outcome.s_ba.value) == (0.75, 0.25)
+
+
+def test_cache_written_under_the_old_oracle_draw_misses(tmp_path, fixture_corpus):
+    # the identity the oracle had while its flips came from random.Random
+    old_identity = "oracle(seed=3,margin=0.4,flip=[(1, 0.3), (2, 0.15)])"
+    flip = {1: 0.3, 2: 0.15}
+    oracle = NoisyOracleComparator(fixture_corpus, flip, seed=3)
+    messages = [labeled.message for labeled in fixture_corpus]
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    # every stored score is the opposite of today's, so one hit would show
+    for existing in messages:
+        for new in messages:
+            if existing is not new:
+                value = 1.0 - oracle.score_directed(existing, new).value
+                key = json.dumps([old_identity, "default", existing.id, new.id])
+                store.put(key, DirectionScore(value, ScoreKind.PROBABILITY))
+    store.close()
+    n = len(messages)
+    reloaded = ComparisonCache(path)
+    assert len(reloaded) == n * (n - 1)  # valid lines, kept but never matched
+    cached = CachedComparator(NoisyOracleComparator(fixture_corpus, flip, seed=3), reloaded)
+    assert cached.cache_identity != old_identity
+    result = run_tournament(messages, cached)
+    uncached = run_tournament(messages, oracle)
+    assert cached.hits == 0 and cached.misses == n * (n - 1)
+    assert result.outcomes == uncached.outcomes
+    assert result.scores == uncached.scores
+    assert result.ranking == uncached.ranking
+    reloaded.close()
 
 
 def test_cache_counters_exact_under_parallel_tournaments(tmp_path, fixture_corpus):

@@ -5,16 +5,7 @@ training triplets and exports, runs pairwise tournaments with pluggable
 comparators, and scores the results with triage-aware ranking metrics.
 """
 
-from .annotate import (
-    JudgedPair,
-    JudgeVariant,
-    KeywordResponseClassifier,
-    OrdinalPairJudge,
-    Verdict,
-    auto_label_corpus,
-    filter_pairs,
-    sextile_labels_from_winrate,
-)
+from .annotate import auto_label_corpus, classify_response, sextile_labels_from_winrate
 from .compare import (
     CachedComparator,
     Comparator,
@@ -39,7 +30,6 @@ from .corpus import (
     UrgencyLabel,
     labels_by_id,
     load_corpus,
-    load_fixture_corpus,
     load_messages,
     save_corpus,
     split_ordinal,

@@ -288,7 +288,7 @@ def cmd_load_validate(args: argparse.Namespace) -> str:
 
 def cmd_auto_label(args: argparse.Namespace) -> str:
     messages = load_messages(args.messages)
-    labeled = annotate.auto_label_corpus(messages, annotate.KeywordResponseClassifier())
+    labeled = annotate.auto_label_corpus(messages)
     written = save_corpus(labeled, args.out)
     skipped = len(messages) - len(labeled)
     return f"labeled {written} messages -> {args.out} ({skipped} skipped, no response)"
@@ -597,7 +597,8 @@ def run_pipeline(config: RunConfig) -> dict:
     """Execute load -> filter -> exports -> inbox -> tournament -> metrics.
 
     Artifacts land in config.out_dir; the returned manifest links each one
-    by content hash. Partial artifacts are retained when a stage fails.
+    by content hash. Artifacts of the stages before a failed one are kept;
+    those a previous run left in out_dir are removed first.
     """
     def _comparator(labeled: Sequence[LabeledMessage]) -> Comparator:
         return build_comparator(
@@ -619,16 +620,20 @@ def run_pipeline(config: RunConfig) -> dict:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = {name: out_dir / file_name for name, file_name in _ARTIFACTS.items()}
+    # a reused out_dir must not keep a finished run's files next to this
+    # run's: a failed run leaves only the stages it completed, no manifest.
+    # A corpus read from a previous run's artifact stays until it is read.
+    corpus_path = Path(config.corpus).resolve()
+    for stale in (out_dir / "manifest.json", *path.values()):
+        if stale.resolve() != corpus_path:
+            stale.unlink(missing_ok=True)
 
     with _stage("load"):
         raw = load_corpus(config.corpus)
     with _stage("filter"):
         corpus, _ = split_ordinal(raw)
         if config.auto_label:
-            relabeled = annotate.auto_label_corpus(
-                [labeled.message for labeled in corpus],
-                annotate.KeywordResponseClassifier(),
-            )
+            relabeled = annotate.auto_label_corpus([labeled.message for labeled in corpus])
             corpus, _ = split_ordinal(relabeled)
         save_corpus(corpus, path["filtered_corpus"])
     with _stage("pairs"):

@@ -3,7 +3,7 @@
 A corpus file is UTF-8 line-delimited JSON, one message per line, with
 fields ``id``, ``text``, ``label``, ``source`` and optional ``ehr`` and
 ``clinician_response``. Every record file of the package (corpus, eval
-pairs, triplets, exports, judge audit log, annotations) is read by
+pairs, triplets, exports, annotations) is read by
 ``read_jsonl`` and written by ``write_jsonl``: reading rejects the whole
 file on the first bad line with a DataError that carries the line number,
 and a failed write raises ExportFailed.
@@ -241,8 +241,9 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
 
     The whole file is rejected on the first bad line, and the error carries
     a ``line`` attribute. A DataError from ``parse`` keeps its type and
-    context; invalid JSON, a line that is not an object, or a KeyError,
-    TypeError or ValueError from ``parse`` becomes MalformedRecord.
+    context; invalid JSON, a line that is not an object, a string holding a
+    lone surrogate, or a KeyError, TypeError or ValueError from ``parse``
+    becomes MalformedRecord.
     """
     records: list[T] = []
     with Path(path).open("r", encoding="utf-8") as handle:
@@ -253,11 +254,17 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise MalformedRecord("record is not an object")
+                # the file decodes as strict UTF-8, so a lone surrogate can
+                # only come from a \u escape
+                if "\\u" in line:
+                    json.dumps(record, ensure_ascii=False).encode("utf-8")
                 records.append(parse(record))
             except DataError as exc:
                 error: DataError = exc
             except json.JSONDecodeError as exc:
                 error = MalformedRecord(f"invalid JSON ({exc.msg})")
+            except UnicodeEncodeError:
+                error = MalformedRecord("lone surrogate in a string (not encodable as UTF-8)")
             except KeyError as exc:
                 error = MalformedRecord(f"record is missing field {exc}")
             except (TypeError, ValueError) as exc:
@@ -352,7 +359,3 @@ def fixture_corpus_path() -> Path:
     return Path(
         str(resources.files("triagerank").joinpath("data/fixture_corpus.jsonl"))
     )
-
-
-def load_fixture_corpus() -> list[LabeledMessage]:
-    return load_corpus(fixture_corpus_path())

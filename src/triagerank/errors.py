@@ -54,10 +54,6 @@ class ExportFailed(DataError):
 
 
 # annotate
-class MissingResponse(DataError):
-    """A message lacks the clinician response an operation requires."""
-
-
 class EqualLabels(DataError):
     """A pair was built from two messages with the same urgency level."""
 

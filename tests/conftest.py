@@ -7,7 +7,8 @@ from triagerank.corpus import (
     LabeledMessage,
     Message,
     UrgencyLabel,
-    load_fixture_corpus,
+    fixture_corpus_path,
+    load_corpus,
 )
 
 from .mock_gateway import MockEndpoint
@@ -51,7 +52,7 @@ def level_corpus(per_level: dict[int, int]) -> list[LabeledMessage]:
 
 @pytest.fixture(scope="session")
 def fixture_corpus() -> list[LabeledMessage]:
-    return load_fixture_corpus()
+    return load_corpus(fixture_corpus_path())
 
 
 @pytest.fixture()

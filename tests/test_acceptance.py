@@ -31,7 +31,7 @@ from triagerank.corpus import (
     UrgencyLabel,
     fixture_corpus_path,
     labels_by_id,
-    load_fixture_corpus,
+    load_corpus,
 )
 from triagerank.errors import (
     BadScore,
@@ -72,7 +72,7 @@ def _passed(number: int, text: str) -> None:
 
 def test_criterion_01_perfect_oracle_recovery():
     started = time.monotonic()
-    corpus = load_fixture_corpus()
+    corpus = load_corpus(fixture_corpus_path())
     assert len(corpus) == 30
     assert Counter(labeled.level for labeled in corpus) == {
         level: 5 for level in range(1, 7)
@@ -140,7 +140,7 @@ def test_criterion_03_t_ndcg_antisymmetry():
 
 
 def test_criterion_04_expected_t_ndcg_degenerate():
-    corpus = load_fixture_corpus()
+    corpus = load_corpus(fixture_corpus_path())
     ranking = sorted(labeled.id for labeled in corpus)
     labels = labels_by_id(corpus)
 
@@ -224,7 +224,7 @@ def test_criterion_06_difficulty_monotonicity():
 
 
 def test_criterion_07_cache_incremental_equivalence(tmp_path):
-    corpus = load_fixture_corpus()[:20]
+    corpus = load_corpus(fixture_corpus_path())[:20]
     counting = CountingComparator(perfect_oracle(corpus))
     comparator = CachedComparator(counting, ComparisonCache(tmp_path / "cache.jsonl"))
 

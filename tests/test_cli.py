@@ -335,6 +335,8 @@ def _raise_comparison_failed(*args, **kwargs):
 _BEFORE_INBOX = [
     "filtered.jsonl", "eval_pairs.jsonl", "triplets.jsonl", "sft.jsonl", "reward.jsonl",
 ]
+# a file in --out-dir that no pipeline run writes
+_OWN_FILE = "notes.txt"
 
 
 @pytest.mark.parametrize(
@@ -348,15 +350,24 @@ _BEFORE_INBOX = [
             "metrics", {}, (cli.metrics, "intrinsic_accuracy"), 4,
             _BEFORE_INBOX + ["inbox.jsonl", "ranking.json"],
         ),
+        pytest.param(
+            "tournament", {}, (cli.rank, "run_tournament"), 4,
+            _BEFORE_INBOX + ["inbox.jsonl", _OWN_FILE],
+            id="reused-directory",
+        ),
     ],
 )
 def test_pipeline_stage_failure_keeps_earlier_artifacts(
     tmp_path, capsys, monkeypatch, stage, settings, broken, code, written
 ):
-    if broken:
-        monkeypatch.setattr(*broken, _raise_comparison_failed)
     config_path = tmp_path / "config.json"
     out_dir = tmp_path / "run"
+    if _OWN_FILE in written:
+        # the directory already holds a finished run and a file of the user's
+        assert run_cli("pipeline", "--corpus", FIXTURE, "--out-dir", out_dir) == 0
+        (out_dir / _OWN_FILE).write_text("kept\n")
+    if broken:
+        monkeypatch.setattr(*broken, _raise_comparison_failed)
     config_path.write_text(
         json.dumps({"corpus": FIXTURE, "out_dir": str(out_dir), **settings})
     )
@@ -364,6 +375,25 @@ def test_pipeline_stage_failure_keeps_earlier_artifacts(
     assert run_cli("pipeline", "--config", config_path) == code
     assert f"pipeline failed at stage {stage!r}" in capsys.readouterr().err
     assert sorted(path.name for path in out_dir.iterdir()) == sorted(written)
+
+
+def test_pipeline_reads_its_corpus_from_a_previous_run_in_the_same_out_dir(tmp_path):
+    out_dir = tmp_path / "run"
+    assert run_cli("pipeline", "--corpus", FIXTURE, "--out-dir", out_dir) == 0
+    filtered = out_dir / "filtered.jsonl"
+    first = filtered.read_bytes()
+    assert run_cli("pipeline", "--corpus", filtered, "--out-dir", out_dir) == 0
+    assert filtered.read_bytes() == first
+
+
+def test_pipeline_auto_label_writes_the_records_of_a_plain_run(tmp_path):
+    # the keyword classifier reproduces every fixture label
+    for name, extra in (("plain", ()), ("auto", ("--auto-label",))):
+        argv = ("pipeline", "--corpus", FIXTURE, "--out-dir", tmp_path / name, *extra)
+        assert run_cli(*argv) == 0
+    for file_name in _BEFORE_INBOX + ["inbox.jsonl"]:
+        auto = (tmp_path / "auto" / file_name).read_bytes()
+        assert auto == (tmp_path / "plain" / file_name).read_bytes(), file_name
 
 
 def test_pipeline_config_file_with_overrides(tmp_path):
@@ -814,3 +844,14 @@ def test_corrupt_record_file_exits_three_naming_the_line(
     path.write_text(json.dumps(valid) + "\n" + corrupt + "\n")
     assert run_cli(command, flag, path, "--out", tmp_path / "out.json") == 3
     assert "line 2" in capsys.readouterr().err
+
+
+def test_lone_surrogate_in_inbox_exits_three_before_any_report(tmp_path, capsys):
+    records = [labeled.to_record() for labeled in load_corpus(FIXTURE)[:6]]
+    records[1]["id"] = "\ud800"
+    inbox = tmp_path / "inbox.jsonl"
+    inbox.write_text("".join(json.dumps(record) + "\n" for record in records))
+    report = tmp_path / "ranking.json"
+    assert run_cli("rank-inbox", "--inbox", inbox, "--out", report) == 3
+    assert "line 2: lone surrogate" in capsys.readouterr().err
+    assert not report.exists()

@@ -6,8 +6,6 @@ from collections import Counter
 import pytest
 
 from triagerank import cli
-from triagerank.annotate import JudgedPair, Verdict, read_judged_pairs
-from triagerank.compare import Winner
 from triagerank.corpus import (
     EhrRecord,
     Gender,
@@ -210,60 +208,52 @@ _TRIPLET = Triplet(
     more_urgent=make_labeled("b", 1),
     less_urgent=make_labeled("c", 6),
 ).to_record()
-_JUDGED = JudgedPair(
-    a_id="a",
-    b_id="b",
-    auto_label=Winner.A,
-    verdict_v1=Verdict.A_MORE_URGENT,
-    verdict_v2=Verdict.A_MORE_URGENT,
-    accepted=True,
-).to_record()
-
-# reader, a valid line-1 record, then line-2 records with a missing field and
-# with a bad enum value
+# reader, a valid line-1 record, then line-2 records with a missing field,
+# with a bad enum value and with a lone surrogate in a string
 _READERS = {
     "load_corpus": (
         load_corpus,
         make_labeled("a", 1).to_record(),
         _without(_LABELED, "text"),
         {**_LABELED, "label": "L9"},
+        {**_LABELED, "text": "pain \ud800"},
     ),
     "load_messages": (
         load_messages,
         make_message("a").to_record(),
         _without(_LABELED, "id"),
         {**_LABELED, "source": "bogus"},
+        {**_LABELED, "id": "\ud800"},
     ),
     "read_eval_pairs": (
         read_eval_pairs,
         _PAIR,
         _without(_PAIR, "b"),
         {**_PAIR, "a": {**_PAIR["a"], "label": "L9"}},
+        {**_PAIR, "b": {**_PAIR["b"], "text": "\udfff pain"}},
     ),
     "read_triplets": (
         read_triplets,
         _TRIPLET,
         _without(_TRIPLET, "anchor"),
         {**_TRIPLET, "anchor": {**_TRIPLET["anchor"], "source": "bogus"}},
-    ),
-    "read_judged_pairs": (
-        read_judged_pairs,
-        _JUDGED,
-        _without(_JUDGED, "verdict_v2"),
-        {**_JUDGED, "auto_label": "C"},
+        {**_TRIPLET, "anchor": {**_TRIPLET["anchor"], "text": "\ud800\ud800"}},
     ),
 }
 
 
-@pytest.mark.parametrize("case", ["invalid_json", "not_object", "missing_field", "bad_enum"])
+@pytest.mark.parametrize(
+    "case", ["invalid_json", "not_object", "missing_field", "bad_enum", "lone_surrogate"]
+)
 @pytest.mark.parametrize("reader_name", sorted(_READERS))
 def test_reader_rejects_bad_line_with_its_number(tmp_path, reader_name, case):
-    reader, valid, missing_field, bad_enum = _READERS[reader_name]
+    reader, valid, missing_field, bad_enum, lone_surrogate = _READERS[reader_name]
     second = {
         "invalid_json": "{not json",
         "not_object": "[1, 2]",
         "missing_field": json.dumps(missing_field),
         "bad_enum": json.dumps(bad_enum),
+        "lone_surrogate": json.dumps(lone_surrogate),
     }[case]
     path = write_lines(tmp_path, [json.dumps(valid), second])
     with pytest.raises(DataError) as excinfo:

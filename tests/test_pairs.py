@@ -7,7 +7,6 @@ from collections import Counter
 
 import pytest
 
-from triagerank.annotate import OrdinalPairJudge, filter_pairs, write_judged_pairs
 from triagerank.compare import Winner
 from triagerank.corpus import LabeledMessage, UrgencyLabel, save_corpus
 from triagerank.errors import (
@@ -475,10 +474,6 @@ def test_export_empty_rejected(tmp_path):
         export_reward([], tmp_path / "reward.jsonl")
 
 
-def _judged(corpus):
-    return filter_pairs([(corpus[0], corpus[-1])], OrdinalPairJudge())
-
-
 def _triplets(corpus):
     return build_triplets(corpus, 4, seed=0, count=1)
 
@@ -488,7 +483,6 @@ _WRITERS = {
     "save_corpus": (save_corpus, list),
     "write_eval_pairs": (write_eval_pairs, lambda corpus: build_eval_pairs(corpus, 2, 0)),
     "write_triplets": (write_triplets, _triplets),
-    "write_judged_pairs": (write_judged_pairs, _judged),
     "export_sft": (export_sft, _triplets),
     "export_reward": (export_reward, _triplets),
 }

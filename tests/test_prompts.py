@@ -6,7 +6,7 @@ import pytest
 
 from triagerank import prompts
 from triagerank.corpus import EhrRecord, Gender
-from triagerank.errors import MissingBinding, MissingResponse
+from triagerank.errors import MissingBinding
 
 from .conftest import make_message
 
@@ -94,36 +94,3 @@ def test_render_injective_over_message_bindings():
             assert seen[rendered] == key
         seen[rendered] = key
 
-
-def test_catalog_contents():
-    assert set(prompts.CATALOG) == {
-        "system",
-        "urgent_sft",
-        "urgent_reward",
-        "urgent_reward_inverse",
-        "judge_v1",
-        "judge_v2",
-        "response_classifier",
-    }
-    assert set(prompts.get_template("judge_v1").placeholders) == set(
-        prompts.get_template("judge_v2").placeholders
-    )
-    # variants differ only in presentation order
-    v1 = prompts.JUDGE_V1.body
-    v2 = prompts.JUDGE_V2.body
-    assert v1 != v2
-    assert v1.index("Patient 1 Message") < v1.index("Patient 2 Message")
-    assert v2.index("Patient 2 Message") < v2.index("Patient 1 Message")
-
-
-def test_judge_bindings_require_responses():
-    with_response = make_message("a", response="go to urgent care")
-    without = make_message("b")
-    with pytest.raises(MissingResponse):
-        prompts.judge_bindings(with_response, without)
-    bindings = prompts.judge_bindings(
-        with_response, make_message("b", response="rest at home")
-    )
-    rendered = prompts.render(prompts.JUDGE_V1, bindings)
-    assert "go to urgent care" in rendered
-    assert "rest at home" in rendered

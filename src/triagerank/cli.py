@@ -18,7 +18,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
-from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -111,9 +110,9 @@ def _outcome_chunks(outcomes: Sequence[ComparisonOutcome]) -> Iterator[str]:
 
     Each record is formatted from the outcome's fields, in the layout an
     indented dump gives it three objects deep (keys sorted), with json's
-    own string escaping and float text (``repr``). No record dict is built
-    and the pure-Python encoder never runs. A record with a value that is
-    not a plain str or finite float goes through json.dumps instead.
+    own string escaping and float text (``repr``; every score and eta is a
+    finite plain float). No record dict is built and the pure-Python
+    encoder never runs.
     """
     if not outcomes:
         yield "[]"
@@ -128,28 +127,17 @@ def _outcome_chunks(outcomes: Sequence[ComparisonOutcome]) -> Iterator[str]:
 
     separator = "[\n"
     for outcome in outcomes:
-        a_id, b_id, eta = outcome.a_id, outcome.b_id, outcome.eta
-        s_ab, s_ba = outcome.s_ab.value, outcome.s_ba.value
-        kind, winner = outcome.s_ab.kind.value, outcome.winner.value
-        if (
-            type(a_id) is str and type(b_id) is str
-            and type(kind) is str and type(winner) is str
-            and type(eta) is float and type(s_ab) is float and type(s_ba) is float
-            and isfinite(eta) and isfinite(s_ab) and isfinite(s_ba)
-        ):
-            yield (
-                f"{separator}      {{\n"
-                f'        "a_id": {text(a_id)},\n'
-                f'        "b_id": {text(b_id)},\n'
-                f'        "eta": {eta!r},\n'
-                f'        "kind": {text(kind)},\n'
-                f'        "s_ab": {s_ab!r},\n'
-                f'        "s_ba": {s_ba!r},\n'
-                f'        "winner": {text(winner)}\n'
-                "      }"
-            )
-        else:
-            yield separator + "      " + _indented(outcome.to_record(), 3)
+        yield (
+            f"{separator}      {{\n"
+            f'        "a_id": {text(outcome.a_id)},\n'
+            f'        "b_id": {text(outcome.b_id)},\n'
+            f'        "eta": {outcome.eta!r},\n'
+            f'        "kind": {text(outcome.s_ab.kind.value)},\n'
+            f'        "s_ab": {outcome.s_ab.value!r},\n'
+            f'        "s_ba": {outcome.s_ba.value!r},\n'
+            f'        "winner": {text(outcome.winner.value)}\n'
+            "      }"
+        )
         separator = ",\n"
     yield "\n    ]"
 
@@ -180,7 +168,7 @@ def _write_report(path: Path, envelope: dict, **sections) -> None:
         handle.writelines(chunks)
 
 
-def _envelope(seed: int, config_hash: str, comparator_identity: str) -> dict:
+def _envelope(seed: int | None, config_hash: str, comparator_identity: str) -> dict:
     return {
         "seed": seed,
         "config_hash": config_hash,
@@ -196,9 +184,9 @@ def _write_args_report(args: argparse.Namespace, comparator_identity: str, **sec
         for key, value in vars(args).items()
         if key != "func" and key not in _UNHASHED
     }
-    envelope = _envelope(
-        args.seed, _sha256_text(json.dumps(hashed, sort_keys=True)), comparator_identity
-    )
+    config_hash = _sha256_text(json.dumps(hashed, sort_keys=True))
+    # a command that draws nothing has no --seed, and reports a null seed
+    envelope = _envelope(getattr(args, "seed", None), config_hash, comparator_identity)
     _write_report(Path(args.out), envelope, **sections)
 
 
@@ -786,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True)
     _add_comparator_flags(sub)
 
-    sub = _sub("agreement", cmd_agreement, help="inter-annotator agreement")
+    sub = _sub("agreement", cmd_agreement, seeded=False, help="inter-annotator agreement")
     sub.add_argument("--annotations", required=True)
     sub.add_argument("--out", required=True)
 

@@ -23,7 +23,7 @@ import os
 import re
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Protocol
 
 from . import gateway, prompts
 from .corpus import LabeledMessage, Message, UrgencyLabel
-from .gateway import CompletionResult
+from .gateway import CompletionResult, finite_score
 from .errors import (
     BadScore,
     ComparisonFailed,
@@ -62,31 +62,41 @@ _KINDS = {kind.value: kind for kind in ScoreKind}
 
 @dataclass(frozen=True, slots=True)
 class DirectionScore:
-    """Score for one prompt direction. Probability kind must be in [0, 1]."""
+    """Score for one prompt direction. Probability kind must be in [0, 1].
+
+    The value is a plain finite float, by ``gateway.finite_score``'s rule.
+    """
 
     value: float
     kind: ScoreKind
 
     def __post_init__(self):
-        # a bool is an int subclass, not a number here
-        if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
-            raise BadScore(f"direction score is not a number: {self.value!r}")
-        if not math.isfinite(self.value):
-            raise BadScore(f"direction score is not finite: {self.value!r}")
-        if self.kind is ScoreKind.PROBABILITY and not 0.0 <= self.value <= 1.0:
-            raise BadScore(f"probability score out of [0, 1]: {self.value!r}")
+        value = finite_score(self.value)
+        object.__setattr__(self, "value", value)
+        if self.kind is ScoreKind.PROBABILITY and not 0.0 <= value <= 1.0:
+            raise BadScore(f"probability score out of [0, 1]: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparisonOutcome:
-    """Both directed scores for a pair plus the derived margin and winner."""
+    """Both directed scores for a pair plus the margin and winner derived from them.
+
+    eta is ``pair_eta(s_ab, s_ba)``, so mixed score kinds raise ComparisonFailed.
+    """
 
     a_id: str
     b_id: str
     s_ab: DirectionScore
     s_ba: DirectionScore
-    eta: float
-    winner: Winner
+    eta: float = field(init=False)
+    winner: Winner = field(init=False)
+
+    def __post_init__(self):
+        eta = pair_eta(self.s_ab, self.s_ba)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(
+            self, "winner", Winner.B if eta > 0 else Winner.A if eta < 0 else Winner.TIE
+        )
 
     def to_record(self) -> dict:
         return {
@@ -124,7 +134,7 @@ def pair_eta(s_ab: DirectionScore, s_ba: DirectionScore) -> float:
 
 
 def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome:
-    """Run both directions and derive eta and the winner.
+    """Run both directions; the outcome derives eta and the winner.
 
     Any backend failure in either direction raises ComparisonFailed; no
     partial outcome is produced.
@@ -142,14 +152,7 @@ def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome
         raise ComparisonFailed(
             f"pair ({a.id}, {b.id}): {type(exc).__name__}: {exc}"
         ) from exc
-    eta = pair_eta(s_ab, s_ba)
-    if eta > 0:
-        winner = Winner.B
-    elif eta < 0:
-        winner = Winner.A
-    else:
-        winner = Winner.TIE
-    return ComparisonOutcome(a.id, b.id, s_ab, s_ba, eta, winner)
+    return ComparisonOutcome(a.id, b.id, s_ab, s_ba)
 
 
 # the oracle's probability distance from 0.5 unless a caller sets one
@@ -325,7 +328,7 @@ def _read_line(line: str) -> tuple[str, DirectionScore]:
 
     A canonical line is read by scanning its key string and matching the
     rest; any other line is parsed by json.loads. Both read the value as
-    json.loads would, and DirectionScore accepts only a finite number.
+    json.loads would, and DirectionScore turns it into a float or rejects it.
     """
     if line.startswith(_CANONICAL_HEAD):
         try:
@@ -336,16 +339,13 @@ def _read_line(line: str) -> tuple[str, DirectionScore]:
             match = _CANONICAL_TAIL.fullmatch(line, end)
             if match is not None:
                 kind, number, fraction = match.groups()
-                value = float(number) if fraction else float(int(number))
+                value = float(number) if fraction else int(number)
                 return key, DirectionScore(value, _KINDS[kind])
     entry = json.loads(line)
     key = entry["key"]
     if not isinstance(key, str):
         raise TypeError("key is not a string")
-    value = entry["value"]
-    if type(value) is int:
-        value = float(value)
-    return key, DirectionScore(value, _KINDS[entry["kind"]])
+    return key, DirectionScore(entry["value"], _KINDS[entry["kind"]])
 
 
 class ComparisonCache:
@@ -397,7 +397,7 @@ class ComparisonCache:
                 continue
             try:
                 key, score = _read_line(line)
-            except (ValueError, KeyError, TypeError, OverflowError, BadScore):
+            except (ValueError, KeyError, TypeError, BadScore):
                 logger.warning(
                     "CacheInvalid: dropping corrupt cache line in %s", self._path
                 )
@@ -426,11 +426,9 @@ class ComparisonCache:
     def _format_line(key: str, value: float, kind: str) -> str:
         """``json.dumps({"key": key, "kind": kind, "value": value}) + "\\n"``.
 
-        A plain float is written by repr, as json.dumps writes a finite one;
-        an int or a float subclass goes through json.dumps.
+        A DirectionScore's value is a finite plain float, which json.dumps
+        writes by repr.
         """
-        if type(value) is not float:
-            return json.dumps({"key": key, "kind": kind, "value": value}) + "\n"
         return (
             f'{{"key": {encode_basestring_ascii(key)}, '
             f'"kind": {encode_basestring_ascii(kind)}, "value": {value!r}}}\n'

@@ -158,7 +158,7 @@ class Message:
     source: Source = Source.SYNTHETIC_TEST
 
     def __post_init__(self):
-        if not self.id or not str(self.id).strip():
+        if not isinstance(self.id, str) or not self.id.strip():
             raise MalformedRecord("message id must be a non-empty string")
         if not self.text or not self.text.strip():
             raise EmptyMessage(f"message {self.id!r} has empty text")

@@ -88,11 +88,12 @@ class ComparisonFailed(BackendError):
     """
 
 
-# gateway
+# prompts
 class MissingBinding(DataError):
     """A prompt template placeholder was left unbound."""
 
 
+# gateway
 class EndpointUnavailable(BackendError):
     """All retries against the endpoint were exhausted."""
 

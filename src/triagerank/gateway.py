@@ -264,11 +264,21 @@ def score(config: EndpointConfig, prompt: str, completion: str) -> float:
     )
     if "score" not in data:
         raise ProtocolError("scoring response missing 'score' field")
-    raw = data["score"]
+    return finite_score(data["score"])
+
+
+def finite_score(raw: object) -> float:
+    """A backend's score as a plain float; raises BadScore unless a finite number.
+
+    An int or a float, a subclass of either too, is a number; a bool or a
+    string is not, and an int too large for a float is not finite.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise BadScore(f"score is not a number: {raw!r}")
     try:
         value = float(raw)
-    except (TypeError, ValueError):
-        raise BadScore(f"score is not numeric: {raw!r}") from None
+    except OverflowError:
+        raise BadScore("score is an integer too large for a float") from None
     if not math.isfinite(value):
         raise BadScore(f"score is not finite: {raw!r}")
     return value

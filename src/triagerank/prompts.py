@@ -26,26 +26,18 @@ class PromptTemplate:
     name: str
     body: str
 
-    @property
-    def placeholders(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for match in _PLACEHOLDER.finditer(self.body):
-            if match.group(1) not in seen:
-                seen.append(match.group(1))
-        return tuple(seen)
-
 
 def render(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
-    """Substitute all placeholders; raises MissingBinding on an unbound one."""
-    for name in template.placeholders:
+    """Substitute all placeholders; raises MissingBinding on the first unbound one."""
+
+    def _substitute(match: re.Match) -> str:
+        name = match.group(1)
         if name not in bindings:
             raise MissingBinding(
                 f"template {template.name!r} has unbound placeholder {name!r}",
                 placeholder=name,
             )
-
-    def _substitute(match: re.Match) -> str:
-        return str(bindings[match.group(1)])
+        return str(bindings[name])
 
     return _PLACEHOLDER.sub(_substitute, template.body)
 

@@ -6,19 +6,12 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from triagerank import cli
-from triagerank.compare import (
-    ComparisonOutcome,
-    DirectionScore,
-    NoisyOracleComparator,
-    ScoreKind,
-    Winner,
-)
+from triagerank.compare import DirectionScore, NoisyOracleComparator, ScoreKind
 from triagerank.corpus import fixture_corpus_path, load_corpus, save_corpus
 from triagerank.errors import ComparisonFailed
 from triagerank.pairs import EvalPair, build_triplets
@@ -240,9 +233,15 @@ def test_agreement_cli(tmp_path):
         rows.append({"pair_id": f"p{index}", "annotator_id": "a2", "choice": "A"})
     annotations.write_text("\n".join(json.dumps(row) for row in rows) + "\n")
     report_path = tmp_path / "agreement.json"
-    assert run_cli("agreement", "--annotations", annotations, "--out", report_path) == 0
+    argv = ("agreement", "--annotations", annotations, "--out", report_path)
+    assert run_cli(*argv) == 0
     report = read_json(report_path)
     assert report["agreement"]["cohens_kappa"] == 1.0
+    # agreement draws nothing, so it has no seed to take or report
+    assert report["seed"] is None
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv, "--seed", 1)
+    assert excinfo.value.code == 2
 
 
 @pytest.mark.parametrize("field", ["pair_id", "choice"])
@@ -499,36 +498,8 @@ def _reward_tournament():
     return run_tournament(messages, ScriptedReward(dict(zip(directed, values, strict=True))))
 
 
-class FloatWithRepr(float):
-    def __repr__(self):
-        return "not json"
-
-
 class StrSubclass(str):
     pass
-
-
-def _odd_value_tournament():
-    """Outcomes with values json.dumps must write: ints, bools, subclasses, non-finite."""
-    result = _oracle_tournament([make_labeled("a", 1), make_labeled("b", 2)])
-    plain = result.outcomes[0]
-    score = DirectionScore(0.9, ScoreKind.PROBABILITY)
-    odd = [
-        plain,
-        ComparisonOutcome("a", "b", score, score, float("nan"), Winner.TIE),
-        ComparisonOutcome("a", "b", score, score, float("-inf"), Winner.A),
-        ComparisonOutcome("a", "b", score, score, FloatWithRepr(0.5), Winner.B),
-        ComparisonOutcome("a", "b", score, score, True, Winner.B),
-        ComparisonOutcome(7, StrSubclass("b"), score, score, 1, Winner.B),
-        ComparisonOutcome("a", 8, score, score, 0.5, Winner.B),
-        ComparisonOutcome("a", "b", DirectionScore(1, ScoreKind.REWARD), score, 0.0, Winner.TIE),
-        ComparisonOutcome(
-            "a", "b", score, DirectionScore(FloatWithRepr(0.25), ScoreKind.PROBABILITY),
-            0.0, Winner.TIE,
-        ),
-        plain,
-    ]
-    return replace(result, outcomes=tuple(odd))
 
 
 WRITER_CASES = {
@@ -543,7 +514,10 @@ WRITER_CASES = {
     ]),
     "reward-values": _reward_tournament,
     "ties": lambda: _oracle_tournament([make_labeled(f"t{index}", 4) for index in range(6)]),
-    "odd-values": _odd_value_tournament,
+    "str-subclass-ids": lambda: _oracle_tournament([
+        make_labeled(StrSubclass(f"s{index}"), level)
+        for index, level in enumerate((1, 2, 2, 5))
+    ]),
     "seeded-300": lambda: _oracle_tournament(
         level_corpus({level: 50 for level in range(1, 7)}), {1: 0.3, 2: 0.15}, seed=31
     ),

@@ -12,6 +12,7 @@ import pytest
 from triagerank.compare import (
     CachedComparator,
     ComparisonCache,
+    ComparisonOutcome,
     DirectionScore,
     LogprobComparator,
     NoisyOracleComparator,
@@ -20,6 +21,7 @@ from triagerank.compare import (
     ScoreKind,
     Winner,
     compare,
+    pair_eta,
     parse_final_answer,
     perfect_oracle,
 )
@@ -120,6 +122,32 @@ def test_mixed_kinds_fail():
 
     with pytest.raises(ComparisonFailed):
         compare(Mixed(), make_message("a"), make_message("b"))
+
+
+@pytest.mark.parametrize(
+    "kind, s_ab, s_ba, winner",
+    [
+        (ScoreKind.PROBABILITY, 0.9, 0.2, Winner.B),
+        (ScoreKind.PROBABILITY, 0.2, 0.9, Winner.A),
+        (ScoreKind.PROBABILITY, 0.5, 0.5, Winner.TIE),
+        (ScoreKind.REWARD, -1.5, 2.0, Winner.A),
+        (ScoreKind.REWARD, 3.0, 3.0, Winner.TIE),
+    ],
+)
+def test_outcome_derives_eta_and_winner(kind, s_ab, s_ba, winner):
+    first, second = DirectionScore(s_ab, kind), DirectionScore(s_ba, kind)
+    outcome = ComparisonOutcome("a", "b", first, second)
+    assert outcome.eta == pair_eta(first, second)
+    assert outcome.winner is winner
+    assert (outcome.eta > 0, outcome.eta < 0) == (winner is Winner.B, winner is Winner.A)
+
+
+def test_outcome_of_mixed_kinds_fails():
+    with pytest.raises(ComparisonFailed):
+        ComparisonOutcome(
+            "a", "b",
+            DirectionScore(0.5, ScoreKind.PROBABILITY), DirectionScore(0.5, ScoreKind.REWARD),
+        )
 
 
 def test_compare_same_id_rejected():
@@ -663,7 +691,7 @@ _AWKWARD_VALUES = [
     (-0.0, "probability"),
     (1e16, "reward"),
     (-3.75, "reward"),
-    (2, "reward"),  # an int score, built by a caller, goes through json.dumps
+    (2, "reward"),  # an int writes as json.dumps writes it too, though no score holds one
 ]
 
 
@@ -682,6 +710,17 @@ class _FloatSubclass(float):
 def test_direction_score_value_must_be_a_number(value):
     with pytest.raises(BadScore):
         DirectionScore(value, ScoreKind.REWARD)
+
+
+@pytest.mark.parametrize("value", [2, _FloatSubclass(0.25)], ids=repr)
+def test_direction_score_value_is_a_plain_float(value):
+    score = DirectionScore(value, ScoreKind.REWARD)
+    assert type(score.value) is float and score.value == value
+
+
+def test_direction_score_of_an_int_too_large_for_a_float_is_bad():
+    with pytest.raises(BadScore):
+        DirectionScore(10**400, ScoreKind.REWARD)
 
 
 @pytest.mark.parametrize("value", [2, -0.0, 1e16, 5e-324, _FloatSubclass(0.25)], ids=repr)

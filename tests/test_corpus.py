@@ -179,6 +179,13 @@ def test_message_invariants():
         Message(id="  ", text="fine")
 
 
+@pytest.mark.parametrize("bad_id", [7, None, b"a"], ids=repr)
+def test_message_id_must_be_a_string(bad_id):
+    # a record file's integer id is turned into a string by from_record
+    with pytest.raises(MalformedRecord):
+        Message(id=bad_id, text="fine")
+
+
 def test_record_shape_validation(tmp_path):
     bad_records = [
         {"id": "a", "text": 5, "label": "L1"},

@@ -316,6 +316,18 @@ def test_score_nan_rejected(mock_endpoint):
         score(config_for(mock_endpoint), "p", "c")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b'{"score": true}', b'{"score": "0.25"}', b'{"score": 1' + b"0" * 400 + b"}"],
+    ids=["bool", "numeric-string", "int-too-large-for-a-float"],
+)
+def test_score_that_is_not_a_finite_number_is_bad(mock_endpoint, body):
+    mock_endpoint.enqueue_raw(200, body)
+    with pytest.raises(BadScore):
+        score(config_for(mock_endpoint), "p", "c")
+    assert len(mock_endpoint.requests) == 1
+
+
 def test_score_missing_field(mock_endpoint):
     mock_endpoint.enqueue_fixture("reward_missing")
     with pytest.raises(ProtocolError):

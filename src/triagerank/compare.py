@@ -23,7 +23,7 @@ import os
 import re
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
@@ -59,25 +59,37 @@ class ScoreKind(Enum):
 
 _KINDS = {kind.value: kind for kind in ScoreKind}
 
+# reading an enum member through its class takes the enum metaclass's slow
+# attribute path; the per-pair constructors below read these names instead
+_PROBABILITY = ScoreKind.PROBABILITY
+_A, _B, _TIE = Winner.A, Winner.B, Winner.TIE
 
-@dataclass(frozen=True, slots=True)
+
+# frozen records set their slots once, in __init__, through object.__setattr__
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class DirectionScore:
     """Score for one prompt direction. Probability kind must be in [0, 1].
 
-    The value is a plain finite float, by ``gateway.finite_score``'s rule.
+    The value is a plain finite float, by ``gateway.finite_score``'s rule;
+    a value that already is one skips the rule.
     """
 
     value: float
     kind: ScoreKind
 
-    def __post_init__(self):
-        value = finite_score(self.value)
-        object.__setattr__(self, "value", value)
-        if self.kind is ScoreKind.PROBABILITY and not 0.0 <= value <= 1.0:
+    def __init__(self, value: float, kind: ScoreKind):
+        if type(value) is not float or not math.isfinite(value):
+            value = finite_score(value)
+        if kind is _PROBABILITY and not 0.0 <= value <= 1.0:
             raise BadScore(f"probability score out of [0, 1]: {value!r}")
+        _set(self, "value", value)
+        _set(self, "kind", kind)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ComparisonOutcome:
     """Both directed scores for a pair plus the margin and winner derived from them.
 
@@ -88,15 +100,17 @@ class ComparisonOutcome:
     b_id: str
     s_ab: DirectionScore
     s_ba: DirectionScore
-    eta: float = field(init=False)
-    winner: Winner = field(init=False)
+    eta: float
+    winner: Winner
 
-    def __post_init__(self):
-        eta = pair_eta(self.s_ab, self.s_ba)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(
-            self, "winner", Winner.B if eta > 0 else Winner.A if eta < 0 else Winner.TIE
-        )
+    def __init__(self, a_id: str, b_id: str, s_ab: DirectionScore, s_ba: DirectionScore):
+        eta = pair_eta(s_ab, s_ba)
+        _set(self, "a_id", a_id)
+        _set(self, "b_id", b_id)
+        _set(self, "s_ab", s_ab)
+        _set(self, "s_ba", s_ba)
+        _set(self, "eta", eta)
+        _set(self, "winner", _B if eta > 0 else _A if eta < 0 else _TIE)
 
     def to_record(self) -> dict:
         return {
@@ -127,7 +141,7 @@ def pair_eta(s_ab: DirectionScore, s_ba: DirectionScore) -> float:
         raise ComparisonFailed(
             f"mixed score kinds: {s_ab.kind.value} vs {s_ba.kind.value}"
         )
-    if s_ab.kind is ScoreKind.PROBABILITY:
+    if s_ab.kind is _PROBABILITY:
         return s_ab.value - s_ba.value
     difference = s_ab.value - s_ba.value
     return _logistic(difference) - _logistic(-difference)
@@ -362,9 +376,9 @@ class ComparisonCache:
     Compaction writes a temporary file and swaps it in, so a crash leaves
     the old file whole.
 
-    Writes go through one append handle, opened on the first put and
-    flushed after every line, so another store opened on the same path
-    sees every entry written so far.
+    Writes go through one unbuffered binary append handle, opened on the
+    first put; each line is one write (repeated only after a short write),
+    so another store opened on the same path sees every entry written so far.
     """
 
     def __init__(self, path: str | Path):
@@ -438,15 +452,17 @@ class ComparisonCache:
         return self._entries.get(key)
 
     def put(self, key: str, score: DirectionScore) -> None:
-        line = self._format_line(key, score.value, score.kind.value)
+        line = self._format_line(key, score.value, score.kind.value).encode("ascii")
         with self._lock:
             self._entries[key] = score
-            if self._handle is None:
-                self._handle = self._path.open("a", encoding="utf-8")
+            handle = self._handle
+            if handle is None:
+                handle = self._handle = self._path.open("ab", buffering=0)
                 # a store dropped without close() still closes its handle
-                weakref.finalize(self, self._handle.close)
-            self._handle.write(line)
-            self._handle.flush()
+                weakref.finalize(self, handle.close)
+            written = handle.write(line)
+            while written < len(line):
+                written += handle.write(line[written:])
 
     def close(self) -> None:
         """Close the append handle; a later put opens it again."""
@@ -486,10 +502,26 @@ class CachedComparator:
             second = id_json[new.id] = json.dumps(new.id)
         return f"{self._prefix}{first}, {second}]"
 
-    def has_cached_pair(self, a: Message, b: Message) -> bool:
-        """True when both directions of the pair are already stored."""
+    def has_cached_pair(self, a: Message, b: Message) -> ComparisonOutcome | None:
+        """The pair's outcome when both directions are stored, else None.
+
+        Each directed key is looked up once. A served pair counts two hits,
+        as ``compare`` would; an unserved one counts nothing, and a self-pair
+        is never served, so ``compare`` looks it up again or refuses it.
+        """
+        if a.id == b.id:
+            return None
         get = self._store.get
-        return get(self._key(a, b)) is not None and get(self._key(b, a)) is not None
+        s_ab = get(self._key(a, b))
+        if s_ab is None:
+            return None
+        s_ba = get(self._key(b, a))
+        if s_ba is None:
+            return None
+        outcome = ComparisonOutcome(a.id, b.id, s_ab, s_ba)
+        with self._count_lock:
+            self.hits += 2
+        return outcome
 
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
         key = self._key(existing, new)

@@ -136,7 +136,12 @@ class EhrRecord:
             value = record.get(name, ())
             if isinstance(value, str) or not isinstance(value, (list, tuple)):
                 raise MalformedRecord(f"ehr field {name!r} must be a string array")
-            return tuple(str(item) for item in value)
+            for item in value:
+                if not isinstance(item, str):
+                    raise MalformedRecord(
+                        f"ehr field {name!r} must be a string array, holds {item!r}"
+                    )
+            return tuple(value)
 
         return cls(
             problem_list=_strings("problem_list"),

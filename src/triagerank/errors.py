@@ -81,11 +81,7 @@ class OracleNeedsLabels(DataError):
 
 
 class ComparisonFailed(BackendError):
-    """A directed comparison failed; no partial outcome is produced.
-
-    When raised from a tournament, ``partial_outcomes`` holds the outcomes
-    completed before the failure.
-    """
+    """A directed comparison failed; no partial outcome is produced."""
 
 
 # prompts

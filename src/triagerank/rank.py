@@ -14,8 +14,7 @@ Pairwise tasks are independent and may run in parallel (``max_workers``);
 score accumulation stays single-threaded in sorted pair order, so the
 result equals the sequential computation. A failed comparison aborts the
 tournament: a triage ranking built on partial comparisons is a safety
-hazard. The raised error carries the outcomes completed so far so a
-cached re-run can resume cheaply.
+hazard.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .compare import Comparator, ComparisonOutcome, Winner, compare
 from .corpus import Message
-from .errors import ComparisonFailed, DataError, DuplicateId
+from .errors import DataError, DuplicateId
 
 _UNIT = 2**52
 _HALF = _UNIT // 2
@@ -63,17 +62,6 @@ class TournamentResult:
         }
 
 
-def _apply_outcome(units: dict[str, int], outcome: ComparisonOutcome) -> int:
-    """Credit the pair's score mass in exact units; returns 1 when the pair tied."""
-    if outcome.winner is Winner.TIE:
-        units[outcome.a_id] += _HALF
-        units[outcome.b_id] += _HALF
-        return 1
-    winner_id = outcome.b_id if outcome.winner is Winner.B else outcome.a_id
-    units[winner_id] += int((1.0 + abs(outcome.eta)) * _UNIT)
-    return 0
-
-
 def _execute_pairs(
     pairs: Sequence[tuple[Message, Message]],
     comparator: Comparator,
@@ -81,15 +69,20 @@ def _execute_pairs(
 ) -> Iterator[tuple[ComparisonOutcome, bool]]:
     """Yield (outcome, served_from_cache) in the given pair order.
 
-    Only this pair's task ever writes its two directed cache keys, so the
-    pre-compare probe is exact even with parallel workers.
+    A comparator with ``has_cached_pair`` is probed first, and the outcome
+    it serves stands for the pair. Only this pair's task ever writes its
+    two directed cache keys, so the probe is exact even with parallel
+    workers.
     """
     probe = getattr(comparator, "has_cached_pair", None)
 
     def _task(pair: tuple[Message, Message]) -> tuple[ComparisonOutcome, bool]:
         a, b = pair
-        from_cache = bool(probe(a, b)) if probe is not None else False
-        return compare(comparator, a, b), from_cache
+        if probe is not None:
+            outcome = probe(a, b)
+            if outcome is not None:
+                return outcome, True
+        return compare(comparator, a, b), False
 
     if max_workers <= 1:
         for pair in pairs:
@@ -105,21 +98,29 @@ def _accumulate(
     units: dict[str, int],
     outcomes: list[ComparisonOutcome],
 ) -> tuple[int, int, int]:
-    """Apply outcomes in order; returns (ties, comparisons_made, cache_hits)."""
+    """Credit each pair's score mass in exact units, in order.
+
+    Returns (ties, comparisons_made, cache_hits).
+    """
     ties = 0
     made = 0
     hits = 0
-    try:
-        for outcome, from_cache in executed:
-            if from_cache:
-                hits += 1
-            else:
-                made += 1
-            ties += _apply_outcome(units, outcome)
-            outcomes.append(outcome)
-    except ComparisonFailed as exc:
-        exc.partial_outcomes = tuple(outcomes)
-        raise
+    append = outcomes.append
+    tie, b_wins = Winner.TIE, Winner.B  # read once: enum members are slow to look up
+    for outcome, from_cache in executed:
+        if from_cache:
+            hits += 1
+        else:
+            made += 1
+        winner = outcome.winner
+        if winner is tie:
+            units[outcome.a_id] += _HALF
+            units[outcome.b_id] += _HALF
+            ties += 1
+        else:
+            winner_id = outcome.b_id if winner is b_wins else outcome.a_id
+            units[winner_id] += int((1.0 + abs(outcome.eta)) * _UNIT)
+        append(outcome)
     return ties, made, hits
 
 
@@ -185,8 +186,9 @@ def insert_incremental(
     units = dict(result.score_units)
     units[new_message.id] = 0
     outcomes = list(result.outcomes)
+    new_id = new_message.id
     pairs = [
-        tuple(sorted((existing, new_message), key=lambda message: message.id))
+        (existing, new_message) if existing.id < new_id else (new_message, existing)
         for existing in result.messages
     ]
     ties, made, hits = _accumulate(

@@ -6,6 +6,9 @@ import math
 import random
 import struct
 import sys
+import threading
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +36,8 @@ from triagerank.errors import (
     UnparseableAnswer,
     UnparseableLogprobs,
 )
-from triagerank.rank import run_tournament
+from triagerank.gateway import finite_score
+from triagerank.rank import insert_incremental, run_tournament
 
 from .conftest import level_corpus, make_labeled, make_message
 from .test_gateway import config_for
@@ -565,11 +569,13 @@ def test_cache_serves_hand_written_old_style_keys(tmp_path):
             handle.write(json.dumps(line, sort_keys=True) + "\n")
     counting = CountingComparator(ScriptedComparator({}))
     comparator = CachedComparator(counting, ComparisonCache(path))
-    assert comparator.has_cached_pair(a, b)
-    outcome = compare(comparator, a, b)
-    assert counting.backend_calls == 0
+    outcome = comparator.has_cached_pair(a, b)
     assert comparator.hits == 2 and comparator.misses == 0
+    assert counting.backend_calls == 0
     assert (outcome.s_ab.value, outcome.s_ba.value) == (0.75, 0.25)
+    # compare() looks both keys up again: four directed hits in all
+    assert compare(comparator, a, b) == outcome
+    assert comparator.hits == 4 and counting.backend_calls == 0
 
 
 def test_cache_written_under_the_old_oracle_draw_misses(tmp_path, fixture_corpus):
@@ -617,6 +623,170 @@ def test_cache_counters_exact_under_parallel_tournaments(tmp_path, fixture_corpu
         sys.setswitchinterval(interval)
     n = len(messages)
     assert comparator.hits == comparator.misses == n * (n - 1)
+
+
+class CountingStore(ComparisonCache):
+    """A store that counts its lookups."""
+
+    def __init__(self, path):
+        self.gets = 0
+        self._gets_lock = threading.Lock()
+        super().__init__(path)
+
+    def get(self, key):
+        with self._gets_lock:
+            self.gets += 1
+        return super().get(key)
+
+
+@pytest.mark.parametrize("max_workers", [1, 4])
+def test_warm_rerank_reads_each_directed_key_once(tmp_path, fixture_corpus, max_workers):
+    messages = [labeled.message for labeled in fixture_corpus[:12]]
+    counting = CountingComparator(NoisyOracleComparator(fixture_corpus, {1: 0.3}, seed=3))
+    path = tmp_path / "cache.jsonl"
+    cold_store = ComparisonCache(path)
+    cold = run_tournament(messages, CachedComparator(counting, cold_store))
+    cold_store.close()
+    backend_calls = counting.backend_calls
+    store = CountingStore(path)
+    comparator = CachedComparator(counting, store)
+    warm = run_tournament(messages, comparator, max_workers=max_workers)
+    pairs = 12 * 11 // 2
+    assert store.gets == 2 * pairs
+    assert counting.backend_calls == backend_calls
+    assert warm.cache_hits == pairs and warm.comparisons_made == 0
+    assert comparator.hits == 2 * pairs and comparator.misses == 0
+    assert warm.outcomes == cold.outcomes
+
+
+def test_cache_counts_exact_with_pairs_cached_in_one_direction(tmp_path, fixture_corpus):
+    messages = [labeled.message for labeled in fixture_corpus[:16]]
+    oracle = NoisyOracleComparator(fixture_corpus, {1: 0.3}, seed=3)
+    counting = CountingComparator(oracle)
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    seeding = CachedComparator(counting, store)
+    both = one = 0
+    # a third of the pairs cached both ways, a third one way (either), a third not
+    for index, (a, b) in enumerate(combinations(messages, 2)):
+        if index % 3 == 0:
+            seeding.score_directed(a, b)
+            seeding.score_directed(b, a)
+            both += 1
+        elif index % 3 == 1:
+            seeding.score_directed(*((a, b) if index % 2 else (b, a)))
+            one += 1
+    store.close()
+    neither = 16 * 15 // 2 - both - one
+    counting.backend_calls = 0
+    comparator = CachedComparator(counting, ComparisonCache(path))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost += would show
+    try:
+        result = run_tournament(messages, comparator, max_workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.cache_hits == both
+    assert result.comparisons_made == one + neither
+    assert comparator.hits == 2 * both + one
+    assert comparator.misses == one + 2 * neither == counting.backend_calls
+    assert result.outcomes == run_tournament(messages, oracle).outcomes
+
+
+def test_probe_never_serves_a_self_pair(tmp_path):
+    a = make_message("a")
+    store = ComparisonCache(tmp_path / "cache.jsonl")
+    comparator = CachedComparator(ScriptedComparator({}), store)
+    # the self-pair's one key, written by hand: both of its "directions" are stored
+    store.put(comparator._key(a, a), DirectionScore(0.5, ScoreKind.PROBABILITY))
+    assert comparator.has_cached_pair(a, a) is None
+    assert comparator.hits == 0
+    with pytest.raises(ConfigError):
+        compare(comparator, a, a)
+    store.close()
+
+
+def test_probe_of_mixed_kinds_fails(tmp_path):
+    a, b = make_message("a"), make_message("b")
+    store = ComparisonCache(tmp_path / "cache.jsonl")
+    comparator = CachedComparator(ScriptedComparator({}), store)
+    store.put(comparator._key(a, b), DirectionScore(0.5, ScoreKind.PROBABILITY))
+    store.put(comparator._key(b, a), DirectionScore(0.5, ScoreKind.REWARD))
+    with pytest.raises(ComparisonFailed):
+        comparator.has_cached_pair(a, b)
+    with pytest.raises(ComparisonFailed):
+        run_tournament([a, b], comparator)
+    store.close()
+
+
+class ShortWrites:
+    """A raw append handle that takes at most seven bytes per write."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return self.raw.write(bytes(data[:7]))
+
+    def close(self):
+        self.raw.close()
+
+
+def test_put_finishes_each_line_across_short_writes(tmp_path, monkeypatch):
+    handles = []
+    open_path = Path.open
+
+    def short_append(path, mode="r", *args, **kwargs):
+        handle = open_path(path, mode, *args, **kwargs)
+        if mode == "ab":
+            handles.append(ShortWrites(handle))
+            return handles[-1]
+        return handle
+
+    monkeypatch.setattr(Path, "open", short_append)
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    entries = {
+        f"k{index}\u00e9": DirectionScore(index / 7, ScoreKind.PROBABILITY) for index in range(5)
+    }
+    entries["reward"] = DirectionScore(-12.5, ScoreKind.REWARD)
+    for key, score in entries.items():
+        store.put(key, score)
+    store.close()
+    lines = [
+        ComparisonCache._format_line(key, score.value, score.kind.value)
+        for key, score in entries.items()
+    ]
+    assert len(handles) == 1
+    assert handles[0].writes == sum(-(-len(line) // 7) for line in lines)
+    assert path.read_text(encoding="ascii") == "".join(lines)
+    reloaded = ComparisonCache(path)
+    assert {key: reloaded.get(key) for key in entries} == entries
+
+
+# sha256 of the cache file a cached noisy-oracle tournament over the first 25
+# fixture messages and five inserts write (recorded before the one-write put)
+GOLDEN_CACHE_SHA256 = "28a6ff0758168ef77708bd25c3e2d9ee33a7367ee9158b50cb1c47c9b3d4234c"
+
+
+def test_cache_file_bytes_golden(tmp_path, fixture_corpus):
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    comparator = CachedComparator(
+        NoisyOracleComparator(fixture_corpus, {1: 0.3, 2: 0.15}, seed=3), store
+    )
+    messages = [labeled.message for labeled in fixture_corpus]
+    result = run_tournament(messages[:25], comparator)
+    for message in messages[25:]:
+        result = insert_incremental(result, message, comparator)
+    store.close()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CACHE_SHA256
+    # a warm re-rank from a fresh store is served whole and appends nothing
+    rerun = run_tournament(messages, CachedComparator(comparator._inner, ComparisonCache(path)))
+    assert rerun.cache_hits == 30 * 29 // 2 and rerun.scores == result.scores
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CACHE_SHA256
 
 
 def test_second_store_sees_entries_while_first_holds_handle(tmp_path, fixture_corpus):
@@ -716,6 +886,20 @@ def test_direction_score_value_must_be_a_number(value):
 def test_direction_score_value_is_a_plain_float(value):
     score = DirectionScore(value, ScoreKind.REWARD)
     assert type(score.value) is float and score.value == value
+
+
+@pytest.mark.parametrize("kind", list(ScoreKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, _FloatSubclass(math.inf)],
+    ids=["nan", "inf", "-inf", "float-subclass-inf"],
+)
+def test_direction_score_rejects_non_finite(value, kind):
+    with pytest.raises(BadScore) as expected:
+        finite_score(value)
+    with pytest.raises(BadScore) as excinfo:
+        DirectionScore(value, kind)
+    assert str(excinfo.value) == str(expected.value)
 
 
 def test_direction_score_of_an_int_too_large_for_a_float_is_bad():

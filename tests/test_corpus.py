@@ -201,6 +201,29 @@ def test_record_shape_validation(tmp_path):
             load_corpus(path)
 
 
+NON_STRING_ITEMS = pytest.mark.parametrize(
+    "item", [None, 7, True, {"a": 1}], ids=["null", "number", "bool", "object"]
+)
+
+
+@NON_STRING_ITEMS
+@pytest.mark.parametrize("field", ["problem_list", "recent_diagnoses", "active_medications"])
+def test_ehr_list_item_must_be_a_string(item, field):
+    with pytest.raises(MalformedRecord, match=field):
+        EhrRecord.from_record({field: ["asthma", item]})
+
+
+@NON_STRING_ITEMS
+def test_ehr_non_string_item_exits_three(tmp_path, capsys, item):
+    ehr = {"problem_list": ["asthma", item]}
+    path = write_lines(tmp_path, [record("a"), record("b", ehr=ehr)])
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_corpus(path)
+    assert excinfo.value.line == 2
+    assert cli.main(["load-validate", "--corpus", str(path)]) == 3
+    assert "line 2: " in capsys.readouterr().err
+
+
 # ------------------------------------------------------ record-file readers
 
 

@@ -3,9 +3,11 @@
 One subcommand per pipeline stage plus ``pipeline`` for an end-to-end
 run. Reports are machine-first JSON; every report embeds the seed, a hash
 of the resolved configuration, the comparator identity, and the prompt
-catalog version. A command prints its summary once its work is done, so
-a reader that closes stdout early does not fail the run. Exit codes:
-0 success, 2 config error, 3 data error, 4 backend error, 5 internal.
+catalog version. A tournament's outcomes go to a JSONL log, one line
+each, that its report names by hash. A command prints its summary once
+its work is done, so a reader that closes stdout early does not fail the
+run. Exit codes: 0 success, 2 config error, 3 data error, 4 backend
+error, 5 internal.
 """
 
 from __future__ import annotations
@@ -16,17 +18,15 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import annotate, gateway, metrics, prompts, rank
 from .compare import (
     CachedComparator,
     Comparator,
     ComparisonCache,
-    ComparisonOutcome,
     LogprobComparator,
     NoisyOracleComparator,
     ORACLE_MARGIN,
@@ -43,6 +43,7 @@ from .corpus import (
     read_jsonl,
     save_corpus,
     split_ordinal,
+    write_lines,
 )
 from .errors import (
     ConfigError,
@@ -80,7 +81,13 @@ def _sha256_text(text: str) -> str:
 
 
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's sha256, read in 1 MiB blocks: an outcome log grows with the
+    square of the inbox, and a whole read would hold a second copy of it."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # The output paths and the endpoint URL say where a run writes and whom it
@@ -88,84 +95,25 @@ def _sha256_file(path: Path) -> str:
 _UNHASHED = frozenset({"out", "out_dir", "base_url"})
 
 
-def _indented(value, level: int) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) as it reads ``level`` objects deep."""
-    # an indented dump has newlines only between tokens; strings escape theirs
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
-
-
-def _object_chunks(members: Mapping[str, Iterable[str]], level: int) -> Iterator[str]:
-    """A non-empty JSON object laid out as ``_indented``, from each member value's chunks."""
-    inner = "\n" + "  " * (level + 1)
-    opening = "{"
-    for key in sorted(members):
-        yield f"{opening}{inner}{encode_basestring_ascii(key)}: "
-        yield from members[key]
-        opening = ","
-    yield "\n" + "  " * level + "}"
-
-
-def _outcome_chunks(outcomes: Sequence[ComparisonOutcome]) -> Iterator[str]:
-    """``[outcome.to_record() for outcome in outcomes]`` as a tournament section holds it.
-
-    Each record is formatted from the outcome's fields, in the layout an
-    indented dump gives it three objects deep (keys sorted), with json's
-    own string escaping and float text (``repr``; every score and eta is a
-    finite plain float). No record dict is built and the pure-Python
-    encoder never runs.
-    """
-    if not outcomes:
-        yield "[]"
-        return
-    encoded: dict[str, str] = {}
-
-    def text(string: str) -> str:
-        json_text = encoded.get(string)
-        if json_text is None:
-            json_text = encoded[string] = encode_basestring_ascii(string)
-        return json_text
-
-    separator = "[\n"
-    for outcome in outcomes:
-        yield (
-            f"{separator}      {{\n"
-            f'        "a_id": {text(outcome.a_id)},\n'
-            f'        "b_id": {text(outcome.b_id)},\n'
-            f'        "eta": {outcome.eta!r},\n'
-            f'        "kind": {text(outcome.s_ab.kind.value)},\n'
-            f'        "s_ab": {outcome.s_ab.value!r},\n'
-            f'        "s_ba": {outcome.s_ba.value!r},\n'
-            f'        "winner": {text(outcome.winner.value)}\n'
-            "      }"
-        )
-        separator = ",\n"
-    yield "\n    ]"
-
-
-def _section_chunks(value) -> Iterable[str]:
-    """One report section; a TournamentResult reads as its to_record()."""
-    if not isinstance(value, rank.TournamentResult):
-        return (_indented(value, 1),)
-    # every field but the outcomes, as the record defines them
-    record = replace(value, outcomes=()).to_record()
-    members = {key: (_indented(item, 2),) for key, item in record.items()}
-    members["outcomes"] = _outcome_chunks(value.outcomes)
-    return _object_chunks(members, 1)
-
-
 def _write_report(path: Path, envelope: dict, **sections) -> None:
-    """Write ``json.dumps({**envelope, **sections}, sort_keys=True, indent=2)``.
+    """Write ``json.dumps({**envelope, **sections}, sort_keys=True, indent=2)`` and a newline.
 
-    A section may be a TournamentResult: it is written as its to_record()
-    would be, without building its outcome records. Every chunk of text
-    is made before the file is opened, so a value json cannot encode
-    leaves no partial report, and no copy of the whole text is built.
+    The text is made before the file is opened, so a value json cannot
+    encode leaves no partial report.
     """
-    report = {**envelope, **sections}
-    members = {key: _section_chunks(value) for key, value in report.items()}
-    chunks = [*_object_chunks(members, 0), "\n"]
-    with path.open("w", encoding="utf-8") as handle:
-        handle.writelines(chunks)
+    text = json.dumps({**envelope, **sections}, sort_keys=True, indent=2) + "\n"
+    path.write_text(text, encoding="utf-8")
+
+
+def _tournament_section(result: rank.TournamentResult, log: Path) -> dict:
+    """Write the result's outcome log, then return the report section that hashes it.
+
+    The log holds one ``ComparisonOutcome.to_line`` per outcome. The section
+    names the log by its sha256, not its path, so report bytes do not
+    depend on where the run writes.
+    """
+    write_lines((outcome.to_line() for outcome in result.outcomes), log)
+    return {**result.to_record(), "outcomes_sha256": _sha256_file(log)}
 
 
 def _envelope(seed: int | None, config_hash: str, comparator_identity: str) -> dict:
@@ -327,12 +275,18 @@ def cmd_assemble_inbox(args: argparse.Namespace) -> str:
 
 
 def cmd_rank_inbox(args: argparse.Namespace) -> str:
+    # the log sits next to the report under another suffix, so never at --out
+    try:
+        log = Path(args.out).with_suffix(".outcomes.jsonl")
+    except ValueError:
+        raise ConfigError(f"--out {args.out!r} names no file") from None
     inbox = load_corpus(args.inbox)
     comparator = build_comparator(args.comparator, inbox, **_comparator_options(args))
     result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
-    _write_args_report(args, comparator.cache_identity, tournament=result)
+    section = _tournament_section(result, log)
+    _write_args_report(args, comparator.cache_identity, tournament=section)
     top = ", ".join(result.ranking[:5])
-    return f"ranked {len(inbox)} messages -> {args.out}\n  top of inbox: {top}"
+    return f"ranked {len(inbox)} messages -> {args.out}\n  outcomes -> {log}\n  top of inbox: {top}"
 
 
 def cmd_evaluate_intrinsic(args: argparse.Namespace) -> str:
@@ -575,6 +529,7 @@ _ARTIFACTS = {
     "sft": "sft.jsonl",
     "reward": "reward.jsonl",
     "inbox": "inbox.jsonl",
+    "outcomes": "outcomes.jsonl",
     "ranking": "ranking.json",
     "intrinsic": "intrinsic.json",
     "extrinsic": "extrinsic.json",
@@ -642,7 +597,8 @@ def run_pipeline(config: RunConfig) -> dict:
     envelope = _envelope(config.seed, config.config_hash, comparator.cache_identity)
     with _stage("tournament"):
         result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
-        _write_report(path["ranking"], envelope, tournament=result)
+        section = _tournament_section(result, path["outcomes"])
+        _write_report(path["ranking"], envelope, tournament=section)
     with _stage("metrics"):
         intrinsic = metrics.intrinsic_accuracy(eval_pairs, comparator)
         _write_report(path["intrinsic"], envelope, intrinsic=intrinsic.to_record())

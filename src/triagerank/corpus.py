@@ -6,7 +6,8 @@ fields ``id``, ``text``, ``label``, ``source`` and optional ``ehr`` and
 pairs, triplets, exports, annotations) is read by
 ``read_jsonl`` and written by ``write_jsonl``: reading rejects the whole
 file on the first bad line with a DataError that carries the line number,
-and a failed write raises ExportFailed.
+and a failed write raises ExportFailed. ``write_jsonl`` writes through
+``write_lines``, which also writes a tournament's outcome log.
 
 All types here are frozen: values are safe to share across concurrent
 consumers after load.
@@ -281,18 +282,23 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     return records
 
 
-def write_jsonl(records: Iterable[dict], path: str | Path) -> int:
-    """Write records as sorted-key JSONL and return the count; OSError -> ExportFailed."""
+def write_lines(lines: Iterable[str], path: str | Path) -> int:
+    """Write lines, each ending in a newline, and return the count; OSError -> ExportFailed."""
     path = Path(path)
     count = 0
     try:
         with path.open("w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            for line in lines:
+                handle.write(line)
                 count += 1
     except OSError as exc:
         raise ExportFailed(f"cannot write {path}: {exc}") from exc
     return count
+
+
+def write_jsonl(records: Iterable[dict], path: str | Path) -> int:
+    """Write records as sorted-key JSONL and return the count; OSError -> ExportFailed."""
+    return write_lines((json.dumps(record, sort_keys=True) + "\n" for record in records), path)
 
 
 def _unique_ids(from_record: Callable[[Mapping], T]) -> Callable[[dict], T]:

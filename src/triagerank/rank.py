@@ -52,10 +52,10 @@ class TournamentResult:
     score_units: dict[str, int] = field(repr=False, compare=False)
 
     def to_record(self) -> dict:
+        """The report's view: no messages, and no outcomes, which a log holds one line each."""
         return {
             "ranking": list(self.ranking),
             "scores": {k: self.scores[k] for k in sorted(self.scores)},
-            "outcomes": [outcome.to_record() for outcome in self.outcomes],
             "ties_encountered": self.ties_encountered,
             "comparisons_made": self.comparisons_made,
             "cache_hits": self.cache_hits,

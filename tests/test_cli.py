@@ -191,6 +191,8 @@ def test_rank_inbox_with_cache(tmp_path):
     assert second["tournament"]["cache_hits"] == 435
     assert second["tournament"]["comparisons_made"] == 0
     assert second["tournament"]["ranking"] == first["tournament"]["ranking"]
+    # the outcomes served from the cache are the computed ones, byte for byte
+    assert second["tournament"]["outcomes_sha256"] == first["tournament"]["outcomes_sha256"]
 
 
 def test_evaluate_extrinsic_table(tmp_path, capsys):
@@ -262,7 +264,7 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     manifest = read_json(out_dir / "manifest.json")
     assert set(manifest["artifacts"]) == {
         "filtered_corpus", "eval_pairs", "triplets", "sft", "reward",
-        "inbox", "ranking", "intrinsic", "extrinsic",
+        "inbox", "outcomes", "ranking", "intrinsic", "extrinsic",
     }
     intrinsic = read_json(out_dir / "intrinsic.json")
     assert intrinsic["intrinsic"]["overall_accuracy"] == 1.0
@@ -297,7 +299,8 @@ GOLDEN_ARTIFACT_SHA256 = {
     "filtered_corpus": "166cf60d8f9daa1b17ac2d3aff55dacb809091b3c3c168f7dedc7059c3ac1000",
     "inbox": "5bed1fb4c22391388ce61a68db847b809f80880cfacddfec53f65b52db78f48a",
     "intrinsic": "0026bab88734b7d1ad6c4f479cb47506e1984b986998fa98332d2e919bdd5307",
-    "ranking": "fb104210b22ea3f26c051217637bda2c8bafdbbe3d2c5c3688caaedb4c10081f",
+    "outcomes": "1d4f48dde0c1d5d388dbb0a9826e6e31878d7ce6d680fc4a0d66ac372bd5b60d",
+    "ranking": "cca65f63795fad2c3ad2cf39ff0bf8ee92af50a3f8947f9fd98b01bafdcd2c30",
     "reward": "089a268b7e3e42f65c617295158f486b7e6d36a15e295e01d7d124e6a4f05988",
     "sft": "1b7a795fd0fad9fa3e4c272fca0d15a2c79f657b6dae22f90b84be8ce724bc9c",
     "triplets": "590d1c06a421cad4e82bc15df86ed1bae512c0e6fab55f2ae361e15aab2eac7d",
@@ -347,7 +350,7 @@ _OWN_FILE = "notes.txt"
         ("tournament", {}, (cli.rank, "run_tournament"), 4, _BEFORE_INBOX + ["inbox.jsonl"]),
         (
             "metrics", {}, (cli.metrics, "intrinsic_accuracy"), 4,
-            _BEFORE_INBOX + ["inbox.jsonl", "ranking.json"],
+            _BEFORE_INBOX + ["inbox.jsonl", "outcomes.jsonl", "ranking.json"],
         ),
         pytest.param(
             "tournament", {}, (cli.rank, "run_tournament"), 4,
@@ -435,9 +438,9 @@ GOLDEN_REPORT_SHA256 = {
     "bias": "a9dec6b414e296337d49668bdbb066980898424b53e85ec407085696fb044c2a",
     "extrinsic": "c25c9b333addf29868971af11b40634d5f09cdaf7877d4a85a526010acd6a2a8",
     "intrinsic": "027659cbf0c071106851b3e01c91f7b161199a28de847091f2cf2552862644c0",
-    "rank": "81ba678a4540a1ac648729b8a1a4aa8b963ca17fb7fd7b408cc6ad0350caf534",
-    "rank_cold": "4f06984161a65d568f6d19889bea034d032bb2f1338208646a5c63a643dead0c",
-    "rank_warm": "be3a37f3a6c61e4e66043757ee6a5fb65df79f0b8362bca0db2e913852690f9c",
+    "rank": "a21ce74e36c03e7583acf91e3ed48b9ab2b30347a2fe7f2d8bcc065dc9fc0999",
+    "rank_cold": "484cb7efa42525f3a87010336d763161270d17145b6034d57b23af2917b7adff",
+    "rank_warm": "b640485bc24f064e2d1cb319cdc47b6ac6b58a67af051357866c663e756937e6",
 }
 
 
@@ -471,6 +474,67 @@ def test_report_does_not_depend_on_output_path(tmp_path):
             "--out", tmp_path / name,
         ) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    log = (tmp_path / "a.outcomes.jsonl").read_bytes()
+    assert log == (tmp_path / "b.outcomes.jsonl").read_bytes()
+    assert len(log.splitlines()) == 30 * 29 // 2
+
+
+@pytest.mark.parametrize(
+    "out, log",
+    [("rank.json", "rank.outcomes.jsonl"), ("rank", "rank.outcomes.jsonl"),
+     ("rank.outcomes.jsonl", "rank.outcomes.outcomes.jsonl")],
+)
+def test_outcome_log_sits_next_to_the_report(tmp_path, monkeypatch, out, log):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("rank-inbox", "--inbox", FIXTURE, "--out", out) == 0
+    report = read_json(tmp_path / out)
+    written = (tmp_path / log).read_bytes()
+    assert report["tournament"]["outcomes_sha256"] == hashlib.sha256(written).hexdigest()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted({out, log})
+
+
+@pytest.mark.parametrize("out", ["", "/"])
+def test_out_that_names_no_file_exits_two(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("rank-inbox", "--inbox", FIXTURE, "--out", out) == 2
+    assert "names no file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_outcome_log_write_exits_three_and_writes_no_report(
+    tmp_path, monkeypatch, capsys
+):
+    class FailingHandle:
+        """A text handle whose fourth write raises, as a full disk would."""
+
+        def __init__(self, handle):
+            self.handle, self.writes = handle, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 4:
+                raise OSError(28, "No space left on device")
+            return self.handle.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+    open_path = Path.open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        handle = open_path(path, mode, *args, **kwargs)
+        writes_log = mode == "w" and path.name.endswith(".outcomes.jsonl")
+        return FailingHandle(handle) if writes_log else handle
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    report = tmp_path / "rank.json"
+    assert run_cli("rank-inbox", "--inbox", FIXTURE, "--out", report) == 3
+    assert "cannot write" in capsys.readouterr().err
+    assert not report.exists()
+    assert len((tmp_path / "rank.outcomes.jsonl").read_text().splitlines()) == 3
 
 
 class ScriptedReward:
@@ -527,11 +591,25 @@ WRITER_CASES = {
 @pytest.mark.parametrize("case", list(WRITER_CASES))
 def test_tournament_report_equals_indented_dump(tmp_path, case):
     result = WRITER_CASES[case]()
+    log = tmp_path / "outcomes.jsonl"
+    section = cli._tournament_section(result, log)
+    lines = log.read_text(encoding="ascii").splitlines(keepends=True)
+    assert len(lines) == len(result.outcomes)
+    for line, outcome in zip(lines, result.outcomes):
+        record = {
+            "a_id": outcome.a_id, "b_id": outcome.b_id, "eta": outcome.eta,
+            "kind": outcome.s_ab.kind.value, "s_ab": outcome.s_ab.value,
+            "s_ba": outcome.s_ba.value, "winner": outcome.winner.value,
+        }
+        assert line == outcome.to_line() == json.dumps(record, sort_keys=True) + "\n"
+    assert section == {
+        **result.to_record(), "outcomes_sha256": hashlib.sha256(log.read_bytes()).hexdigest()
+    }
     for identity in ("oracle(seed=0)", ScriptedReward.cache_identity, "outcomes\u00e9\n"):
         envelope = cli._envelope(3, "config-hash", identity)
-        cli._write_report(tmp_path / "report.json", envelope, tournament=result)
+        cli._write_report(tmp_path / "report.json", envelope, tournament=section)
         expected = json.dumps(
-            {**envelope, "tournament": result.to_record()}, sort_keys=True, indent=2
+            {**envelope, "tournament": section}, sort_keys=True, indent=2
         ) + "\n"
         assert (tmp_path / "report.json").read_bytes() == expected.encode("utf-8")
 
@@ -829,3 +907,4 @@ def test_lone_surrogate_in_inbox_exits_three_before_any_report(tmp_path, capsys)
     assert run_cli("rank-inbox", "--inbox", inbox, "--out", report) == 3
     assert "line 2: lone surrogate" in capsys.readouterr().err
     assert not report.exists()
+    assert not (tmp_path / "ranking.outcomes.jsonl").exists()

@@ -96,13 +96,8 @@ _UNHASHED = frozenset({"out", "out_dir", "base_url"})
 
 
 def _write_report(path: Path, envelope: dict, **sections) -> None:
-    """Write ``json.dumps({**envelope, **sections}, sort_keys=True, indent=2)`` and a newline.
-
-    The text is made before the file is opened, so a value json cannot
-    encode leaves no partial report.
-    """
-    text = json.dumps({**envelope, **sections}, sort_keys=True, indent=2) + "\n"
-    path.write_text(text, encoding="utf-8")
+    """Write ``json.dumps({**envelope, **sections}, sort_keys=True, indent=2)`` and a newline."""
+    write_lines((json.dumps({**envelope, **sections}, sort_keys=True, indent=2) + "\n",), path)
 
 
 def _tournament_section(result: rank.TournamentResult, log: Path) -> dict:

@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import re
 import threading
 import weakref
@@ -31,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
 from . import gateway, prompts
-from .corpus import LabeledMessage, Message, UrgencyLabel
+from .corpus import LabeledMessage, Message, UrgencyLabel, write_lines
 from .gateway import CompletionResult, finite_score
 from .errors import (
     BadScore,
@@ -434,18 +433,12 @@ class ComparisonCache:
             self._compact()
 
     def _compact(self) -> None:
-        temporary = self._path.with_name(f"{self._path.name}.{os.getpid()}.tmp")
-        try:
-            with temporary.open("w", encoding="utf-8") as handle:
-                for key, score in self._entries.items():
-                    kind = _PROBABILITY_NAME if score.kind is _PROBABILITY else _REWARD_NAME
-                    handle.write(self._format_line(key, score.value, kind))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temporary, self._path)
-        except BaseException:
-            temporary.unlink(missing_ok=True)
-            raise
+        def lines():
+            for key, score in self._entries.items():
+                kind = _PROBABILITY_NAME if score.kind is _PROBABILITY else _REWARD_NAME
+                yield self._format_line(key, score.value, kind)
+
+        write_lines(lines(), self._path)
 
     @staticmethod
     def _format_line(key: str, value: float, kind: str) -> str:

@@ -7,7 +7,8 @@ pairs, triplets, exports, annotations) is read by
 ``read_jsonl`` and written by ``write_jsonl``: reading rejects the whole
 file on the first bad line with a DataError that carries the line number,
 and a failed write raises ExportFailed. ``write_jsonl`` writes through
-``write_lines``, which also writes a tournament's outcome log.
+``write_lines``, the package's one writer of whole files (reports, outcome
+logs and the compacted cache too), which replaces each file atomically.
 
 All types here are frozen: values are safe to share across concurrent
 consumers after load.
@@ -16,6 +17,7 @@ consumers after load.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -283,16 +285,27 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
 
 
 def write_lines(lines: Iterable[str], path: str | Path) -> int:
-    """Write lines, each ending in a newline, and return the count; OSError -> ExportFailed."""
+    """Replace ``path`` with the lines, each ending in a newline, and return the count.
+
+    The lines go to a temporary file beside ``path``, synced and renamed onto
+    it, so a failed write leaves the old file whole; an OSError -> ExportFailed.
+    """
     path = Path(path)
+    temporary = Path(f"{path}.{os.getpid()}.tmp")  # not with_name: "." has no name
     count = 0
     try:
-        with path.open("w", encoding="utf-8") as handle:
+        with temporary.open("w", encoding="utf-8") as handle:
             for line in lines:
                 handle.write(line)
                 count += 1
-    except OSError as exc:
-        raise ExportFailed(f"cannot write {path}: {exc}") from exc
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException as exc:
+        temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ExportFailed(f"cannot write {path}: {exc}") from exc
+        raise
     return count
 
 

@@ -57,11 +57,9 @@ class EndpointConfig:
     timeout: float = 30.0
     max_retries: int = 2
     max_parallel: int = 4
-    temperature: float = 0.0
     chat_path: str = "/v1/chat/completions"
     score_path: str = "/score"
     retry_backoff: float = 0.5
-    top_logprobs: int = 8
 
     def __post_init__(self):
         try:
@@ -73,8 +71,6 @@ class EndpointConfig:
             raise ConfigError(
                 f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}"
             )
-        if not math.isfinite(self.temperature):
-            raise ConfigError(f"temperature must be finite, got {self.temperature!r}")
         if self.timeout <= 0:
             raise ConfigError("timeout must be positive")
         if self.max_retries < 0:
@@ -231,11 +227,11 @@ def complete(
             {"role": "system", "content": system},
             {"role": "user", "content": user},
         ],
-        "temperature": config.temperature,
+        "temperature": 0.0,
     }
     if want_logprobs:
         payload["logprobs"] = True
-        payload["top_logprobs"] = config.top_logprobs
+        payload["top_logprobs"] = 8
     data = _post_json(config, config.chat_path, payload)
     try:
         choice = data["choices"][0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import json
 import os
@@ -501,12 +502,14 @@ def test_out_that_names_no_file_exits_two(tmp_path, monkeypatch, capsys, out):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_outcome_log_write_exits_three_and_writes_no_report(
-    tmp_path, monkeypatch, capsys
-):
-    class FailingHandle:
-        """A text handle whose fourth write raises, as a full disk would."""
+def _fail_outcome_log_on_fourth_line(monkeypatch):
+    """Make the fourth line written to an outcome log raise, as a full disk would.
 
+    The hook matches the temporary file beside the log, which is where
+    ``write_lines`` writes before it renames the file into place.
+    """
+
+    class FailingHandle:
         def __init__(self, handle):
             self.handle, self.writes = handle, 0
 
@@ -515,6 +518,9 @@ def test_failed_outcome_log_write_exits_three_and_writes_no_report(
             if self.writes == 4:
                 raise OSError(28, "No space left on device")
             return self.handle.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.handle, name)
 
         def __enter__(self):
             return self
@@ -526,15 +532,32 @@ def test_failed_outcome_log_write_exits_three_and_writes_no_report(
 
     def failing_open(path, mode="r", *args, **kwargs):
         handle = open_path(path, mode, *args, **kwargs)
-        writes_log = mode == "w" and path.name.endswith(".outcomes.jsonl")
+        writes_log = mode == "w" and fnmatch.fnmatch(path.name, "*.outcomes.jsonl.*.tmp")
         return FailingHandle(handle) if writes_log else handle
 
     monkeypatch.setattr(Path, "open", failing_open)
-    report = tmp_path / "rank.json"
+
+
+def test_failed_outcome_log_write_exits_three_and_writes_no_report(
+    tmp_path, monkeypatch, capsys
+):
+    _fail_outcome_log_on_fourth_line(monkeypatch)
+    assert run_cli("rank-inbox", "--inbox", FIXTURE, "--out", tmp_path / "rank.json") == 3
+    assert "cannot write" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_rerun_keeps_previous_report_and_outcome_log(tmp_path, monkeypatch, capsys):
+    report, log = tmp_path / "rank.json", tmp_path / "rank.outcomes.jsonl"
+    assert run_cli("rank-inbox", "--inbox", FIXTURE, "--out", report) == 0
+    before = report.read_bytes(), log.read_bytes()
+    _fail_outcome_log_on_fourth_line(monkeypatch)
     assert run_cli("rank-inbox", "--inbox", FIXTURE, "--out", report) == 3
     assert "cannot write" in capsys.readouterr().err
-    assert not report.exists()
-    assert len((tmp_path / "rank.outcomes.jsonl").read_text().splitlines()) == 3
+    assert (report.read_bytes(), log.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [report.name, log.name]
+    sha = json.loads(report.read_text())["tournament"]["outcomes_sha256"]
+    assert sha == hashlib.sha256(log.read_bytes()).hexdigest()
 
 
 class ScriptedReward:

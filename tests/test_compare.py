@@ -32,6 +32,7 @@ from triagerank.errors import (
     BadScore,
     ComparisonFailed,
     ConfigError,
+    ExportFailed,
     OracleNeedsLabels,
     UnparseableAnswer,
     UnparseableLogprobs,
@@ -841,7 +842,7 @@ def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, m
         return format_line(key, value, kind)
 
     monkeypatch.setattr(ComparisonCache, "_format_line", staticmethod(fail_halfway))
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(ExportFailed, match="disk full"):
         ComparisonCache(path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl"]

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 
 import pytest
 
-from triagerank import cli
+from triagerank import cli, corpus
 from triagerank.corpus import (
     EhrRecord,
     Gender,
@@ -22,6 +23,7 @@ from triagerank.errors import (
     DataError,
     DuplicateId,
     EmptyMessage,
+    ExportFailed,
     MalformedRecord,
 )
 from triagerank.pairs import EvalPair, Triplet, read_eval_pairs, read_triplets
@@ -290,3 +292,42 @@ def test_reader_rejects_bad_line_with_its_number(tmp_path, reader_name, case):
         reader(path)
     assert excinfo.value.line == 2
     assert str(excinfo.value).startswith("line 2: ")
+
+
+def _lines_failing_with(error):
+    yield "first\n"
+    yield "second\n"
+    raise error
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [(OSError(28, "No space left on device"), ExportFailed), (TypeError("not a str"), TypeError)],
+    ids=["oserror", "typeerror"],
+)
+def test_failed_write_lines_keeps_previous_file(tmp_path, error, expected):
+    path = tmp_path / "out.jsonl"
+    assert corpus.write_lines(["old\n"], path) == 1
+    with pytest.raises(expected):
+        corpus.write_lines(_lines_failing_with(error), path)
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_write_lines_file_mode_follows_umask(tmp_path):
+    plain = tmp_path / "plain.jsonl"
+    with open(plain, "w", encoding="utf-8"):
+        pass
+    written = tmp_path / "written.jsonl"
+    corpus.write_lines(["line\n"], written)
+    assert os.stat(written).st_mode == os.stat(plain).st_mode
+
+
+@pytest.mark.parametrize("target", [".", "sub"])
+def test_write_lines_onto_a_directory_is_export_failed(tmp_path, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(ExportFailed, match="cannot write"):
+        corpus.write_lines(["line\n"], target)
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []

@@ -3,11 +3,11 @@
 One subcommand per pipeline stage plus ``pipeline`` for an end-to-end
 run. Reports are machine-first JSON; every report embeds the seed, a hash
 of the resolved configuration, the comparator identity, and the prompt
-catalog version. A tournament's outcomes go to a JSONL log, one line
-each, that its report names by hash. A command prints its summary once
-its work is done, so a reader that closes stdout early does not fail the
-run. Exit codes: 0 success, 2 config error, 3 data error, 4 backend
-error, 5 internal.
+catalog version. A tournament writes its outcomes to a JSONL log as it
+runs, one line each, and its report names the log by hash. A command
+prints its summary once its work is done, so a reader that closes stdout
+early does not fail the run. Exit codes: 0 success, 2 config error, 3
+data error, 4 backend error, 5 internal.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .corpus import (
     load_corpus,
     load_messages,
     read_jsonl,
+    remove_temporaries,
     save_corpus,
     split_ordinal,
     write_lines,
@@ -101,13 +102,11 @@ def _write_report(path: Path, envelope: dict, **sections) -> None:
 
 
 def _tournament_section(result: rank.TournamentResult, log: Path) -> dict:
-    """Write the result's outcome log, then return the report section that hashes it.
+    """The report section of a tournament that ``rank.run_tournament`` logged to ``log``.
 
-    The log holds one ``ComparisonOutcome.to_line`` per outcome. The section
-    names the log by its sha256, not its path, so report bytes do not
-    depend on where the run writes.
+    The section names the log by its sha256, not its path, so report bytes
+    do not depend on where the run writes.
     """
-    write_lines((outcome.to_line() for outcome in result.outcomes), log)
     return {**result.to_record(), "outcomes_sha256": _sha256_file(log)}
 
 
@@ -277,7 +276,9 @@ def cmd_rank_inbox(args: argparse.Namespace) -> str:
         raise ConfigError(f"--out {args.out!r} names no file") from None
     inbox = load_corpus(args.inbox)
     comparator = build_comparator(args.comparator, inbox, **_comparator_options(args))
-    result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
+    remove_temporaries(args.out)
+    remove_temporaries(log)
+    result = rank.run_tournament([labeled.message for labeled in inbox], comparator, log=log)
     section = _tournament_section(result, log)
     _write_args_report(args, comparator.cache_identity, tournament=section)
     top = ", ".join(result.ranking[:5])
@@ -565,6 +566,7 @@ def run_pipeline(config: RunConfig) -> dict:
     for stale in (out_dir / "manifest.json", *path.values()):
         if stale.resolve() != corpus_path:
             stale.unlink(missing_ok=True)
+        remove_temporaries(stale)
 
     with _stage("load"):
         raw = load_corpus(config.corpus)
@@ -591,7 +593,8 @@ def run_pipeline(config: RunConfig) -> dict:
         comparator = _comparator(corpus)
     envelope = _envelope(config.seed, config.config_hash, comparator.cache_identity)
     with _stage("tournament"):
-        result = rank.run_tournament([labeled.message for labeled in inbox], comparator)
+        messages = [labeled.message for labeled in inbox]
+        result = rank.run_tournament(messages, comparator, log=path["outcomes"])
         section = _tournament_section(result, path["outcomes"])
         _write_report(path["ranking"], envelope, tournament=section)
     with _stage("metrics"):

@@ -8,7 +8,8 @@ pairs, triplets, exports, annotations) is read by
 file on the first bad line with a DataError that carries the line number,
 and a failed write raises ExportFailed. ``write_jsonl`` writes through
 ``write_lines``, the package's one writer of whole files (reports, outcome
-logs and the compacted cache too), which replaces each file atomically.
+logs and the compacted cache too), which replaces each file atomically;
+``remove_temporaries`` clears the temporary files a killed writer left.
 
 All types here are frozen: values are safe to share across concurrent
 consumers after load.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -289,8 +291,11 @@ def write_lines(lines: Iterable[str], path: str | Path) -> int:
 
     The lines go to a temporary file beside ``path``, synced and renamed onto
     it, so a failed write leaves the old file whole; an OSError -> ExportFailed.
+    A directory at ``path`` is refused before a line is pulled.
     """
     path = Path(path)
+    if path.is_dir() and not path.is_symlink():  # a symlink is replaced, as os.replace does
+        raise ExportFailed(f"cannot write {path}: is a directory")
     temporary = Path(f"{path}.{os.getpid()}.tmp")  # not with_name: "." has no name
     count = 0
     try:
@@ -307,6 +312,24 @@ def write_lines(lines: Iterable[str], path: str | Path) -> int:
             raise ExportFailed(f"cannot write {path}: {exc}") from exc
         raise
     return count
+
+
+def remove_temporaries(path: str | Path) -> None:
+    """Remove the ``<name>.<pid>.tmp`` files beside ``path`` that killed writers left.
+
+    A SIGKILL skips ``write_lines``' cleanup, and a later run has another
+    pid, so it never reuses the name. Call this only where no other process
+    writes ``path``.
+    """
+    path = Path(path)
+    pattern = re.compile(re.escape(path.name) + r"\.[0-9]+\.tmp")
+    try:
+        siblings = list(path.parent.iterdir())
+    except (FileNotFoundError, NotADirectoryError):
+        return  # nothing can be left there; writing the path reports the error
+    for sibling in siblings:
+        if pattern.fullmatch(sibling.name):
+            sibling.unlink(missing_ok=True)
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> int:

@@ -12,20 +12,24 @@ incrementally built ranking equals the full tournament bit for bit.
 
 Pairwise tasks are independent and may run in parallel (``max_workers``);
 score accumulation stays single-threaded in sorted pair order, so the
-result equals the sequential computation. A failed comparison aborts the
-tournament: a triage ranking built on partial comparisons is a safety
-hazard.
+result equals the sequential computation. Each outcome is credited, then
+written to the tournament's log or dropped, so memory does not grow with
+the pairs. A failed comparison aborts the tournament, leaving no new log:
+a triage ranking built on partial comparisons is a safety hazard.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .compare import Comparator, ComparisonOutcome, Winner, compare
-from .corpus import Message
+from .corpus import Message, write_lines
 from .errors import DataError, DuplicateId
 
 _UNIT = 2**52
@@ -34,8 +38,9 @@ _HALF = _UNIT // 2
 
 @dataclass(frozen=True)
 class TournamentResult:
-    """Ranking plus full provenance of every comparison.
+    """Ranking, exact scores and comparison counts of a tournament.
 
+    The outcomes are not held: ``run_tournament`` writes them to its log.
     comparisons_made counts pairs that reached the backend; cache_hits
     counts pairs served entirely from cache. Their sum is n(n-1)/2 for a
     full tournament over n messages. score_units holds the exact totals
@@ -45,14 +50,13 @@ class TournamentResult:
     messages: tuple[Message, ...]
     ranking: tuple[str, ...]
     scores: dict[str, float]
-    outcomes: tuple[ComparisonOutcome, ...]
     ties_encountered: int
     comparisons_made: int
     cache_hits: int
     score_units: dict[str, int] = field(repr=False, compare=False)
 
     def to_record(self) -> dict:
-        """The report's view: no messages, and no outcomes, which a log holds one line each."""
+        """The report's view: no messages."""
         return {
             "ranking": list(self.ranking),
             "scores": {k: self.scores[k] for k in sorted(self.scores)},
@@ -63,7 +67,7 @@ class TournamentResult:
 
 
 def _execute_pairs(
-    pairs: Sequence[tuple[Message, Message]],
+    pairs: Iterable[tuple[Message, Message]],
     comparator: Comparator,
     max_workers: int,
 ) -> Iterator[tuple[ComparisonOutcome, bool]]:
@@ -93,19 +97,17 @@ def _execute_pairs(
         yield from pool.map(_task, pairs)
 
 
-def _accumulate(
+def _credit(
     executed: Iterable[tuple[ComparisonOutcome, bool]],
     units: dict[str, int],
-    outcomes: list[ComparisonOutcome],
-) -> tuple[int, int, int]:
-    """Credit each pair's score mass in exact units, in order.
+    counts: list[int],
+) -> Iterator[ComparisonOutcome]:
+    """Credit each pair's score mass in exact units, in order, and yield its outcome.
 
-    Returns (ties, comparisons_made, cache_hits).
+    Once ``executed`` is exhausted, its ties, comparisons made and cache
+    hits are added to ``counts``, in that order.
     """
-    ties = 0
-    made = 0
-    hits = 0
-    append = outcomes.append
+    ties = made = hits = 0
     tie, b_wins = Winner.TIE, Winner.B  # read once: enum members are slow to look up
     for outcome, from_cache in executed:
         if from_cache:
@@ -120,24 +122,21 @@ def _accumulate(
         else:
             winner_id = outcome.b_id if winner is b_wins else outcome.a_id
             units[winner_id] += int((1.0 + abs(outcome.eta)) * _UNIT)
-        append(outcome)
-    return ties, made, hits
+        yield outcome
+    counts[0] += ties
+    counts[1] += made
+    counts[2] += hits
 
 
 def _result(
-    messages: tuple[Message, ...],
-    units: dict[str, int],
-    outcomes: list[ComparisonOutcome],
-    ties: int,
-    made: int,
-    hits: int,
+    messages: tuple[Message, ...], units: dict[str, int], counts: list[int]
 ) -> TournamentResult:
     """Scores from the exact totals, ranked by total then id."""
+    ties, made, hits = counts
     return TournamentResult(
         messages=messages,
         ranking=tuple(sorted(units, key=lambda message_id: (-units[message_id], message_id))),
         scores={message_id: total / _UNIT for message_id, total in units.items()},
-        outcomes=tuple(outcomes),
         ties_encountered=ties,
         comparisons_made=made,
         cache_hits=hits,
@@ -146,12 +145,17 @@ def _result(
 
 
 def run_tournament(
-    inbox: Sequence[Message], comparator: Comparator, max_workers: int = 1
+    inbox: Sequence[Message], comparator: Comparator, max_workers: int = 1,
+    log: str | Path | None = None,
 ) -> TournamentResult:
     """Compare all n-choose-2 pairs and sort the inbox by total score.
 
     Pairs are visited in sorted-id order, so scores do not depend on the
-    input permutation and directed cache keys line up across runs.
+    input permutation and directed cache keys line up across runs. With
+    ``log``, each outcome's ``to_line()`` is written to that path through
+    ``write_lines`` as soon as it is credited: a failed comparison leaves
+    no new log, and the previous one whole. Without it, outcomes are
+    dropped.
     """
     if len(inbox) < 2:
         raise DataError(f"tournament needs at least 2 messages, got {len(inbox)}")
@@ -160,12 +164,15 @@ def run_tournament(
         raise DuplicateId("inbox contains duplicate message ids")
     ordered = sorted(inbox, key=lambda message: message.id)
     units = {message.id: 0 for message in ordered}
-    outcomes: list[ComparisonOutcome] = []
-    pairs = list(combinations(ordered, 2))
-    ties, made, hits = _accumulate(
-        _execute_pairs(pairs, comparator, max_workers), units, outcomes
-    )
-    return _result(tuple(ordered), units, outcomes, ties, made, hits)
+    counts = [0, 0, 0]
+    executed = _execute_pairs(combinations(ordered, 2), comparator, max_workers)
+    with closing(executed):  # on a failed write too, so a worker pool ends with the call
+        credited = _credit(executed, units, counts)
+        if log is None:
+            deque(credited, maxlen=0)
+        else:
+            write_lines((outcome.to_line() for outcome in credited), log)
+    return _result(tuple(ordered), units, counts)
 
 
 def insert_incremental(
@@ -179,29 +186,18 @@ def insert_incremental(
     All previous pairwise scores are kept untouched; only the new
     message's pairs are compared, in the same id-sorted direction the full
     tournament uses, so a cached re-run over the enlarged inbox needs zero
-    backend calls.
+    backend calls. The new outcomes are dropped, as with no log.
     """
     if new_message.id in result.scores:
         raise DuplicateId(f"message {new_message.id!r} is already ranked")
     units = dict(result.score_units)
     units[new_message.id] = 0
-    outcomes = list(result.outcomes)
+    counts = [result.ties_encountered, result.comparisons_made, result.cache_hits]
     new_id = new_message.id
-    pairs = [
+    pairs = (
         (existing, new_message) if existing.id < new_id else (new_message, existing)
         for existing in result.messages
-    ]
-    ties, made, hits = _accumulate(
-        _execute_pairs(pairs, comparator, max_workers), units, outcomes
     )
-    messages = tuple(
-        sorted((*result.messages, new_message), key=lambda message: message.id)
-    )
-    return _result(
-        messages,
-        units,
-        outcomes,
-        result.ties_encountered + ties,
-        result.comparisons_made + made,
-        result.cache_hits + hits,
-    )
+    deque(_credit(_execute_pairs(pairs, comparator, max_workers), units, counts), maxlen=0)
+    messages = tuple(sorted((*result.messages, new_message), key=lambda message: message.id))
+    return _result(messages, units, counts)

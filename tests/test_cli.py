@@ -5,14 +5,16 @@ import hashlib
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from triagerank import cli
-from triagerank.compare import DirectionScore, NoisyOracleComparator, ScoreKind
+from triagerank.compare import DirectionScore, NoisyOracleComparator, ScoreKind, compare
 from triagerank.corpus import fixture_corpus_path, load_corpus, save_corpus
 from triagerank.errors import ComparisonFailed
 from triagerank.pairs import EvalPair, build_triplets
@@ -560,6 +562,66 @@ def test_failed_rerun_keeps_previous_report_and_outcome_log(tmp_path, monkeypatc
     assert sha == hashlib.sha256(log.read_bytes()).hexdigest()
 
 
+# Kills its own process at the 10th outcome-log line, then runs the CLI on its argv.
+# ``triagerank.compare`` as an attribute is the compare function, so the module
+# comes from sys.modules.
+_KILLED_AT_TENTH_LOG_LINE = """\
+import os, signal, sys
+from triagerank import cli
+outcome_type = sys.modules["triagerank.compare"].ComparisonOutcome
+to_line, lines = outcome_type.to_line, []
+def to_line_until_killed(outcome):
+    lines.append(outcome)
+    if len(lines) == 10:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return to_line(outcome)
+outcome_type.to_line = to_line_until_killed
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_rerun_after_a_kill_removes_the_orphan_temporary_file(tmp_path):
+    """A real SIGKILL mid-tournament leaves the log's temporary file; the rerun removes it.
+
+    Power loss (an unsynced directory, a torn page) cannot be simulated in a
+    test, so only the kill is checked.
+    """
+    clean, run = tmp_path / "clean", tmp_path / "run"
+    clean.mkdir()
+    run.mkdir()
+    (run / "notes.tmp").write_text("a file of the user's\n")
+    assert run_cli("rank-inbox", "--inbox", FIXTURE, "--out", clean / "rank.json") == 0
+    argv = ["rank-inbox", "--inbox", FIXTURE, "--out", str(run / "rank.json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_AT_TENTH_LOG_LINE, *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    assert child.wait(timeout=120) == -signal.SIGKILL
+    orphan = f"rank.outcomes.jsonl.{child.pid}.tmp"
+    assert sorted(path.name for path in run.iterdir()) == ["notes.tmp", orphan]
+    # a report's temporary file, as a kill during the report write would leave
+    (run / "rank.json.1.tmp").write_text("{\n")
+    assert run_cli(*argv) == 0
+    assert sorted(path.name for path in run.iterdir()) == [
+        "notes.tmp", "rank.json", "rank.outcomes.jsonl",
+    ]
+    for name in ("rank.json", "rank.outcomes.jsonl"):
+        assert (run / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_pipeline_removes_temporary_files_of_its_artifacts(tmp_path):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    orphans = ["outcomes.jsonl.4242.tmp", "manifest.json.7.tmp", "filtered.jsonl.99.tmp"]
+    kept = ["notes.tmp", "outcomes.jsonl.tmp"]
+    for name in orphans + kept:
+        (out_dir / name).write_text("x\n")
+    assert run_cli("pipeline", "--corpus", FIXTURE, "--out-dir", out_dir) == 0
+    left = {path.name for path in out_dir.iterdir()}
+    assert left == {*cli._ARTIFACTS.values(), "manifest.json", *kept}
+
+
 class ScriptedReward:
     """Reward comparator whose directed scores come from a table."""
 
@@ -572,40 +634,40 @@ class ScriptedReward:
         return DirectionScore(self.values[existing.id, new.id], ScoreKind.REWARD)
 
 
-def _oracle_tournament(labeled, flip=None, seed=0):
-    oracle = NoisyOracleComparator(labeled, flip, seed=seed)
-    return run_tournament([item.message for item in labeled], oracle)
+def _oracle_case(labeled, flip=None, seed=0):
+    return [item.message for item in labeled], NoisyOracleComparator(labeled, flip, seed=seed)
 
 
-def _reward_tournament():
+def _reward_case():
     values = [5e-324, 1e-07, 1e16, -1e16, -2.5, -0.0, 0.0, -5e-324, 1e-07, 3.0, 0.1, 1 / 3]
     messages = [make_labeled(f"r{index}", 1).message for index in range(4)]
     # one value per directed pair: four messages give twelve
     directed = [(a.id, b.id) for a in messages for b in messages if a is not b]
-    return run_tournament(messages, ScriptedReward(dict(zip(directed, values, strict=True))))
+    return messages, ScriptedReward(dict(zip(directed, values, strict=True)))
 
 
 class StrSubclass(str):
     pass
 
 
+# (messages, comparator) of a tournament whose log and report are checked
 WRITER_CASES = {
-    "escaped-ids": lambda: _oracle_tournament([
+    "escaped-ids": lambda: _oracle_case([
         make_labeled('say "hi"', 1), make_labeled("back\\slash", 2),
         make_labeled("na\u00efve \u6025 \U0001f691", 3), make_labeled("tab\tline\nnul\x00\x1f", 4),
         make_labeled("sep\u2028\x7f", 5),
     ], {1: 0.5}, seed=1),
-    "marker-ids": lambda: _oracle_tournament([
+    "marker-ids": lambda: _oracle_case([
         make_labeled("outcomes", 1), make_labeled('"outcomes": [', 2),
         make_labeled("tournament", 2), make_labeled("\n    ]", 3),
     ]),
-    "reward-values": _reward_tournament,
-    "ties": lambda: _oracle_tournament([make_labeled(f"t{index}", 4) for index in range(6)]),
-    "str-subclass-ids": lambda: _oracle_tournament([
+    "reward-values": _reward_case,
+    "ties": lambda: _oracle_case([make_labeled(f"t{index}", 4) for index in range(6)]),
+    "str-subclass-ids": lambda: _oracle_case([
         make_labeled(StrSubclass(f"s{index}"), level)
         for index, level in enumerate((1, 2, 2, 5))
     ]),
-    "seeded-300": lambda: _oracle_tournament(
+    "seeded-300": lambda: _oracle_case(
         level_corpus({level: 50 for level in range(1, 7)}), {1: 0.3, 2: 0.15}, seed=31
     ),
 }
@@ -613,12 +675,16 @@ WRITER_CASES = {
 
 @pytest.mark.parametrize("case", list(WRITER_CASES))
 def test_tournament_report_equals_indented_dump(tmp_path, case):
-    result = WRITER_CASES[case]()
+    messages, comparator = WRITER_CASES[case]()
     log = tmp_path / "outcomes.jsonl"
+    result = run_tournament(messages, comparator, log=log)
     section = cli._tournament_section(result, log)
     lines = log.read_text(encoding="ascii").splitlines(keepends=True)
-    assert len(lines) == len(result.outcomes)
-    for line, outcome in zip(lines, result.outcomes):
+    # the log holds every pair's outcome in the tournament's sorted-id order
+    ordered = sorted(messages, key=lambda message: message.id)
+    outcomes = [compare(comparator, a, b) for a, b in combinations(ordered, 2)]
+    assert len(lines) == len(outcomes)
+    for line, outcome in zip(lines, outcomes):
         record = {
             "a_id": outcome.a_id, "b_id": outcome.b_id, "eta": outcome.eta,
             "kind": outcome.s_ab.kind.value, "s_ab": outcome.s_ab.value,

@@ -298,17 +298,20 @@ def test_oracle_equals_always_draw_reference_with_interleaved_pairs():
             assert compare(oracle, a, b) == compare(reference, a, b)
 
 
-def test_oracle_equals_always_draw_reference_in_parallel_tournament():
+def test_oracle_equals_always_draw_reference_in_parallel_tournament(tmp_path):
     labeled = _noisy_inbox(count=40, seed=3)
     messages = [item.message for item in labeled]
-    reference = run_tournament(messages, AlwaysDrawOracle(labeled, NOISY_FLIP, seed=11))
+    reference_log, log = tmp_path / "reference.jsonl", tmp_path / "oracle.jsonl"
+    reference = run_tournament(
+        messages, AlwaysDrawOracle(labeled, NOISY_FLIP, seed=11), log=reference_log
+    )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a shared memo would show
     try:
         for _ in range(3):
             oracle = NoisyOracleComparator(labeled, NOISY_FLIP, seed=11)
-            result = run_tournament(messages, oracle, max_workers=4)
-            assert result.outcomes == reference.outcomes
+            result = run_tournament(messages, oracle, max_workers=4, log=log)
+            assert log.read_bytes() == reference_log.read_bytes()
             assert result.scores == reference.scores
             assert result.ranking == reference.ranking
     finally:
@@ -600,10 +603,10 @@ def test_cache_written_under_the_old_oracle_draw_misses(tmp_path, fixture_corpus
     assert len(reloaded) == n * (n - 1)  # valid lines, kept but never matched
     cached = CachedComparator(NoisyOracleComparator(fixture_corpus, flip, seed=3), reloaded)
     assert cached.cache_identity != old_identity
-    result = run_tournament(messages, cached)
-    uncached = run_tournament(messages, oracle)
+    result = run_tournament(messages, cached, log=tmp_path / "cached.jsonl")
+    uncached = run_tournament(messages, oracle, log=tmp_path / "uncached.jsonl")
     assert cached.hits == 0 and cached.misses == n * (n - 1)
-    assert result.outcomes == uncached.outcomes
+    assert (tmp_path / "cached.jsonl").read_bytes() == (tmp_path / "uncached.jsonl").read_bytes()
     assert result.scores == uncached.scores
     assert result.ranking == uncached.ranking
     reloaded.close()
@@ -646,18 +649,19 @@ def test_warm_rerank_reads_each_directed_key_once(tmp_path, fixture_corpus, max_
     counting = CountingComparator(NoisyOracleComparator(fixture_corpus, {1: 0.3}, seed=3))
     path = tmp_path / "cache.jsonl"
     cold_store = ComparisonCache(path)
-    cold = run_tournament(messages, CachedComparator(counting, cold_store))
+    cold_log, warm_log = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+    run_tournament(messages, CachedComparator(counting, cold_store), log=cold_log)
     cold_store.close()
     backend_calls = counting.backend_calls
     store = CountingStore(path)
     comparator = CachedComparator(counting, store)
-    warm = run_tournament(messages, comparator, max_workers=max_workers)
+    warm = run_tournament(messages, comparator, max_workers=max_workers, log=warm_log)
     pairs = 12 * 11 // 2
     assert store.gets == 2 * pairs
     assert counting.backend_calls == backend_calls
     assert warm.cache_hits == pairs and warm.comparisons_made == 0
     assert comparator.hits == 2 * pairs and comparator.misses == 0
-    assert warm.outcomes == cold.outcomes
+    assert warm_log.read_bytes() == cold_log.read_bytes()
 
 
 def test_cache_counts_exact_with_pairs_cached_in_one_direction(tmp_path, fixture_corpus):
@@ -684,14 +688,15 @@ def test_cache_counts_exact_with_pairs_cached_in_one_direction(tmp_path, fixture
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a lost += would show
     try:
-        result = run_tournament(messages, comparator, max_workers=4)
+        result = run_tournament(messages, comparator, max_workers=4, log=tmp_path / "mixed.jsonl")
     finally:
         sys.setswitchinterval(interval)
     assert result.cache_hits == both
     assert result.comparisons_made == one + neither
     assert comparator.hits == 2 * both + one
     assert comparator.misses == one + 2 * neither == counting.backend_calls
-    assert result.outcomes == run_tournament(messages, oracle).outcomes
+    run_tournament(messages, oracle, log=tmp_path / "uncached.jsonl")
+    assert (tmp_path / "mixed.jsonl").read_bytes() == (tmp_path / "uncached.jsonl").read_bytes()
 
 
 def test_probe_never_serves_a_self_pair(tmp_path):

@@ -323,11 +323,44 @@ def test_write_lines_file_mode_follows_umask(tmp_path):
     assert os.stat(written).st_mode == os.stat(plain).st_mode
 
 
+def _lines_never_pulled():
+    pytest.fail("a line was pulled for a target that cannot be written")
+    yield "line\n"
+
+
 @pytest.mark.parametrize("target", [".", "sub"])
-def test_write_lines_onto_a_directory_is_export_failed(tmp_path, monkeypatch, target):
+def test_write_lines_onto_a_directory_is_export_failed(tmp_path, monkeypatch, capsys, target):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
-    with pytest.raises(ExportFailed, match="cannot write"):
-        corpus.write_lines(["line\n"], target)
+    with pytest.raises(ExportFailed, match="cannot write .*: is a directory"):
+        corpus.write_lines(_lines_never_pulled(), target)
     assert [p.name for p in tmp_path.iterdir()] == ["sub"]
     assert list((tmp_path / "sub").iterdir()) == []
+    fixture = str(corpus.fixture_corpus_path())
+    assert cli.main(["build-pairs", "--corpus", fixture, "--out", target]) == 3
+    assert "is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+def test_write_lines_replaces_a_symlink_to_a_directory(tmp_path):
+    (tmp_path / "sub").mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "sub")
+    assert corpus.write_lines(["line\n"], link) == 1
+    assert not link.is_symlink() and link.read_text() == "line\n"
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+def test_remove_temporaries_removes_only_what_write_lines_names(tmp_path):
+    target = tmp_path / "rank.outcomes.jsonl"
+    left = ["rank.outcomes.jsonl.123.tmp", "rank.outcomes.jsonl.4194304.tmp"]
+    kept = [
+        "rank.outcomes.jsonl", "rank.outcomes.jsonl.tmp", "rank.outcomes.jsonl.12a.tmp",
+        "rank.outcomes.jsonl.123.tmp.bak", "xrank.outcomes.jsonl.123.tmp",
+        "rank.json.123.tmp", "notes.tmp",
+    ]
+    for name in left + kept:
+        (tmp_path / name).write_text("x\n")
+    corpus.remove_temporaries(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept)
+    corpus.remove_temporaries(tmp_path / "missing" / "rank.json")  # no directory, no error

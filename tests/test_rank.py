@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import itertools
+import json
 import random
+import threading
 
 import pytest
 
 from triagerank.compare import (
     CachedComparator,
     ComparisonCache,
+    ComparisonOutcome,
     DirectionScore,
     NoisyOracleComparator,
     ScoreKind,
     Winner,
+    compare,
     perfect_oracle,
 )
-from triagerank.errors import ComparisonFailed, DataError, DuplicateId
+from triagerank.errors import ComparisonFailed, DataError, DuplicateId, ExportFailed
 from triagerank.rank import insert_incremental, run_tournament
 
 from .conftest import make_labeled, make_message
@@ -46,17 +51,19 @@ def test_tie_credits_half_each_and_ranks_by_id():
     assert result.ties_encountered == 1
 
 
-def test_score_mass_conservation():
+def test_score_mass_conservation(tmp_path):
     corpus = [make_labeled(f"x{i}", (i % 6) + 1) for i in range(12)]
     oracle = NoisyOracleComparator(corpus, {1: 0.4, 2: 0.2}, seed=3)
-    result = run_tournament([c.message for c in corpus], oracle)
-    expected_mass = sum(
-        1.0 if outcome.winner is Winner.TIE else 1.0 + abs(outcome.eta)
-        for outcome in result.outcomes
-    )
-    assert sum(result.scores.values()) == pytest.approx(expected_mass)
-    for outcome in result.outcomes:
-        pair_mass = 1.0 if outcome.winner is Winner.TIE else 1.0 + abs(outcome.eta)
+    log = tmp_path / "outcomes.jsonl"
+    result = run_tournament([c.message for c in corpus], oracle, log=log)
+    outcomes = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(outcomes) == 12 * 11 // 2
+    pair_masses = [
+        1.0 if outcome["winner"] == Winner.TIE.value else 1.0 + abs(outcome["eta"])
+        for outcome in outcomes
+    ]
+    assert sum(result.scores.values()) == pytest.approx(sum(pair_masses))
+    for pair_mass in pair_masses:
         assert pair_mass == pytest.approx(1.0) or 1.0 < pair_mass <= 2.0
 
 
@@ -112,6 +119,57 @@ def test_failure_aborts_with_partial_outcomes():
     assert backend.calls == 7
 
 
+class FailsOnPair:
+    """Prefers the larger id, and fails on the first direction of the k-th pair (1-based)."""
+
+    def __init__(self, k):
+        self.failing_call = 2 * k - 1
+        self.calls = 0
+
+    def score_directed(self, existing, new):
+        self.calls += 1
+        if self.calls == self.failing_call:
+            raise RuntimeError("backend fell over")
+        return DirectionScore(0.6 if new.id > existing.id else 0.4, ScoreKind.PROBABILITY)
+
+
+def test_failed_comparison_leaves_the_previous_log_whole(tmp_path):
+    messages = [make_message(f"m{i}") for i in range(6)]
+    log = tmp_path / "outcomes.jsonl"
+    log.write_bytes(b"previous run\n")
+    with pytest.raises(ComparisonFailed):
+        run_tournament(messages, FailsOnPair(k=5), log=log)
+    assert log.read_bytes() == b"previous run\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+    # a log changes nothing in the result; there is no pair 0, so nothing fails
+    unlogged = run_tournament(messages, FailsOnPair(k=0))
+    logged = run_tournament(messages, FailsOnPair(k=0), log=log)
+    assert logged == unlogged and logged.score_units == unlogged.score_units
+    assert len(log.read_text().splitlines()) == 6 * 5 // 2
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_failed_log_write_stops_the_worker_pool(tmp_path, monkeypatch, fixture_corpus):
+    to_line = ComparisonOutcome.to_line
+    written = itertools.count(1)
+
+    def to_line_until_disk_full(outcome):
+        if next(written) == 3:
+            raise OSError(28, "No space left on device")
+        return to_line(outcome)
+
+    monkeypatch.setattr(ComparisonOutcome, "to_line", to_line_until_disk_full)
+    messages = [labeled.message for labeled in fixture_corpus[:12]]
+    oracle = NoisyOracleComparator(fixture_corpus, {1: 0.3}, seed=3)
+    threads = threading.active_count()
+    with pytest.raises(ExportFailed, match="No space left") as raised:
+        run_tournament(messages, oracle, max_workers=4, log=tmp_path / "outcomes.jsonl")
+    # the error's traceback still holds the call's frames, yet no worker outlived the call
+    assert raised.value.__traceback__ is not None
+    assert threading.active_count() == threads
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_insert_makes_exactly_n_new_comparisons(fixture_corpus):
     five = fixture_corpus[:5]
     extra = fixture_corpus[10]
@@ -130,12 +188,17 @@ def test_insert_preserves_existing_scores(fixture_corpus):
     oracle = perfect_oracle(fixture_corpus)
     before = run_tournament([labeled.message for labeled in five], oracle)
     after = insert_incremental(before, extra.message, oracle)
+    # the new pairs, each in the tournament's id-sorted direction
+    new_outcomes = [
+        compare(oracle, *sorted((existing, extra.message), key=lambda message: message.id))
+        for existing in before.messages
+    ]
     for message_id, score in before.scores.items():
         contribution = sum(
             1.0 + abs(outcome.eta)
             if outcome.winner.value == ("A" if outcome.a_id == message_id else "B")
             else (0.5 if outcome.winner is Winner.TIE else 0.0)
-            for outcome in after.outcomes[len(before.outcomes) :]
+            for outcome in new_outcomes
             if message_id in (outcome.a_id, outcome.b_id)
         )
         assert after.scores[message_id] == pytest.approx(score + contribution)
@@ -161,11 +224,13 @@ def test_parallel_equals_sequential(tmp_path, fixture_corpus):
     corpus = fixture_corpus[:12]
     messages = [labeled.message for labeled in corpus]
     oracle = NoisyOracleComparator(fixture_corpus, {1: 0.3, 2: 0.1}, seed=17)
-    sequential = run_tournament(messages, oracle)
-    parallel = run_tournament(messages, oracle, max_workers=4)
+    sequential = run_tournament(messages, oracle, log=tmp_path / "sequential.jsonl")
+    parallel = run_tournament(messages, oracle, max_workers=4, log=tmp_path / "parallel.jsonl")
     assert parallel.scores == sequential.scores
     assert parallel.ranking == sequential.ranking
-    assert parallel.outcomes == sequential.outcomes
+    log = (tmp_path / "parallel.jsonl").read_bytes()
+    assert log == (tmp_path / "sequential.jsonl").read_bytes()
+    assert len(log.splitlines()) == 12 * 11 // 2
 
     cache_comparator = CachedComparator(oracle, ComparisonCache(tmp_path / "cache.jsonl"))
     warm = run_tournament(messages, cache_comparator, max_workers=4)

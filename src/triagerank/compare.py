@@ -24,7 +24,6 @@ import threading
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
@@ -225,6 +224,10 @@ class NoisyOracleComparator:
             f"flip={sorted(self._flip.items())})"
         )
 
+    def backend_view(self, message: Message) -> str:
+        """The id, which keys the flip draw, and the gold level (null if none)."""
+        return json.dumps([message.id, self._levels.get(message.id)])
+
     def _level(self, message: Message) -> int:
         level = self._levels.get(message.id)
         if level is None:
@@ -285,6 +288,14 @@ class LogprobComparator:
         self.cache_identity = f"{self._identity_prefix}({config.model_name})"
         self.prompt_variant = f"urgent_sft@{prompts.CATALOG_VERSION}"
 
+    def backend_view(self, message: Message) -> str:
+        """The two strings ``pair_bindings`` binds, as one JSON array.
+
+        Not ``message_block``: a text ending in an EHR block, with no EHR, has
+        the block of the bare text with that EHR, but renders another prompt.
+        """
+        return json.dumps([message.text, prompts.format_ehr_block(message.ehr)])
+
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
         prompt = prompts.render(prompts.URGENT_SFT, prompts.pair_bindings(existing, new))
         result = gateway.complete(
@@ -329,6 +340,10 @@ class RewardComparator:
         self.cache_identity = f"reward({config.model_name})"
         self.prompt_variant = f"urgent_reward@{prompts.CATALOG_VERSION}"
 
+    def backend_view(self, message: Message) -> str:
+        """``message_block``, the one string either direction sends of a message."""
+        return prompts.message_block(message)
+
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
         prompt = prompts.render(
             prompts.URGENT_REWARD, {"message": prompts.message_block(existing)}
@@ -337,62 +352,27 @@ class RewardComparator:
         return DirectionScore(value, ScoreKind.REWARD)
 
 
-_CANONICAL_HEAD = '{"key": "'
-# what follows the key in a canonical line: the kind and a JSON number,
-# whose fraction or exponent (group 3) makes json read it as a float
-_CANONICAL_TAIL = re.compile(
-    r', "kind": "(' + "|".join(map(re.escape, _KINDS)) + r')", '
-    r'"value": (-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))\}'
-)
-
-
-def _read_line(line: str) -> tuple[str, DirectionScore]:
-    """The key and score of one cache line; raises on a corrupt line.
-
-    A canonical line is read by scanning its key string and matching the
-    rest; any other line is parsed by json.loads. Both read the value as
-    json.loads would, and DirectionScore turns it into a float or rejects it.
-    """
-    if line.startswith(_CANONICAL_HEAD):
-        try:
-            key, end = scanstring(line, len(_CANONICAL_HEAD))
-        except ValueError:
-            pass  # json.loads below rejects the same string
-        else:
-            match = _CANONICAL_TAIL.fullmatch(line, end)
-            if match is not None:
-                kind, number, fraction = match.groups()
-                value = float(number) if fraction else int(number)
-                return key, DirectionScore(value, _KINDS[kind])
-    entry = json.loads(line)
-    key = entry["key"]
-    if not isinstance(key, str):
-        raise TypeError("key is not a string")
-    return key, DirectionScore(entry["value"], _KINDS[entry["kind"]])
+_KEY_WIDTH = 16 + 2 * 32  # hex digits: the comparator's digest, then two message digests
 
 
 class ComparisonCache:
-    """Append-only on-disk store of directed scores.
+    """Append-only on-disk store of compared pairs, one line per pair.
 
-    File format: one JSON object per line with fields key, kind and value;
-    other fields are ignored. Lines are written in one canonical form,
-    ``{"key": ..., "kind": ..., "value": ...}`` as json.dumps writes it,
-    which the load reads without the generic JSON parser; any other
-    well-formed line goes through json.loads. Later entries win; the file
-    is compacted on load when duplicates or corrupt lines are found.
-    Corrupt lines, a value that is not a finite JSON number among them,
-    are dropped with a warning and those keys fall back to the backend.
-    Compaction writes a temporary file and swaps it in, so a crash leaves
-    the old file whole.
+    A line is ``<key> <kind> <first> <second>``: a fixed-width hex key, the
+    score kind and the pair's two scores by repr, in the order of the key's
+    two message digests. A load drops corrupt lines with a warning each, and
+    lines of the old per-direction format, which can never hit, with one;
+    later lines win. A load that drops or overrides a line compacts the file
+    through ``write_lines``, so a crash leaves the old file whole.
 
     Writes go through one unbuffered binary append handle, opened on the
     first put; each line is one write (repeated only after a short write),
-    so another store opened on the same path sees every entry written so far.
+    so another store opened on the same path sees every pair written so far.
     """
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
-        self._entries: dict[str, DirectionScore] = {}
+        self._entries: dict[str, tuple[DirectionScore, DirectionScore]] = {}
         self._lock = threading.Lock()
         self._handle = None
         if self._path.exists():
@@ -406,60 +386,55 @@ class ComparisonCache:
             text = self._path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             logger.warning(
-                "CacheInvalid: cannot read cache %s (%s); starting empty",
-                self._path,
-                exc,
+                "CacheInvalid: cannot read cache %s (%s); starting empty", self._path, exc
             )
             return
         # a last line without its newline would swallow the next append
         dirty = bool(text) and not text.endswith("\n")
-        # only "\n" ends a line: the text-mode read has turned "\r\n" and "\r"
-        # into it, and str.splitlines would also break a key at U+2028 or U+0085
+        old_format = 0
+        # only "\n" ends a line: the text-mode read has turned "\r\n" and "\r" into it
         for line in text.split("\n"):
-            if not line.strip():
+            if not line:
                 continue
             try:
-                key, score = _read_line(line)
-            except (ValueError, KeyError, TypeError, BadScore):
-                logger.warning(
-                    "CacheInvalid: dropping corrupt cache line in %s", self._path
-                )
+                key, kind_name, first, second = line.split(" ")
+                if len(key) != _KEY_WIDTH:
+                    raise ValueError("key width")
+                kind = _KINDS[kind_name]
+                scores = (DirectionScore(float(first), kind), DirectionScore(float(second), kind))
+            except (ValueError, KeyError, BadScore):
                 dirty = True
+                if line.startswith("{"):
+                    old_format += 1
+                else:
+                    logger.warning("CacheInvalid: dropping corrupt cache line in %s", self._path)
                 continue
-            if key in self._entries:
-                dirty = True
-            self._entries[key] = score
+            dirty = dirty or key in self._entries
+            self._entries[key] = scores
+        if old_format:
+            logger.warning(
+                "CacheInvalid: dropping %d old-format lines in %s", old_format, self._path
+            )
         if dirty:
             self._compact()
 
     def _compact(self) -> None:
-        def lines():
-            for key, score in self._entries.items():
-                kind = _PROBABILITY_NAME if score.kind is _PROBABILITY else _REWARD_NAME
-                yield self._format_line(key, score.value, kind)
-
-        write_lines(lines(), self._path)
+        format_line = self._format_line
+        write_lines((format_line(key, *pair) for key, pair in self._entries.items()), self._path)
 
     @staticmethod
-    def _format_line(key: str, value: float, kind: str) -> str:
-        """``json.dumps({"key": key, "kind": kind, "value": value}) + "\\n"``.
+    def _format_line(key: str, first: DirectionScore, second: DirectionScore) -> str:
+        """The pair's line: key, kind and the two values by repr; the scores share a kind."""
+        kind = _PROBABILITY_NAME if first.kind is _PROBABILITY else _REWARD_NAME
+        return f"{key} {kind} {first.value!r} {second.value!r}\n"
 
-        A DirectionScore's value is a finite plain float, which json.dumps
-        writes by repr.
-        """
-        return (
-            f'{{"key": {encode_basestring_ascii(key)}, '
-            f'"kind": {encode_basestring_ascii(kind)}, "value": {value!r}}}\n'
-        )
-
-    def get(self, key: str) -> DirectionScore | None:
+    def get(self, key: str) -> tuple[DirectionScore, DirectionScore] | None:
         return self._entries.get(key)
 
-    def put(self, key: str, score: DirectionScore) -> None:
-        kind = _PROBABILITY_NAME if score.kind is _PROBABILITY else _REWARD_NAME
-        line = self._format_line(key, score.value, kind).encode("ascii")
+    def put(self, key: str, first: DirectionScore, second: DirectionScore) -> None:
+        line = self._format_line(key, first, second).encode("ascii")
         with self._lock:
-            self._entries[key] = score
+            self._entries[key] = (first, second)
             handle = self._handle
             if handle is None:
                 handle = self._handle = self._path.open("ab", buffering=0)
@@ -477,13 +452,20 @@ class ComparisonCache:
                 self._handle = None
 
 
-class CachedComparator:
-    """Transparent read-through cache around another comparator.
+def _hex_digest(data: str, size: int) -> str:
+    # surrogatepass encodes a lone surrogate too, and still one way only
+    return hashlib.blake2b(data.encode("utf-8", "surrogatepass"), digest_size=size).hexdigest()
 
-    Keys are the JSON array ``[identity, variant, existing_id, new_id]``,
-    so the two directions of a pair are cached independently. Each key is
-    assembled from a prefix built once and one memoized JSON string per
-    message id. ``hits`` and ``misses`` count directed lookups.
+
+class CachedComparator:
+    """Transparent read-through cache around another comparator, one line per pair.
+
+    A pair's key is a digest of ``cache_identity`` and ``prompt_variant``,
+    then the digests of the inner comparator's ``backend_view`` of its two
+    messages (one per message object) in ascending order: an edited message
+    misses, and the other order of a pair reads its line with the scores
+    swapped, unless the digests are equal (one prompt both ways). ``hits``
+    and ``misses`` count directed scores read from the store and computed.
     """
 
     def __init__(self, inner: Comparator, store: ComparisonCache):
@@ -491,52 +473,63 @@ class CachedComparator:
         self._store = store
         self.cache_identity = getattr(inner, "cache_identity", type(inner).__name__)
         self.prompt_variant = getattr(inner, "prompt_variant", "default")
-        self._prefix = json.dumps([self.cache_identity, self.prompt_variant])[:-1] + ", "
-        self._id_json: dict[str, str] = {}
+        self._prefix = _hex_digest(json.dumps([self.cache_identity, self.prompt_variant]), 8)
+        # by id(message): the entry holds the message, so no other object takes its id
+        self._digests: dict[int, tuple[Message, str]] = {}
+        self._reverse = threading.local()
         self._count_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def _key(self, existing: Message, new: Message) -> str:
-        id_json = self._id_json
-        first = id_json.get(existing.id)
-        if first is None:
-            first = id_json[existing.id] = json.dumps(existing.id)
-        second = id_json.get(new.id)
-        if second is None:
-            second = id_json[new.id] = json.dumps(new.id)
-        return f"{self._prefix}{first}, {second}]"
+    def _digest(self, message: Message) -> str:
+        entry = self._digests.get(id(message))
+        if entry is None or entry[0] is not message:
+            digest = _hex_digest(self._inner.backend_view(message), 16)
+            entry = self._digests[id(message)] = (message, digest)
+        return entry[1]
+
+    def _read(
+        self, a: Message, b: Message
+    ) -> tuple[str, bool, tuple[DirectionScore, DirectionScore] | None]:
+        """The pair's key, whether its line holds (b, a)'s order, and its (s_ab, s_ba) or None."""
+        first, second = self._digest(a), self._digest(b)
+        swapped = second < first
+        key = f"{self._prefix}{second}{first}" if swapped else f"{self._prefix}{first}{second}"
+        scores = self._store.get(key)
+        if scores is not None and swapped:
+            scores = scores[1], scores[0]
+        return key, swapped, scores
 
     def has_cached_pair(self, a: Message, b: Message) -> ComparisonOutcome | None:
-        """The pair's outcome when both directions are stored, else None.
-
-        Each directed key is looked up once. A served pair counts two hits,
-        as ``compare`` would; an unserved one counts nothing, and a self-pair
-        is never served, so ``compare`` looks it up again or refuses it.
-        """
-        if a.id == b.id:
+        """The pair's outcome when its line is stored, else None; never a self-pair's."""
+        scores = None if a.id == b.id else self._read(a, b)[2]
+        if scores is None:
             return None
-        get = self._store.get
-        s_ab = get(self._key(a, b))
-        if s_ab is None:
-            return None
-        s_ba = get(self._key(b, a))
-        if s_ba is None:
-            return None
-        outcome = ComparisonOutcome(a.id, b.id, s_ab, s_ba)
+        outcome = ComparisonOutcome(a.id, b.id, *scores)
         with self._count_lock:
             self.hits += 2
         return outcome
 
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
-        key = self._key(existing, new)
-        cached_score = self._store.get(key)
-        if cached_score is not None:
+        """One directed score, read or computed with its reverse.
+
+        The reverse is kept for this thread's next call, which ``compare``
+        makes for the other direction, so a pair costs one lookup. A miss
+        scores both directions and appends the pair's line.
+        """
+        pending = self._reverse.__dict__.pop("pending", None)
+        if pending is not None and pending[0] is existing and pending[1] is new:
+            return pending[2]
+        key, swapped, scores = self._read(existing, new)
+        if scores is None:
+            inner = self._inner
+            scores = inner.score_directed(existing, new), inner.score_directed(new, existing)
+            pair_eta(*scores)  # raises on mixed kinds
+            self._store.put(key, *(scores[::-1] if swapped else scores))
             with self._count_lock:
-                self.hits += 1
-            return cached_score
-        score = self._inner.score_directed(existing, new)
-        self._store.put(key, score)
-        with self._count_lock:
-            self.misses += 1
-        return score
+                self.misses += 2
+        else:
+            with self._count_lock:
+                self.hits += 2
+        self._reverse.pending = (new, existing, scores[1])
+        return scores[0]

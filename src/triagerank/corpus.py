@@ -291,6 +291,8 @@ def write_lines(lines: Iterable[str], path: str | Path) -> int:
 
     The lines go to a temporary file beside ``path``, synced and renamed onto
     it, so a failed write leaves the old file whole; an OSError -> ExportFailed.
+    The directory is synced after the rename, so a power cut cannot undo it
+    (power loss itself cannot be simulated in a test, only the sync seen).
     A directory at ``path`` is refused before a line is pulled.
     """
     path = Path(path)
@@ -306,6 +308,11 @@ def write_lines(lines: Iterable[str], path: str | Path) -> int:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, path)
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException as exc:
         temporary.unlink(missing_ok=True)
         if isinstance(exc, OSError):

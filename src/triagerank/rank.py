@@ -75,8 +75,7 @@ def _execute_pairs(
 
     A comparator with ``has_cached_pair`` is probed first, and the outcome
     it serves stands for the pair. Only this pair's task ever writes its
-    two directed cache keys, so the probe is exact even with parallel
-    workers.
+    cache line, so the probe is exact even with parallel workers.
     """
     probe = getattr(comparator, "has_cached_pair", None)
 
@@ -151,11 +150,10 @@ def run_tournament(
     """Compare all n-choose-2 pairs and sort the inbox by total score.
 
     Pairs are visited in sorted-id order, so scores do not depend on the
-    input permutation and directed cache keys line up across runs. With
-    ``log``, each outcome's ``to_line()`` is written to that path through
-    ``write_lines`` as soon as it is credited: a failed comparison leaves
-    no new log, and the previous one whole. Without it, outcomes are
-    dropped.
+    input permutation. With ``log``, each outcome's ``to_line()`` is
+    written to that path through ``write_lines`` as soon as it is credited:
+    a failed comparison leaves no new log, and the previous one whole.
+    Without it, outcomes are dropped.
     """
     if len(inbox) < 2:
         raise DataError(f"tournament needs at least 2 messages, got {len(inbox)}")

@@ -2,7 +2,9 @@
 
 Replays a queue of scripted (status, body) responses and records every
 request, so gateway retry/auth/protocol behavior is testable without any
-network access. Canned payloads live in tests/fixtures/gateway/.
+network access. Once the queue is empty, ``answer(body)``, when set,
+builds a 200 reply from the request body. Canned payloads live in
+tests/fixtures/gateway/.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from typing import Callable
 
 FIXTURES = Path(__file__).parent / "fixtures" / "gateway"
 
@@ -23,6 +26,7 @@ class MockEndpoint:
     def __init__(self):
         self.responses: list[tuple[int, bytes]] = []
         self.requests: list[dict] = []
+        self.answer: Callable[[dict], dict] | None = None
         self._server = HTTPServer(("127.0.0.1", 0), self._make_handler())
         # shutdown() waits for serve_forever's next poll, so poll often
         self._thread = threading.Thread(
@@ -36,16 +40,14 @@ class MockEndpoint:
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length) if length else b"{}"
+                body = json.loads(raw or b"{}")
                 endpoint.requests.append(
-                    {
-                        "path": self.path,
-                        "headers": dict(self.headers),
-                        "raw": raw,
-                        "body": json.loads(raw or b"{}"),
-                    }
+                    {"path": self.path, "headers": dict(self.headers), "raw": raw, "body": body}
                 )
                 if endpoint.responses:
                     status, data = endpoint.responses.pop(0)
+                elif endpoint.answer is not None:
+                    status, data = 200, json.dumps(endpoint.answer(body)).encode("utf-8")
                 else:
                     status, data = 500, b'{"error": "no scripted response left"}'
                 self.send_response(status)

@@ -21,6 +21,7 @@ from triagerank.pairs import EvalPair, build_triplets
 from triagerank.rank import run_tournament
 
 from .conftest import level_corpus, make_labeled
+from .test_compare import _answer_by_urgency
 
 FIXTURE = str(fixture_corpus_path())
 
@@ -756,6 +757,50 @@ def test_rank_inbox_remote_comparator(tmp_path, mock_endpoint, kind, responses):
     assert len(mock_endpoint.requests) == 2
     assert warm["tournament"]["cache_hits"] == 1
     assert warm["tournament"]["ranking"] == cold["tournament"]["ranking"]
+
+
+def test_cached_rank_inbox_over_arrivals_departures_and_an_edit_equals_a_cold_run(
+    tmp_path, mock_endpoint
+):
+    mock_endpoint.answer = _answer_by_urgency
+
+    def inbox(name, levels):
+        path = tmp_path / f"{name}.jsonl"
+        records = [
+            make_labeled(message_id, level, text=f"urgency {level}: note {message_id}")
+            for message_id, level in levels.items()
+        ]
+        save_corpus(records, path)
+        return path
+
+    def rank(inbox_path, name, *cache):
+        (tmp_path / name).mkdir()
+        argv = (
+            "rank-inbox", "--inbox", inbox_path, "--comparator", "logprob", "--model", "mock",
+            "--base-url", mock_endpoint.base_url, *cache, "--out", tmp_path / name / "rank.json",
+        )
+        assert run_cli(*argv) == 0
+        return read_json(tmp_path / name / "rank.json")["tournament"]
+
+    levels_a = dict(zip((f"a{index}" for index in range(8)), (3, 5, 2, 4, 6, 3, 1, 5)))
+    levels_b = {key: level for key, level in levels_a.items() if key not in ("a1", "a4")}
+    levels_b["a3"] = 1  # an edit: its text, and so its prompts, change
+    levels_b.update(n0=2, n1=6, n2=4)
+    cache = ("--cache", tmp_path / "cache.jsonl")
+    rank(inbox("a", levels_a), "a", *cache)
+    assert len(mock_endpoint.requests) == 2 * 28
+    inbox_b = inbox("b", levels_b)
+    warm = rank(inbox_b, "warm", *cache)
+    # the pairs with an arrival (36 in all, 15 among the six kept) and the edited message's five
+    changed = (36 - 15) + 5
+    assert len(mock_endpoint.requests) == 2 * 28 + 2 * changed
+    assert (warm["comparisons_made"], warm["cache_hits"]) == (changed, 36 - changed)
+    cold = rank(inbox_b, "cold")
+    for field in ("ranking", "scores", "outcomes_sha256"):
+        assert json.dumps(warm[field]) == json.dumps(cold[field]), field
+    log = "rank.outcomes.jsonl"
+    assert (tmp_path / "warm" / log).read_bytes() == (tmp_path / "cold" / log).read_bytes()
+    assert warm["ranking"][0] == "a3"
 
 
 def test_remote_comparator_without_model_exits_two(tmp_path, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import struct
 import sys
 import threading
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from triagerank import prompts
 from triagerank.compare import (
     CachedComparator,
     ComparisonCache,
@@ -28,6 +30,7 @@ from triagerank.compare import (
     parse_final_answer,
     perfect_oracle,
 )
+from triagerank.corpus import EhrRecord
 from triagerank.errors import (
     BadScore,
     ComparisonFailed,
@@ -37,7 +40,7 @@ from triagerank.errors import (
     UnparseableAnswer,
     UnparseableLogprobs,
 )
-from triagerank.gateway import finite_score
+from triagerank.gateway import EndpointConfig, finite_score
 from triagerank.rank import insert_incremental, run_tournament
 
 from .conftest import level_corpus, make_labeled, make_message
@@ -51,6 +54,9 @@ class ScriptedComparator:
         self.table = table
         self.kind = kind
         self.calls = 0
+
+    def backend_view(self, message):
+        return message.id
 
     def score_directed(self, existing, new):
         self.calls += 1
@@ -460,6 +466,9 @@ class CountingComparator:
         self.inner = inner
         self.backend_calls = 0
 
+    def backend_view(self, message):
+        return self.inner.backend_view(message)
+
     def score_directed(self, existing, new):
         self.backend_calls += 1
         return self.inner.score_directed(existing, new)
@@ -480,14 +489,177 @@ def test_cache_hit_skips_backend(tmp_path, fixture_corpus):
     assert comparator.misses == 2
 
 
-def test_cache_key_is_direction_sensitive(tmp_path, fixture_corpus):
-    counting = CountingComparator(perfect_oracle(fixture_corpus))
-    comparator = CachedComparator(counting, ComparisonCache(tmp_path / "cache.jsonl"))
-    a, b = fixture_corpus[0].message, fixture_corpus[7].message
-    comparator.score_directed(a, b)
-    assert counting.backend_calls == 1
-    comparator.score_directed(b, a)
+def test_cache_key_is_direction_sensitive(tmp_path):
+    # one line holds the pair, and each direction is served its own score
+    path = tmp_path / "cache.jsonl"
+    counting = CountingComparator(ScriptedComparator({("a", "b"): 0.75, ("b", "a"): 0.25}))
+    comparator = CachedComparator(counting, ComparisonCache(path))
+    a, b = make_message("a"), make_message("b")
+    assert comparator.score_directed(a, b).value == 0.75
+    assert counting.backend_calls == 2  # a miss asks for both directions
+    assert comparator.score_directed(b, a).value == 0.25
+    assert (comparator.hits, comparator.misses) == (0, 2)
+    for existing, new, value in ((b, a, 0.25), (a, b, 0.75)):
+        reloaded = CachedComparator(counting, ComparisonCache(path))
+        assert reloaded.score_directed(existing, new).value == value
+        assert (reloaded.hits, reloaded.misses) == (2, 0)  # one lookup reads both
     assert counting.backend_calls == 2
+
+
+def test_cache_serves_a_pair_asked_in_the_other_order(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    counting = CountingComparator(ScriptedComparator({("a", "b"): 0.75, ("b", "a"): 0.25}))
+    a, b = make_message("a"), make_message("b")
+    forward = compare(CachedComparator(counting, ComparisonCache(path)), a, b)
+    assert len(path.read_text(encoding="ascii").splitlines()) == 1
+    comparator = CachedComparator(counting, ComparisonCache(path))
+    backward = comparator.has_cached_pair(b, a)
+    assert (backward.s_ab.value, backward.s_ba.value) == (0.25, 0.75)
+    assert backward.eta == -forward.eta and backward == compare(counting.inner, b, a)
+    assert compare(comparator, b, a) == backward
+    assert counting.backend_calls == 2 and comparator.misses == 0
+
+
+def test_equal_digests_are_served_as_stored_and_are_no_self_pair(tmp_path):
+    class SameView(ScriptedComparator):
+        def backend_view(self, message):
+            return "one prompt both ways"
+
+    counting = CountingComparator(SameView({("a", "b"): 0.75, ("b", "a"): 0.25}))
+    comparator = CachedComparator(counting, ComparisonCache(tmp_path / "cache.jsonl"))
+    a, b = make_message("a"), make_message("b")
+    compare(comparator, a, b)
+    for first, second in ((a, b), (b, a)):
+        outcome = comparator.has_cached_pair(first, second)
+        assert (outcome.a_id, outcome.s_ab.value, outcome.s_ba.value) == (first.id, 0.75, 0.25)
+    assert counting.backend_calls == 2
+
+
+def test_cached_oracle_relabel_misses(tmp_path):
+    # an L3-vs-L5 pair is cached, then the L5 is relabelled L1 under its id
+    path = tmp_path / "cache.jsonl"
+    before = [make_labeled("a", 3), make_labeled("b", 5)]
+    after = [before[0], make_labeled("b", 1)]
+    a, b = before[0].message, before[1].message
+
+    def cached(labels):
+        return CachedComparator(perfect_oracle(labels), ComparisonCache(path))
+
+    assert compare(cached(before), a, b).winner is Winner.A
+    assert compare(perfect_oracle(after), a, b).winner is Winner.B
+    relabelled = cached(after)
+    assert compare(relabelled, a, b).winner is Winner.B
+    assert (relabelled.hits, relabelled.misses) == (0, 2)
+    # the old verdict stays stored for the old labels
+    assert compare(cached(before), a, b).winner is Winner.A
+
+
+def _answer_by_urgency(body):
+    """A logprob reply: YES with probability 0.9 when the new message's urgency is higher.
+
+    Each message text holds ``urgency N``; the existing message's comes first.
+    """
+    prompt = body["messages"][-1]["content"]
+    existing, new = (int(level) for level in re.findall(r"urgency (\d)", prompt))
+    p_yes = 0.9 if new < existing else 0.1 if new > existing else 0.5
+    top = [
+        {"token": "YES", "logprob": math.log(p_yes)},
+        {"token": "NO", "logprob": math.log(1.0 - p_yes)},
+    ]
+    first = {"token": "YES", "logprob": top[0]["logprob"], "top_logprobs": top}
+    return {"choices": [{"message": {"content": "YES"}, "logprobs": {"content": [first]}}]}
+
+
+def test_logprob_text_edit_asks_once_per_direction_of_each_affected_pair(
+    tmp_path, mock_endpoint
+):
+    mock_endpoint.answer = _answer_by_urgency
+    path = tmp_path / "cache.jsonl"
+    comparator = LogprobComparator(config_for(mock_endpoint))
+    messages = [
+        make_message(f"m{index}", f"urgency {level}") for index, level in enumerate((2, 4, 5, 3))
+    ]
+    run_tournament(messages, CachedComparator(comparator, ComparisonCache(path)))
+    assert len(mock_endpoint.requests) == 2 * 6
+    edited = make_message("m2", "urgency 1, and worse since this morning")
+    inbox = messages[:2] + [edited] + messages[3:]
+    cached = CachedComparator(comparator, ComparisonCache(path))
+    result = run_tournament(inbox, cached, log=tmp_path / "cached.jsonl")
+    new_prompts = [
+        request["body"]["messages"][-1]["content"] for request in mock_endpoint.requests[12:]
+    ]
+    expected = [
+        prompts.render(prompts.URGENT_SFT, prompts.pair_bindings(existing, new))
+        for other in inbox if other is not edited
+        for existing, new in ((other, edited), (edited, other))
+    ]
+    assert sorted(new_prompts) == sorted(expected) and len(set(expected)) == 6
+    assert (result.comparisons_made, result.cache_hits) == (3, 3)
+    assert (cached.hits, cached.misses) == (6, 6)
+    fresh = run_tournament(inbox, comparator, log=tmp_path / "fresh.jsonl")
+    assert result.ranking == fresh.ranking and result.ranking[0] == "m2"
+    assert (tmp_path / "cached.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+
+def test_reward_ehr_edit_misses(tmp_path, mock_endpoint):
+    path = tmp_path / "cache.jsonl"
+    comparator = RewardComparator(config_for(mock_endpoint))
+    a = make_message("a", "chest pain", EhrRecord(age=40))
+    b = make_message("b", "chest pain", EhrRecord(age=40))
+    b_edited = make_message("b", "chest pain", EhrRecord(active_medications=("warfarin",), age=40))
+    for name in ("reward_low", "reward_high", "reward_high", "reward_low"):
+        mock_endpoint.enqueue_fixture(name)
+    cached = CachedComparator(comparator, ComparisonCache(path))
+    before = compare(cached, a, b)
+    after = compare(cached, a, b_edited)
+    assert len(mock_endpoint.requests) == 4
+    assert before.winner is not after.winner
+    assert "warfarin" in mock_endpoint.requests[3]["body"]["prompt"]
+    # both versions stay served from the reloaded file
+    reloaded = CachedComparator(comparator, ComparisonCache(path))
+    assert compare(reloaded, a, b) == before and compare(reloaded, a, b_edited) == after
+    assert len(mock_endpoint.requests) == 4 and reloaded.misses == 0
+
+
+def test_message_block_ambiguity_gets_two_digests(tmp_path):
+    ehr = EhrRecord(problem_list=("asthma",), age=30)
+    bare = make_message("a", f"short of breath\n{prompts.format_ehr_block(ehr)}")
+    with_ehr = make_message("b", "short of breath", ehr)
+    other = make_message("c", "a rash")
+    assert prompts.message_block(bare) == prompts.message_block(with_ehr)
+    config = EndpointConfig(base_url="http://127.0.0.1:9", model_name="m")
+    store = ComparisonCache(tmp_path / "cache.jsonl")
+    logprob = CachedComparator(LogprobComparator(config), store)
+    reward = CachedComparator(RewardComparator(config), store)
+    # the chat prompts differ, so the digests must too
+    assert prompts.pair_bindings(bare, other) != prompts.pair_bindings(with_ehr, other)
+    assert logprob._digest(bare) != logprob._digest(with_ehr)
+    # the reward backend is sent the same string for both
+    assert reward._digest(bare) == reward._digest(with_ehr)
+
+
+def test_old_format_file_warns_once_compacts_and_misses(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    table = {("a", "b"): 0.75, ("b", "a"): 0.25, ("a", "c"): 0.5, ("c", "a"): 0.5}
+    counting = CountingComparator(ScriptedComparator(table))
+    a, b, c = make_message("a"), make_message("b"), make_message("c")
+    compare(CachedComparator(counting, ComparisonCache(path)), a, c)
+    kept = path.read_text(encoding="ascii")
+    with path.open("a", encoding="utf-8") as handle:
+        # the pair (a, b) in the per-direction format, scored against the backend,
+        # so one hit would show
+        for first, second, value in ((a, b, 0.25), (b, a, 0.75)):
+            key = json.dumps(["CountingComparator", "default", first.id, second.id])
+            handle.write(json.dumps({"key": key, "kind": "probability", "value": value}) + "\n")
+    with caplog.at_level("WARNING"):
+        store = ComparisonCache(path)
+    warnings = [record.getMessage() for record in caplog.records]
+    assert len(warnings) == 1 and "dropping 2 old-format lines" in warnings[0]
+    assert path.read_text(encoding="ascii") == kept and len(store) == 1
+    comparator = CachedComparator(counting, store)
+    assert compare(comparator, a, b).winner is Winner.B
+    assert compare(comparator, a, c).winner is Winner.TIE
+    assert counting.backend_calls == 4 and (comparator.hits, comparator.misses) == (2, 2)
 
 
 def test_cache_cleared_behaves_like_uncached(tmp_path, fixture_corpus):
@@ -518,11 +690,14 @@ def test_cache_lines_hold_key_kind_value(tmp_path, fixture_corpus):
     path = tmp_path / "cache.jsonl"
     store = ComparisonCache(path)
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
-    compare(CachedComparator(perfect_oracle(fixture_corpus), store), a, b)
+    outcome = compare(CachedComparator(perfect_oracle(fixture_corpus), store), a, b)
     store.close()
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
-    assert all(list(json.loads(line)) == ["key", "kind", "value"] for line in lines)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert len(lines) == 1
+    key, kind, first, second = lines[0].split(" ")
+    assert len(key) == 80 and set(key) <= set("0123456789abcdef")
+    assert kind == "probability"
+    assert {float(first), float(second)} == {outcome.s_ab.value, outcome.s_ba.value}
 
 
 def test_cache_corruption_falls_back_and_compacts(tmp_path, fixture_corpus, caplog):
@@ -535,10 +710,10 @@ def test_cache_corruption_falls_back_and_compacts(tmp_path, fixture_corpus, capl
     with caplog.at_level("WARNING"):
         store = ComparisonCache(path)
     assert any("CacheInvalid" in record.message for record in caplog.records)
-    assert len(store) == 2
+    assert len(store) == 1
     # compaction rewrote the file without the corrupt line
     reloaded = ComparisonCache(path)
-    assert len(reloaded) == 2
+    assert len(reloaded) == 1
     compare(CachedComparator(counting, reloaded), a, b)
     assert counting.backend_calls == 2  # still served from cache
 
@@ -562,45 +737,30 @@ def test_cached_scores_lose_only_raw_payload(tmp_path, fixture_corpus):
     assert again.kind is fresh.kind
 
 
-def test_cache_serves_hand_written_old_style_keys(tmp_path):
-    # ids that JSON escapes: the keys must match json.dumps byte for byte
-    a, b = make_message('m"1'), make_message("m\u00e92")
-    path = tmp_path / "cache.jsonl"
-    with path.open("w", encoding="utf-8") as handle:
-        for (first, second), value in (((a, b), 0.75), ((b, a), 0.25)):
-            key = json.dumps(["CountingComparator", "default", first.id, second.id])
-            line = {"key": key, "value": value, "kind": "probability", "timestamp": 0.0}
-            handle.write(json.dumps(line, sort_keys=True) + "\n")
-    counting = CountingComparator(ScriptedComparator({}))
-    comparator = CachedComparator(counting, ComparisonCache(path))
-    outcome = comparator.has_cached_pair(a, b)
-    assert comparator.hits == 2 and comparator.misses == 0
-    assert counting.backend_calls == 0
-    assert (outcome.s_ab.value, outcome.s_ba.value) == (0.75, 0.25)
-    # compare() looks both keys up again: four directed hits in all
-    assert compare(comparator, a, b) == outcome
-    assert comparator.hits == 4 and counting.backend_calls == 0
-
-
 def test_cache_written_under_the_old_oracle_draw_misses(tmp_path, fixture_corpus):
     # the identity the oracle had while its flips came from random.Random
     old_identity = "oracle(seed=3,margin=0.4,flip=[(1, 0.3), (2, 0.15)])"
     flip = {1: 0.3, 2: 0.15}
     oracle = NoisyOracleComparator(fixture_corpus, flip, seed=3)
+
+    class OldDraw:
+        """Stores the opposite of every score of today's oracle, so one hit would show."""
+
+        cache_identity = old_identity
+        backend_view = oracle.backend_view
+
+        def score_directed(self, existing, new):
+            value = 1.0 - oracle.score_directed(existing, new).value
+            return DirectionScore(value, ScoreKind.PROBABILITY)
+
     messages = [labeled.message for labeled in fixture_corpus]
     path = tmp_path / "cache.jsonl"
     store = ComparisonCache(path)
-    # every stored score is the opposite of today's, so one hit would show
-    for existing in messages:
-        for new in messages:
-            if existing is not new:
-                value = 1.0 - oracle.score_directed(existing, new).value
-                key = json.dumps([old_identity, "default", existing.id, new.id])
-                store.put(key, DirectionScore(value, ScoreKind.PROBABILITY))
+    run_tournament(messages, CachedComparator(OldDraw(), store))
     store.close()
     n = len(messages)
     reloaded = ComparisonCache(path)
-    assert len(reloaded) == n * (n - 1)  # valid lines, kept but never matched
+    assert len(reloaded) == n * (n - 1) // 2  # valid lines, kept but never matched
     cached = CachedComparator(NoisyOracleComparator(fixture_corpus, flip, seed=3), reloaded)
     assert cached.cache_identity != old_identity
     result = run_tournament(messages, cached, log=tmp_path / "cached.jsonl")
@@ -645,19 +805,23 @@ class CountingStore(ComparisonCache):
 
 @pytest.mark.parametrize("max_workers", [1, 4])
 def test_warm_rerank_reads_each_directed_key_once(tmp_path, fixture_corpus, max_workers):
+    # one lookup reads a pair's two directed scores: one per pair warm, two cold
     messages = [labeled.message for labeled in fixture_corpus[:12]]
     counting = CountingComparator(NoisyOracleComparator(fixture_corpus, {1: 0.3}, seed=3))
     path = tmp_path / "cache.jsonl"
-    cold_store = ComparisonCache(path)
+    cold_store = CountingStore(path)
     cold_log, warm_log = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
-    run_tournament(messages, CachedComparator(counting, cold_store), log=cold_log)
+    run_tournament(
+        messages, CachedComparator(counting, cold_store), max_workers=max_workers, log=cold_log
+    )
     cold_store.close()
+    pairs = 12 * 11 // 2
+    assert cold_store.gets == 2 * pairs
     backend_calls = counting.backend_calls
     store = CountingStore(path)
     comparator = CachedComparator(counting, store)
     warm = run_tournament(messages, comparator, max_workers=max_workers, log=warm_log)
-    pairs = 12 * 11 // 2
-    assert store.gets == 2 * pairs
+    assert store.gets == pairs
     assert counting.backend_calls == backend_calls
     assert warm.cache_hits == pairs and warm.comparisons_made == 0
     assert comparator.hits == 2 * pairs and comparator.misses == 0
@@ -671,18 +835,17 @@ def test_cache_counts_exact_with_pairs_cached_in_one_direction(tmp_path, fixture
     path = tmp_path / "cache.jsonl"
     store = ComparisonCache(path)
     seeding = CachedComparator(counting, store)
-    both = one = 0
-    # a third of the pairs cached both ways, a third one way (either), a third not
+    forward = backward = 0
+    # a third of the pairs cached in the tournament's order, a third reversed, a third not
     for index, (a, b) in enumerate(combinations(messages, 2)):
         if index % 3 == 0:
             seeding.score_directed(a, b)
-            seeding.score_directed(b, a)
-            both += 1
+            forward += 1
         elif index % 3 == 1:
-            seeding.score_directed(*((a, b) if index % 2 else (b, a)))
-            one += 1
+            seeding.score_directed(b, a)
+            backward += 1
     store.close()
-    neither = 16 * 15 // 2 - both - one
+    neither = 16 * 15 // 2 - forward - backward
     counting.backend_calls = 0
     comparator = CachedComparator(counting, ComparisonCache(path))
     interval = sys.getswitchinterval()
@@ -691,10 +854,10 @@ def test_cache_counts_exact_with_pairs_cached_in_one_direction(tmp_path, fixture
         result = run_tournament(messages, comparator, max_workers=4, log=tmp_path / "mixed.jsonl")
     finally:
         sys.setswitchinterval(interval)
-    assert result.cache_hits == both
-    assert result.comparisons_made == one + neither
-    assert comparator.hits == 2 * both + one
-    assert comparator.misses == one + 2 * neither == counting.backend_calls
+    assert result.cache_hits == forward + backward
+    assert result.comparisons_made == neither
+    assert comparator.hits == 2 * (forward + backward)
+    assert comparator.misses == 2 * neither == counting.backend_calls
     run_tournament(messages, oracle, log=tmp_path / "uncached.jsonl")
     assert (tmp_path / "mixed.jsonl").read_bytes() == (tmp_path / "uncached.jsonl").read_bytes()
 
@@ -703,8 +866,9 @@ def test_probe_never_serves_a_self_pair(tmp_path):
     a = make_message("a")
     store = ComparisonCache(tmp_path / "cache.jsonl")
     comparator = CachedComparator(ScriptedComparator({}), store)
-    # the self-pair's one key, written by hand: both of its "directions" are stored
-    store.put(comparator._key(a, a), DirectionScore(0.5, ScoreKind.PROBABILITY))
+    # the self-pair's one line, written by hand
+    score = DirectionScore(0.5, ScoreKind.PROBABILITY)
+    store.put(comparator._read(a, a)[0], score, score)
     assert comparator.has_cached_pair(a, a) is None
     assert comparator.hits == 0
     with pytest.raises(ConfigError):
@@ -713,15 +877,20 @@ def test_probe_never_serves_a_self_pair(tmp_path):
 
 
 def test_probe_of_mixed_kinds_fails(tmp_path):
+    class MixedKinds(ScriptedComparator):
+        def score_directed(self, existing, new):
+            kind = ScoreKind.PROBABILITY if existing.id < new.id else ScoreKind.REWARD
+            return DirectionScore(0.5, kind)
+
     a, b = make_message("a"), make_message("b")
     store = ComparisonCache(tmp_path / "cache.jsonl")
-    comparator = CachedComparator(ScriptedComparator({}), store)
-    store.put(comparator._key(a, b), DirectionScore(0.5, ScoreKind.PROBABILITY))
-    store.put(comparator._key(b, a), DirectionScore(0.5, ScoreKind.REWARD))
-    with pytest.raises(ComparisonFailed):
-        comparator.has_cached_pair(a, b)
+    comparator = CachedComparator(MixedKinds({}), store)
+    assert comparator.has_cached_pair(a, b) is None
+    with pytest.raises(ComparisonFailed, match="mixed score kinds"):
+        compare(comparator, a, b)
     with pytest.raises(ComparisonFailed):
         run_tournament([a, b], comparator)
+    assert len(store) == 0 and comparator.misses == 0
     store.close()
 
 
@@ -755,16 +924,19 @@ def test_put_finishes_each_line_across_short_writes(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     store = ComparisonCache(path)
     entries = {
-        f"k{index}\u00e9": DirectionScore(index / 7, ScoreKind.PROBABILITY) for index in range(5)
+        f"{index:080x}": (
+            DirectionScore(index / 7, ScoreKind.PROBABILITY),
+            DirectionScore(1 - index / 7, ScoreKind.PROBABILITY),
+        )
+        for index in range(5)
     }
-    entries["reward"] = DirectionScore(-12.5, ScoreKind.REWARD)
-    for key, score in entries.items():
-        store.put(key, score)
+    reward = (DirectionScore(-12.5, ScoreKind.REWARD), DirectionScore(3.0, ScoreKind.REWARD))
+    entries["f" * 80] = reward
+    for key, scores in entries.items():
+        store.put(key, *scores)
     store.close()
-    lines = [
-        ComparisonCache._format_line(key, score.value, score.kind.value)
-        for key, score in entries.items()
-    ]
+    lines = [ComparisonCache._format_line(key, *scores) for key, scores in entries.items()]
+    assert lines[-1] == f"{'f' * 80} reward -12.5 3.0\n"
     assert len(handles) == 1
     assert handles[0].writes == sum(-(-len(line) // 7) for line in lines)
     assert path.read_text(encoding="ascii") == "".join(lines)
@@ -773,8 +945,8 @@ def test_put_finishes_each_line_across_short_writes(tmp_path, monkeypatch):
 
 
 # sha256 of the cache file a cached noisy-oracle tournament over the first 25
-# fixture messages and five inserts write (recorded before the one-write put)
-GOLDEN_CACHE_SHA256 = "28a6ff0758168ef77708bd25c3e2d9ee33a7367ee9158b50cb1c47c9b3d4234c"
+# fixture messages and five inserts write (one line per pair)
+GOLDEN_CACHE_SHA256 = "fa477623dcd1d9247cf5d9f1d5ee56c2a2a3161c7eb2cd192fab5345bcfaacca"
 
 
 def test_cache_file_bytes_golden(tmp_path, fixture_corpus):
@@ -803,10 +975,11 @@ def test_second_store_sees_entries_while_first_holds_handle(tmp_path, fixture_co
     for a, b in zip(messages, messages[1:]):
         compare(comparator, a, b)
     second = ComparisonCache(path)
-    assert len(second) == len(first) == 10
-    for key in ("x", "y"):
-        first.put(key, DirectionScore(0.5, ScoreKind.PROBABILITY))
-    assert len(ComparisonCache(path)) == 12
+    assert len(second) == len(first) == 5
+    score = DirectionScore(0.5, ScoreKind.PROBABILITY)
+    for key in ("0" * 80, "1" * 80):
+        first.put(key, score, score)
+    assert len(ComparisonCache(path)) == 7
     first.close()
 
 
@@ -821,7 +994,7 @@ def test_cache_repairs_missing_final_newline_before_appending(tmp_path, fixture_
     store = ComparisonCache(path)
     compare(CachedComparator(counting, store), a, c)
     store.close()
-    assert len(ComparisonCache(path)) == 4
+    assert len(ComparisonCache(path)) == 2
     assert counting.backend_calls == 4
 
 
@@ -830,7 +1003,7 @@ def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, m
     store = ComparisonCache(path)
     comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
     messages = [labeled.message for labeled in fixture_corpus[:6]]
-    for a, b in zip(messages, messages[1:]):
+    for a, b in combinations(messages, 2):
         compare(comparator, a, b)
     store.close()
     with path.open("a", encoding="utf-8") as handle:
@@ -840,11 +1013,11 @@ def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, m
     format_line = ComparisonCache._format_line
     written = []
 
-    def fail_halfway(key, value, kind):
+    def fail_halfway(key, first, second):
         if len(written) == 5:
             raise OSError("disk full")
         written.append(key)
-        return format_line(key, value, kind)
+        return format_line(key, first, second)
 
     monkeypatch.setattr(ComparisonCache, "_format_line", staticmethod(fail_halfway))
     with pytest.raises(ExportFailed, match="disk full"):
@@ -852,30 +1025,6 @@ def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, m
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl"]
 
-
-_AWKWARD_KEYS = [
-    json.dumps(["oracle(seed=3)", "default", "m-1", "m-2"]),
-    'quote " and backslash \\ and slash /',
-    "controls \x00\x01\x1f\t\n\r\x7f",
-    "non-ASCII caf\u00e9 \u4e2d \U0001f600 \u2028",
-    "lone surrogate \ud800 and \udfff",
-]
-_AWKWARD_VALUES = [
-    (5e-324, "probability"),
-    (1e-07, "probability"),
-    (0.1 + 0.2, "probability"),
-    (-0.0, "probability"),
-    (1e16, "reward"),
-    (-3.75, "reward"),
-    (2, "reward"),  # an int writes as json.dumps writes it too, though no score holds one
-]
-
-
-@pytest.mark.parametrize("key", _AWKWARD_KEYS)
-@pytest.mark.parametrize("value,kind", _AWKWARD_VALUES)
-def test_cache_line_bytes_equal_json_dumps(key, value, kind):
-    expected = json.dumps({"key": key, "kind": kind, "value": value}) + "\n"
-    assert ComparisonCache._format_line(key, value, kind) == expected
 
 
 class _FloatSubclass(float):
@@ -913,36 +1062,18 @@ def test_direction_score_of_an_int_too_large_for_a_float_is_bad():
         DirectionScore(10**400, ScoreKind.REWARD)
 
 
+
 @pytest.mark.parametrize("value", [2, -0.0, 1e16, 5e-324, _FloatSubclass(0.25)], ids=repr)
 def test_cache_reads_back_every_score_it_writes(tmp_path, monkeypatch, value):
     path = tmp_path / "cache.jsonl"
     store = ComparisonCache(path)
-    store.put("k", DirectionScore(value, ScoreKind.REWARD))
+    key = "k" * 80
+    store.put(key, DirectionScore(value, ScoreKind.REWARD), DirectionScore(-value, ScoreKind.REWARD))
     store.close()
     reloaded, compacted = _load_spying_compaction(path, monkeypatch)
     assert not compacted
-    assert repr(reloaded.get("k").value) == repr(float(value))
-
-
-def _reference_load(text):
-    """The cache reload rule with json.loads alone: entries and whether to compact."""
-    entries = {}
-    dirty = bool(text) and not text.endswith("\n")
-    for line in text.split("\n"):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            key, value = entry["key"], entry["value"]
-            if not isinstance(key, str) or type(value) not in (int, float):
-                raise TypeError
-            score = DirectionScore(float(value), ScoreKind(entry["kind"]))
-        except (ValueError, KeyError, TypeError, OverflowError, BadScore):
-            dirty = True
-            continue
-        dirty = dirty or key in entries
-        entries[key] = (repr(score.value), score.kind)
-    return entries, dirty
+    first, second = reloaded.get(key)
+    assert (repr(first.value), repr(second.value)) == (repr(float(value)), repr(-float(value)))
 
 
 def _load_spying_compaction(path, monkeypatch):
@@ -957,71 +1088,7 @@ def _load_spying_compaction(path, monkeypatch):
     return ComparisonCache(path), bool(compactions)
 
 
-_GOOD_LINE = json.dumps({"key": "good", "kind": "probability", "value": 0.9}) + "\n"
-_READER_CASES = {
-    "canonical": _GOOD_LINE.replace("good", "other"),
-    "canonical int value": '{"key": "k", "kind": "reward", "value": 3}\n',
-    "canonical negative zero": '{"key": "k", "kind": "reward", "value": -0}\n',
-    "canonical exponent": '{"key": "k", "kind": "reward", "value": -2.5E+2}\n',
-    "escaped key": json.dumps({"key": _AWKWARD_KEYS[3], "kind": "reward", "value": 1.5})
-    + "\n",
-    "legacy sort_keys with timestamp": json.dumps(
-        {"key": "k", "value": 0.25, "kind": "probability", "timestamp": 0.0}, sort_keys=True
-    )
-    + "\n",
-    "leading whitespace": "  " + _GOOD_LINE.replace("good", "k"),
-    "trailing whitespace": _GOOD_LINE.replace("good", "k")[:-1] + " \t\n",
-    "NaN value": '{"key": "k", "kind": "reward", "value": NaN}\n',
-    "Infinity value": '{"key": "k", "kind": "reward", "value": Infinity}\n',
-    "1e400 value": '{"key": "k", "kind": "reward", "value": 1e400}\n',
-    "leading zero value": '{"key": "k", "kind": "reward", "value": 07}\n',
-    "non-ASCII digit value": '{"key": "k", "kind": "reward", "value": 1\u0663}\n',
-    "non-ASCII digit in fraction": '{"key": "k", "kind": "reward", "value": 1.\u0663}\n',
-    "probability out of range": '{"key": "k", "kind": "probability", "value": 1.5}\n',
-    "malformed escape in key": '{"key": "bad \\q", "kind": "reward", "value": 1.5}\n',
-    "raw control character in key": '{"key": "bad \x01", "kind": "reward", "value": 1.5}\n',
-    "raw line separator in key": '{"key": "id\u2028x", "kind": "reward", "value": 1.5}\n',
-    "unterminated key": '{"key": "k\n',
-    "unknown kind": '{"key": "k", "kind": "logit", "value": 0.5}\n',
-    "field after value": '{"key": "k", "kind": "reward", "value": 1.5, "key": "j"}\n',
-    "duplicate key": _GOOD_LINE.replace("0.9", "0.1"),
-    "missing final newline": _GOOD_LINE.replace("good", "k")[:-1],
-}
-
-
-@pytest.mark.parametrize("case", sorted(_READER_CASES))
-def test_cache_reload_equals_json_loads_reference(tmp_path, monkeypatch, case):
-    text = _GOOD_LINE + _READER_CASES[case]
-    path = tmp_path / "cache.jsonl"
-    path.write_text(text, encoding="utf-8")
-    expected, expected_dirty = _reference_load(text)
-    store, compacted = _load_spying_compaction(path, monkeypatch)
-    assert compacted is expected_dirty
-    assert len(store) == len(expected)
-    for key, (value_repr, kind) in expected.items():
-        score = store.get(key)
-        assert (repr(score.value), score.kind) == (value_repr, kind)
-    if not expected_dirty:
-        assert path.read_text(encoding="utf-8") == text
-
-
-@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["LS", "PS", "NEL"])
-def test_cache_key_holding_a_raw_unicode_line_break_loads(
-    tmp_path, caplog, monkeypatch, separator
-):
-    # json.dumps(..., ensure_ascii=False) leaves these characters raw
-    text = json.dumps(
-        {"key": f"id{separator}x", "kind": "reward", "value": 1.5}, ensure_ascii=False
-    ) + "\n"
-    path = tmp_path / "cache.jsonl"
-    path.write_text(text, encoding="utf-8")
-    with caplog.at_level("WARNING"):
-        store, compacted = _load_spying_compaction(path, monkeypatch)
-    assert len(store) == 1
-    assert store.get(f"id{separator}x") == DirectionScore(1.5, ScoreKind.REWARD)
-    assert not any("CacheInvalid" in record.message for record in caplog.records)
-    assert not compacted
-    assert path.read_text(encoding="utf-8") == text
+_GOOD_LINE = f"{'a' * 80} probability 0.9 0.1\n"
 
 
 @pytest.mark.parametrize("layout", ["canonical", "legacy"])
@@ -1032,7 +1099,7 @@ def test_cache_value_that_is_not_a_finite_json_number_is_corrupt(
     tmp_path, caplog, layout, value_json
 ):
     if layout == "canonical":
-        bad_line = f'{{"key": "bad", "kind": "reward", "value": {value_json}}}\n'
+        bad_line = f"{'b' * 80} reward {value_json} 1.5\n"
     else:
         bad_line = f'{{"key": "bad", "kind": "reward", "timestamp": 0.0, "value": {value_json}}}\n'
     path = tmp_path / "cache.jsonl"
@@ -1040,35 +1107,8 @@ def test_cache_value_that_is_not_a_finite_json_number_is_corrupt(
     with caplog.at_level("WARNING"):
         store = ComparisonCache(path)
     assert any("CacheInvalid" in record.message for record in caplog.records)
-    assert store.get("bad") is None and len(store) == 1
+    assert store.get("b" * 80) is None and len(store) == 1
     assert path.read_text(encoding="utf-8") == _GOOD_LINE
-
-
-def test_cache_mixed_canonical_and_legacy_lines_hit_without_compaction(
-    tmp_path, fixture_corpus, monkeypatch
-):
-    path = tmp_path / "cache.jsonl"
-    messages = [labeled.message for labeled in fixture_corpus[:6]]
-    store = ComparisonCache(path)
-    oracle = CountingComparator(perfect_oracle(fixture_corpus))
-    run_tournament(messages[:4], CachedComparator(oracle, store))
-    store.close()
-    with path.open("a", encoding="utf-8") as handle:
-        for index, new in enumerate(messages[4:]):
-            for existing in messages[: 4 + index]:
-                for first, second, value in ((existing, new, 0.1), (new, existing, 0.9)):
-                    key = json.dumps(["CountingComparator", "default", first.id, second.id])
-                    line = {"key": key, "value": value, "kind": "probability", "timestamp": 0.0}
-                    handle.write(json.dumps(line, sort_keys=True) + "\n")
-    before = path.read_bytes()
-    reloaded, compacted = _load_spying_compaction(path, monkeypatch)
-    counting = CountingComparator(ScriptedComparator({}))
-    comparator = CachedComparator(counting, reloaded)
-    run_tournament(messages, comparator)
-    n = len(messages)
-    assert counting.backend_calls == 0 and comparator.hits == n * (n - 1)
-    assert not compacted
-    assert path.read_bytes() == before
 
 
 def test_direction_scores_carry_no_backend_payload(mock_endpoint):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from collections import Counter
 
 import pytest
@@ -312,6 +313,22 @@ def test_failed_write_lines_keeps_previous_file(tmp_path, error, expected):
         corpus.write_lines(_lines_failing_with(error), path)
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_write_lines_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    path = tmp_path / "out.jsonl"
+    fsync = os.fsync
+    synced = []
+
+    def spy(fd):
+        is_directory = stat.S_ISDIR(os.fstat(fd).st_mode)
+        synced.append((is_directory, path.exists() and path.read_text() == "new\n"))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    corpus.write_lines(["new\n"], path)
+    # the temporary file before the rename, then its directory after it
+    assert synced == [(False, False), (True, True)]
 
 
 def test_write_lines_file_mode_follows_umask(tmp_path):

@@ -1076,6 +1076,75 @@ def test_cache_reads_back_every_score_it_writes(tmp_path, monkeypatch, value):
     assert (repr(first.value), repr(second.value)) == (repr(float(value)), repr(-float(value)))
 
 
+_AWKWARD_KEYS = [
+    json.dumps(["oracle(seed=3)", "default", "m-1", "m-2"]),
+    'quote " and backslash \\ and slash /',
+    "controls \x00\x01\x1f\t\n\r\x7f",
+    "non-ASCII caf\u00e9 \u4e2d \U0001f600 \u2028",
+    "lone surrogate \ud800 and \udfff",
+]
+_AWKWARD_VALUES = [
+    (5e-324, "probability"),
+    (1e-07, "probability"),
+    (0.1 + 0.2, "probability"),
+    (-0.0, "probability"),
+    (1e16, "reward"),
+    (-3.75, "reward"),
+    (2, "reward"),  # an int is stored as the float it converts to
+]
+
+
+@pytest.mark.parametrize("key", _AWKWARD_KEYS)
+@pytest.mark.parametrize("value,kind", _AWKWARD_VALUES)
+def test_cache_line_bytes_equal_json_dumps(tmp_path, key, value, kind):
+    # any cache_identity hashes into a hex key; each score is written as json.dumps writes it
+    path = tmp_path / "cache.jsonl"
+    inner = ScriptedComparator({("a", "b"): value, ("b", "a"): value}, ScoreKind(kind))
+    inner.cache_identity = key
+    store = ComparisonCache(path)
+    compare(CachedComparator(inner, store), make_message("a"), make_message("b"))
+    store.close()
+
+    def digest(text, size):
+        return hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=size).hexdigest()
+
+    pair_key = digest(json.dumps([key, "default"]), 8) + "".join(
+        sorted(digest(message_id, 16) for message_id in ("a", "b"))
+    )
+    score = json.dumps(float(value))
+    assert path.read_bytes() == f"{pair_key} {kind} {score} {score}\n".encode("ascii")
+    reloaded = CachedComparator(inner, ComparisonCache(path))
+    outcome = reloaded.has_cached_pair(make_message("b"), make_message("a"))
+    assert (repr(outcome.s_ab.value), repr(outcome.s_ba.value)) == (repr(float(value)),) * 2
+    assert inner.calls == 2
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["LS", "PS", "NEL"])
+def test_cache_key_holding_a_raw_unicode_line_break_loads(
+    tmp_path, caplog, monkeypatch, separator
+):
+    # the pair key is built from a message id holding a character str.splitlines breaks on
+    path = tmp_path / "cache.jsonl"
+    odd_id = f"id{separator}x"
+    counting = CountingComparator(ScriptedComparator({(odd_id, "b"): 0.75, ("b", odd_id): 0.25}))
+    a, b = make_message(odd_id), make_message("b")
+    store = ComparisonCache(path)
+    compare(CachedComparator(counting, store), a, b)
+    store.close()
+    text = path.read_text(encoding="ascii")
+    assert len(text.splitlines()) == 1
+    with caplog.at_level("WARNING"):
+        store, compacted = _load_spying_compaction(path, monkeypatch)
+    assert len(store) == 1
+    assert not any("CacheInvalid" in record.message for record in caplog.records)
+    assert not compacted
+    assert path.read_text(encoding="ascii") == text
+    comparator = CachedComparator(counting, store)
+    outcome = comparator.has_cached_pair(a, b)
+    assert (outcome.s_ab.value, outcome.s_ba.value) == (0.75, 0.25)
+    assert counting.backend_calls == 2 and comparator.hits == 2
+
+
 def _load_spying_compaction(path, monkeypatch):
     compactions = []
     compact = ComparisonCache._compact

@@ -279,6 +279,11 @@ def cmd_rank_inbox(args: argparse.Namespace) -> str:
     remove_temporaries(args.out)
     remove_temporaries(log)
     result = rank.run_tournament([labeled.message for labeled in inbox], comparator, log=log)
+    # a previous report names the log just replaced: a failed write below
+    # must not leave it there (a directory is refused by the write)
+    report = Path(args.out)
+    if not report.is_dir():
+        report.unlink(missing_ok=True)
     section = _tournament_section(result, log)
     _write_args_report(args, comparator.cache_identity, tournament=section)
     top = ", ".join(result.ranking[:5])

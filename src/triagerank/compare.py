@@ -2,8 +2,8 @@
 
 A comparator scores one direction at a time: score_directed(existing, new)
 answers "how strongly is the new message more urgent than the existing
-one". compare() runs both directions and reduces them to a signed margin
-eta in [-1, 1]:
+one". compare() gets both directions, through the comparator's score_pair
+when it has one, and reduces them to a signed margin eta in [-1, 1]:
 
     probability backends:  eta = s_ab - s_ba
     reward backends:       eta = sigmoid(d) - sigmoid(-d),  d = s_ab - s_ba
@@ -22,6 +22,7 @@ import math
 import re
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -133,7 +134,26 @@ class ComparisonOutcome:
 
 
 class Comparator(Protocol):
+    """Scores one direction of a pair.
+
+    A comparator may also have ``score_pair(a, b) -> (s_ab, s_ba)``, which
+    gets both directions of a pair at once; ``compare`` and the cache call it
+    when it is there. The remote comparators have it, so that a pair's two
+    requests are in flight together; the oracle and other local comparators
+    leave it out and are asked twice in turn.
+    """
+
     def score_directed(self, existing: Message, new: Message) -> DirectionScore: ...
+
+
+def _score_both(
+    comparator: Comparator, a: Message, b: Message
+) -> tuple[DirectionScore, DirectionScore]:
+    """(s_ab, s_ba): the comparator's score_pair, or score_directed one way then the other."""
+    score_pair = getattr(comparator, "score_pair", None)
+    if score_pair is None:
+        return comparator.score_directed(a, b), comparator.score_directed(b, a)
+    return score_pair(a, b)
 
 
 def _logistic(x: float) -> float:
@@ -156,7 +176,7 @@ def pair_eta(s_ab: DirectionScore, s_ba: DirectionScore) -> float:
 
 
 def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome:
-    """Run both directions; the outcome derives eta and the winner.
+    """Score both directions; the outcome derives eta and the winner.
 
     Any backend failure in either direction raises ComparisonFailed; no
     partial outcome is produced.
@@ -164,8 +184,7 @@ def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome
     if a.id == b.id:
         raise ConfigError(f"cannot compare message {a.id!r} with itself")
     try:
-        s_ab = comparator.score_directed(a, b)
-        s_ba = comparator.score_directed(b, a)
+        s_ab, s_ba = _score_both(comparator, a, b)
     except ComparisonFailed:
         raise
     except TriageRankError as exc:
@@ -277,14 +296,45 @@ def perfect_oracle(
     return NoisyOracleComparator(labels, flip_prob_by_gap=None)
 
 
-class LogprobComparator:
+class _EndpointComparator:
+    """A comparator that sends one request per direction to an endpoint.
+
+    ``score_pair`` puts a pair's two requests in flight together: the
+    reverse runs on a helper thread while the forward runs on the caller's.
+    The helpers are reused across calls, up to ``max_parallel`` of them, and
+    end once the comparator is dropped; the gateway's ``max_parallel``
+    semaphore still bounds the requests in flight.
+    """
+
+    def __init__(self, config: gateway.EndpointConfig):
+        self._config = config
+        self._helpers = ThreadPoolExecutor(
+            config.max_parallel, thread_name_prefix="triagerank-reverse"
+        )
+
+    def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]:
+        """(s_ab, s_ba), both requests sent at once.
+
+        Both are awaited before anything raises, so no request outlives the
+        call; when both fail, the forward's error is the one raised.
+        """
+        reverse = self._helpers.submit(self.score_directed, b, a)
+        try:
+            s_ab = self.score_directed(a, b)
+        except BaseException:
+            reverse.exception()  # waits; the reverse's own error, if any, is dropped
+            raise
+        return s_ab, reverse.result()
+
+
+class LogprobComparator(_EndpointComparator):
     """Directed probability from the YES token mass of a chat backend."""
 
     _identity_prefix = "logprob"
     _want_logprobs = True
 
     def __init__(self, config: gateway.EndpointConfig):
-        self._config = config
+        super().__init__(config)
         self.cache_identity = f"{self._identity_prefix}({config.model_name})"
         self.prompt_variant = f"urgent_sft@{prompts.CATALOG_VERSION}"
 
@@ -332,11 +382,11 @@ class ReasoningComparator(LogprobComparator):
         return 1.0 if parse_final_answer(result.text) == "YES" else 0.0
 
 
-class RewardComparator:
+class RewardComparator(_EndpointComparator):
     """Scalar reward for the new message as a more-urgent completion."""
 
     def __init__(self, config: gateway.EndpointConfig):
-        self._config = config
+        super().__init__(config)
         self.cache_identity = f"reward({config.model_name})"
         self.prompt_variant = f"urgent_reward@{prompts.CATALOG_VERSION}"
 
@@ -466,6 +516,8 @@ class CachedComparator:
     misses, and the other order of a pair reads its line with the scores
     swapped, unless the digests are equal (one prompt both ways). ``hits``
     and ``misses`` count directed scores read from the store and computed.
+    A miss scores the pair through the inner comparator's ``score_pair``
+    when it has one.
     """
 
     def __init__(self, inner: Comparator, store: ComparisonCache):
@@ -476,7 +528,6 @@ class CachedComparator:
         self._prefix = _hex_digest(json.dumps([self.cache_identity, self.prompt_variant]), 8)
         # by id(message): the entry holds the message, so no other object takes its id
         self._digests: dict[int, tuple[Message, str]] = {}
-        self._reverse = threading.local()
         self._count_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -510,20 +561,14 @@ class CachedComparator:
             self.hits += 2
         return outcome
 
-    def score_directed(self, existing: Message, new: Message) -> DirectionScore:
-        """One directed score, read or computed with its reverse.
+    def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]:
+        """(s_ab, s_ba) from the pair's line, or scored and then stored as one.
 
-        The reverse is kept for this thread's next call, which ``compare``
-        makes for the other direction, so a pair costs one lookup. A miss
-        scores both directions and appends the pair's line.
+        A pair that fails to score, or scores in mixed kinds, stores nothing.
         """
-        pending = self._reverse.__dict__.pop("pending", None)
-        if pending is not None and pending[0] is existing and pending[1] is new:
-            return pending[2]
-        key, swapped, scores = self._read(existing, new)
+        key, swapped, scores = self._read(a, b)
         if scores is None:
-            inner = self._inner
-            scores = inner.score_directed(existing, new), inner.score_directed(new, existing)
+            scores = _score_both(self._inner, a, b)
             pair_eta(*scores)  # raises on mixed kinds
             self._store.put(key, *(scores[::-1] if swapped else scores))
             with self._count_lock:
@@ -531,5 +576,8 @@ class CachedComparator:
         else:
             with self._count_lock:
                 self.hits += 2
-        self._reverse.pending = (new, existing, scores[1])
-        return scores[0]
+        return scores
+
+    def score_directed(self, existing: Message, new: Message) -> DirectionScore:
+        """One directed score: the first of ``score_pair``'s, so a miss stores the pair."""
+        return self.score_pair(existing, new)[0]

@@ -10,12 +10,15 @@ Every credit is a float in [1, 2] or 0.5, so each is a whole number of
 so a score is exact whatever order its credits arrived in: an
 incrementally built ranking equals the full tournament bit for bit.
 
-Pairwise tasks are independent and may run in parallel (``max_workers``);
-score accumulation stays single-threaded in sorted pair order, so the
-result equals the sequential computation. Each outcome is credited, then
-written to the tournament's log or dropped, so memory does not grow with
-the pairs. A failed comparison aborts the tournament, leaving no new log:
-a triage ranking built on partial comparisons is a safety hazard.
+Pairwise tasks are independent and may run in parallel, ``max_workers``
+pairs at a time. A remote comparator sends a pair's two directed requests
+together (``score_pair``), so up to ``2 * max_workers`` requests are in
+flight, within the endpoint's ``max_parallel``. Score accumulation stays
+single-threaded in sorted pair order, so the result equals the sequential
+computation. Each outcome is credited, then written to the tournament's
+log or dropped, so memory does not grow with the pairs. A failed
+comparison aborts the tournament, leaving no new log: a triage ranking
+built on partial comparisons is a safety hazard.
 """
 
 from __future__ import annotations

@@ -58,6 +58,7 @@ from triagerank.pairs import (
 from triagerank.rank import insert_incremental, run_tournament
 
 from .conftest import level_corpus, make_labeled, make_message
+from .mock_gateway import answer_by_new_message
 from .test_compare import CountingComparator, ScriptedComparator
 from .test_gateway import config_for
 
@@ -324,15 +325,19 @@ def test_criterion_10_pipeline_determinism(tmp_path):
 def test_comparator_composition_sanity(mock_endpoint):
     """Cross-module spot check: gateway-backed comparators feed the eta rule."""
     config = config_for(mock_endpoint)
-    mock_endpoint.enqueue_fixture("logprob_top2")       # P(YES) = 0.8
-    mock_endpoint.enqueue_fixture("logprob_complement")  # P(YES) = 0.1
-    outcome = compare(LogprobComparator(config), make_message("a"), make_message("b"))
+    a, b = make_message("a"), make_message("b")
+    # s_ab asks with b in the new slot, s_ba with a
+    mock_endpoint.answer = answer_by_new_message(
+        {b.text: "logprob_top2", a.text: "logprob_complement"}  # P(YES) = 0.8, 0.1
+    )
+    outcome = compare(LogprobComparator(config), a, b)
     assert outcome.eta == pytest.approx(0.7, abs=1e-9)
     assert outcome.winner is Winner.B
 
-    mock_endpoint.enqueue_fixture("reward_high")  # 2.0
-    mock_endpoint.enqueue_fixture("reward_low")   # -1.0
-    outcome = compare(RewardComparator(config), make_message("a"), make_message("b"))
+    mock_endpoint.answer = answer_by_new_message(
+        {b.text: "reward_high", a.text: "reward_low"}  # 2.0, -1.0
+    )
+    outcome = compare(RewardComparator(config), a, b)
     expected = 1.0 / (1.0 + math.exp(-3.0)) - 1.0 / (1.0 + math.exp(3.0))
     assert outcome.eta == pytest.approx(expected, abs=1e-12)
     assert outcome.winner is Winner.B

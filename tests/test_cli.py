@@ -8,6 +8,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from triagerank.pairs import EvalPair, build_triplets
 from triagerank.rank import run_tournament
 
 from .conftest import level_corpus, make_labeled
+from .mock_gateway import answer_by_new_message
 from .test_compare import _answer_by_urgency
 
 FIXTURE = str(fixture_corpus_path())
@@ -563,6 +565,28 @@ def test_failed_rerun_keeps_previous_report_and_outcome_log(tmp_path, monkeypatc
     assert sha == hashlib.sha256(log.read_bytes()).hexdigest()
 
 
+def test_failed_report_write_after_the_new_log_leaves_no_stale_report(
+    tmp_path, monkeypatch, capsys
+):
+    report, log = tmp_path / "rank.json", tmp_path / "rank.outcomes.jsonl"
+    argv = ("rank-inbox", "--inbox", FIXTURE, "--flip", "1:0.3", "--out", report)
+    assert run_cli(*argv, "--seed", 1) == 0
+    first_log = log.read_bytes()
+    open_path = Path.open
+
+    def failing_report_open(path, mode="r", *args, **kwargs):
+        if mode == "w" and fnmatch.fnmatch(path.name, "rank.json.*.tmp"):
+            raise OSError(28, "No space left on device")
+        return open_path(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing_report_open)
+    assert run_cli(*argv, "--seed", 2) == 3
+    assert "cannot write" in capsys.readouterr().err
+    # the rerun's log is in place, and no report names another log
+    assert log.read_bytes() != first_log
+    assert sorted(p.name for p in tmp_path.iterdir()) == [log.name]
+
+
 # Kills its own process at the 10th outcome-log line, then runs the CLI on its argv.
 # ``triagerank.compare`` as an attribute is the compare function, so the module
 # comes from sys.modules.
@@ -737,9 +761,10 @@ def test_closed_stdout_after_finished_run_exits_zero(tmp_path, unbuffered):
 )
 def test_rank_inbox_remote_comparator(tmp_path, mock_endpoint, kind, responses):
     inbox = tmp_path / "inbox.jsonl"
-    save_corpus(load_corpus(FIXTURE)[:2], inbox)
-    for name in responses:
-        mock_endpoint.enqueue_fixture(name)
+    records = load_corpus(FIXTURE)[:2]
+    save_corpus(records, inbox)
+    texts = [record.message.text for record in reversed(records)]
+    mock_endpoint.answer = answer_by_new_message(dict(zip(texts, responses, strict=True)))
     argv = (
         "rank-inbox", "--inbox", inbox, "--comparator", kind, "--model", "mock",
         "--base-url", mock_endpoint.base_url, "--cache", tmp_path / "cache.jsonl",
@@ -801,6 +826,28 @@ def test_cached_rank_inbox_over_arrivals_departures_and_an_edit_equals_a_cold_ru
     log = "rank.outcomes.jsonl"
     assert (tmp_path / "warm" / log).read_bytes() == (tmp_path / "cold" / log).read_bytes()
     assert warm["ranking"][0] == "a3"
+
+
+def test_single_worker_rank_inbox_sends_a_pairs_two_requests_together(tmp_path, mock_endpoint):
+    def slow_answer(body):
+        time.sleep(0.005)  # long enough for a pair's two requests to overlap at the server
+        return _answer_by_urgency(body)
+
+    mock_endpoint.answer = slow_answer
+    levels = (3, 5, 2, 4, 6)
+    records = [
+        make_labeled(f"m{index}", level, text=f"urgency {level}: note m{index}")
+        for index, level in enumerate(levels)
+    ]
+    save_corpus(records, tmp_path / "inbox.jsonl")
+    assert run_cli(
+        "rank-inbox", "--inbox", tmp_path / "inbox.jsonl", "--comparator", "logprob",
+        "--model", "mock", "--base-url", mock_endpoint.base_url, "--out", tmp_path / "rank.json",
+    ) == 0
+    n = len(levels)
+    assert len(mock_endpoint.requests) == n * (n - 1)
+    assert mock_endpoint.inflight_peak == 2
+    assert read_json(tmp_path / "rank.json")["tournament"]["ranking"][0] == "m2"
 
 
 def test_remote_comparator_without_model_exits_two(tmp_path, capsys):
@@ -867,13 +914,14 @@ def test_remote_comparator_rejects_seed(tmp_path, mock_endpoint, capsys, command
 
 def test_absent_seed_reads_as_zero_in_reports(tmp_path, mock_endpoint, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    save_corpus(load_corpus(FIXTURE)[:2], tmp_path / "inbox.jsonl")
+    records = load_corpus(FIXTURE)[:2]
+    save_corpus(records, tmp_path / "inbox.jsonl")
     oracle = ("rank-inbox", "--inbox", "inbox.jsonl", "--flip", "1:0.3")
     assert run_cli(*oracle, "--out", "absent.json") == 0
     assert run_cli(*oracle, "--seed", 0, "--out", "zero.json") == 0
     assert (tmp_path / "absent.json").read_bytes() == (tmp_path / "zero.json").read_bytes()
-    for name in ("reward_high", "reward_low"):
-        mock_endpoint.enqueue_fixture(name)
+    texts = [record.message.text for record in reversed(records)]
+    mock_endpoint.answer = answer_by_new_message(dict(zip(texts, ("reward_high", "reward_low"))))
     assert run_cli(
         "rank-inbox", "--inbox", "inbox.jsonl", "--comparator", "reward", "--model", "mock",
         "--base-url", mock_endpoint.base_url, "--out", "remote.json",

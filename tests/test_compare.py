@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -8,12 +9,13 @@ import re
 import struct
 import sys
 import threading
+import time
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from triagerank import prompts
+from triagerank import gateway, prompts
 from triagerank.compare import (
     CachedComparator,
     ComparisonCache,
@@ -40,10 +42,11 @@ from triagerank.errors import (
     UnparseableAnswer,
     UnparseableLogprobs,
 )
-from triagerank.gateway import EndpointConfig, finite_score
+from triagerank.gateway import CompletionResult, EndpointConfig, finite_score
 from triagerank.rank import insert_incremental, run_tournament
 
 from .conftest import level_corpus, make_labeled, make_message
+from .mock_gateway import answer_by_new_message, load_fixture, new_slot
 from .test_gateway import config_for
 
 
@@ -406,10 +409,12 @@ def test_parse_final_answer():
 
 def test_reasoning_comparator_hard_probabilities(mock_endpoint):
     comparator = ReasoningComparator(config_for(mock_endpoint))
-    mock_endpoint.enqueue_fixture("completion_reason_yes")
-    assert comparator.score_directed(make_message("a"), make_message("b")).value == 1.0
-    mock_endpoint.enqueue_fixture("completion_reason_no")
-    assert comparator.score_directed(make_message("a"), make_message("b")).value == 0.0
+    a, b = make_message("a"), make_message("b")
+    mock_endpoint.answer = answer_by_new_message(
+        {b.text: "completion_reason_yes", a.text: "completion_reason_no"}
+    )
+    assert comparator.score_directed(a, b).value == 1.0
+    assert comparator.score_directed(b, a).value == 0.0
 
 
 def test_reasoning_both_yes_is_tie(mock_endpoint):
@@ -443,9 +448,11 @@ def test_reward_comparator_prompt_and_score(mock_endpoint):
 
 def test_reward_strict_comparison_no_epsilon(mock_endpoint):
     comparator = RewardComparator(config_for(mock_endpoint))
-    mock_endpoint.enqueue_fixture("reward_strict_a")
-    mock_endpoint.enqueue_fixture("reward_strict_b")
-    outcome = compare(comparator, make_message("a"), make_message("b"))
+    a, b = make_message("a"), make_message("b")
+    mock_endpoint.answer = answer_by_new_message(
+        {b.text: "reward_strict_a", a.text: "reward_strict_b"}
+    )
+    outcome = compare(comparator, a, b)
     # s_ab = 0.1 < s_ba = 0.1000001, strictly: the first argument wins
     assert outcome.winner is Winner.A
 
@@ -495,9 +502,10 @@ def test_cache_key_is_direction_sensitive(tmp_path):
     counting = CountingComparator(ScriptedComparator({("a", "b"): 0.75, ("b", "a"): 0.25}))
     comparator = CachedComparator(counting, ComparisonCache(path))
     a, b = make_message("a"), make_message("b")
-    assert comparator.score_directed(a, b).value == 0.75
+    s_ab, s_ba = comparator.score_pair(a, b)
+    assert s_ab.value == 0.75
     assert counting.backend_calls == 2  # a miss asks for both directions
-    assert comparator.score_directed(b, a).value == 0.25
+    assert s_ba.value == 0.25
     assert (comparator.hits, comparator.misses) == (0, 2)
     for existing, new, value in ((b, a, 0.25), (a, b, 0.75)):
         reloaded = CachedComparator(counting, ComparisonCache(path))
@@ -607,18 +615,135 @@ def test_reward_ehr_edit_misses(tmp_path, mock_endpoint):
     a = make_message("a", "chest pain", EhrRecord(age=40))
     b = make_message("b", "chest pain", EhrRecord(age=40))
     b_edited = make_message("b", "chest pain", EhrRecord(active_medications=("warfarin",), age=40))
-    for name in ("reward_low", "reward_high", "reward_high", "reward_low"):
-        mock_endpoint.enqueue_fixture(name)
+    # a and b send the same block both ways, so the reward depends only on the EHR edit
+    mock_endpoint.answer = lambda body: load_fixture(
+        "reward_high" if "warfarin" in body["completion"] else "reward_low"
+    )
     cached = CachedComparator(comparator, ComparisonCache(path))
     before = compare(cached, a, b)
     after = compare(cached, a, b_edited)
     assert len(mock_endpoint.requests) == 4
     assert before.winner is not after.winner
-    assert "warfarin" in mock_endpoint.requests[3]["body"]["prompt"]
+    # the edited pair's two requests, in whichever order they arrived
+    assert any("warfarin" in request["body"]["prompt"] for request in mock_endpoint.requests[2:])
     # both versions stay served from the reloaded file
     reloaded = CachedComparator(comparator, ComparisonCache(path))
     assert compare(reloaded, a, b) == before and compare(reloaded, a, b_edited) == after
     assert len(mock_endpoint.requests) == 4 and reloaded.misses == 0
+
+
+# ------------------------------------------------------ a pair's two requests
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize(
+    "kind", [LogprobComparator, ReasoningComparator, RewardComparator],
+    ids=lambda kind: kind.__name__,
+)
+def test_a_pairs_two_requests_are_in_flight_together(tmp_path, monkeypatch, kind, cached):
+    # each request waits at the barrier for a second one: sent one after the
+    # other, the first would wait out the timeout and fail the comparison
+    barrier = threading.Barrier(2, timeout=5)
+
+    def complete(config, system, user, want_logprobs=False):
+        barrier.wait()
+        return CompletionResult("YES", {"YES": 0.75, "NO": 0.25})
+
+    def score(config, prompt, completion):
+        barrier.wait()
+        return 0.5
+
+    monkeypatch.setattr(gateway, "complete", complete)
+    monkeypatch.setattr(gateway, "score", score)
+    comparator = kind(EndpointConfig(base_url="http://127.0.0.1:9", model_name="m"))
+    if cached:
+        comparator = CachedComparator(comparator, ComparisonCache(tmp_path / "cache.jsonl"))
+    messages = [make_message(name) for name in "abcd"]
+    result = run_tournament(messages, comparator, max_workers=1)
+    assert result.comparisons_made == 6 and result.ties_encountered == 6
+
+
+def _answer_after(delays: dict[str, float], rejected: dict[str, int]):
+    """An answer keyed on the text of the request's new message.
+
+    It waits ``delays[text]`` seconds (none if absent), then replies with
+    the status ``rejected[text]``, or as ``_answer_by_urgency`` does.
+    """
+
+    def answer(body):
+        text = new_slot(body).split("\n", 1)[0]
+        time.sleep(delays.get(text, 0.0))
+        if text in rejected:
+            return rejected[text], {"error": "rejected"}
+        return _answer_by_urgency(body)
+
+    return answer
+
+
+@pytest.mark.parametrize("rejected", ["forward", "reverse"])
+def test_a_rejected_direction_fails_only_after_the_other_returned(
+    tmp_path, mock_endpoint, monkeypatch, rejected
+):
+    # the forward is (a, b), with b in the new slot; the other direction answers 0.3 s late
+    a, b = make_message("a", "urgency 2"), make_message("b", "urgency 4")
+    rejected_text, late_text = (b.text, a.text) if rejected == "forward" else (a.text, b.text)
+    mock_endpoint.answer = _answer_after({late_text: 0.3}, {rejected_text: 403})
+    returned = []
+    original = gateway.complete
+
+    def spy(*args, **kwargs):
+        try:
+            return original(*args, **kwargs)
+        finally:
+            returned.append(time.monotonic())
+
+    monkeypatch.setattr(gateway, "complete", spy)
+    threads_before = set(threading.enumerate())
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    comparator = CachedComparator(LogprobComparator(config_for(mock_endpoint)), store)
+    with pytest.raises(ComparisonFailed, match="returned 403"):
+        try:
+            compare(comparator, a, b)
+        finally:
+            settled = len(returned)
+    assert settled == 2 and len(mock_endpoint.requests) == 2
+    assert not path.exists() and len(store) == 0 and comparator.misses == 0
+    # the helper that sent the other request is idle, and ends with its comparator
+    del comparator
+    gc.collect()
+    for thread in set(threading.enumerate()) - threads_before:
+        thread.join(timeout=5)
+        assert not thread.is_alive(), thread.name
+
+
+def test_when_both_directions_fail_the_forwards_error_is_raised(mock_endpoint):
+    # the reverse is rejected at once, the forward 0.2 s later
+    a, b = make_message("a"), make_message("b")
+    mock_endpoint.answer = _answer_after({b.text: 0.2}, {b.text: 401, a.text: 403})
+    with pytest.raises(ComparisonFailed, match="returned 401"):
+        compare(LogprobComparator(config_for(mock_endpoint)), a, b)
+    assert len(mock_endpoint.requests) == 2
+
+
+def test_parallel_tournament_keeps_max_parallel_requests_in_flight(tmp_path, mock_endpoint):
+    texts = [f"urgency {level}" for level in (2, 4, 5, 3, 1, 6)]
+    # long enough for requests to overlap at the server
+    mock_endpoint.answer = _answer_after(dict.fromkeys(texts, 0.01), {})
+    messages = [make_message(f"m{index}", text) for index, text in enumerate(texts)]
+    comparator = LogprobComparator(config_for(mock_endpoint, max_parallel=2))
+    cached = CachedComparator(comparator, ComparisonCache(tmp_path / "cache.jsonl"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+    try:
+        run_tournament(messages, cached, max_workers=4, log=tmp_path / "parallel.jsonl")
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(mock_endpoint.requests) == cached.misses == 2 * 15
+    assert mock_endpoint.inflight_peak == 2
+    run_tournament(messages, comparator, log=tmp_path / "sequential.jsonl")
+    parallel = (tmp_path / "parallel.jsonl").read_bytes()
+    assert parallel == (tmp_path / "sequential.jsonl").read_bytes()
 
 
 def test_message_block_ambiguity_gets_two_digests(tmp_path):

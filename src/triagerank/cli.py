@@ -82,11 +82,13 @@ def _sha256_text(text: str) -> str:
 
 
 def _sha256_file(path: Path) -> str:
-    """The file's sha256, read in 1 MiB blocks: an outcome log grows with the
-    square of the inbox, and a whole read would hold a second copy of it."""
+    """The file's sha256, read in 64 KiB blocks: an outcome log grows with the
+    square of the inbox, and a whole read would hold a second copy of it.
+    Blocks of 1 MiB left a pipeline's peak RSS 1-2 MB higher in some runs
+    and not in others, as the allocator placed them."""
     digest = hashlib.sha256()
     with path.open("rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
+        for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 

@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
@@ -91,28 +92,38 @@ class DirectionScore:
         _set(self, "kind", kind)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ComparisonOutcome:
+class ComparisonOutcome(tuple):
     """Both directed scores for a pair plus the margin and winner derived from them.
 
-    eta is ``pair_eta(s_ab, s_ba)``, so mixed score kinds raise ComparisonFailed.
+    An immutable record: a tuple of (a_id, b_id, s_ab, s_ba, eta, winner),
+    read by field name. eta is ``pair_eta(s_ab, s_ba)``, so mixed score
+    kinds raise ComparisonFailed; every way to build one goes through it.
     """
 
-    a_id: str
-    b_id: str
-    s_ab: DirectionScore
-    s_ba: DirectionScore
-    eta: float
-    winner: Winner
+    __slots__ = ()
 
-    def __init__(self, a_id: str, b_id: str, s_ab: DirectionScore, s_ba: DirectionScore):
+    def __new__(cls, a_id: str, b_id: str, s_ab: DirectionScore, s_ba: DirectionScore):
         eta = pair_eta(s_ab, s_ba)
-        _set(self, "a_id", a_id)
-        _set(self, "b_id", b_id)
-        _set(self, "s_ab", s_ab)
-        _set(self, "s_ba", s_ba)
-        _set(self, "eta", eta)
-        _set(self, "winner", _B if eta > 0 else _A if eta < 0 else _TIE)
+        winner = _B if eta > 0 else _A if eta < 0 else _TIE
+        return tuple.__new__(cls, (a_id, b_id, s_ab, s_ba, eta, winner))
+
+    a_id = property(itemgetter(0))
+    b_id = property(itemgetter(1))
+    s_ab = property(itemgetter(2))
+    s_ba = property(itemgetter(3))
+    eta = property(itemgetter(4))
+    winner = property(itemgetter(5))
+
+    def __getnewargs__(self) -> tuple[str, str, DirectionScore, DirectionScore]:
+        # copy and pickle rebuild an outcome from its scores, deriving the rest again
+        return self[:4]
+
+    def __repr__(self) -> str:
+        a_id, b_id, s_ab, s_ba, eta, winner = self
+        return (
+            f"ComparisonOutcome(a_id={a_id!r}, b_id={b_id!r}, s_ab={s_ab!r}, "
+            f"s_ba={s_ba!r}, eta={eta!r}, winner={winner!r})"
+        )
 
     def to_line(self) -> str:
         """The outcome's line of a tournament's outcome log.
@@ -122,13 +133,13 @@ class ComparisonOutcome:
         values. Every score and eta is a finite plain float, which json.dumps
         writes by repr; the kind and winner names need no escaping.
         """
-        kind = _PROBABILITY_NAME if self.s_ab.kind is _PROBABILITY else _REWARD_NAME
-        winner = self.winner
+        a_id, b_id, s_ab, s_ba, eta, winner = self
+        kind = _PROBABILITY_NAME if s_ab.kind is _PROBABILITY else _REWARD_NAME
         won = "B" if winner is _B else "A" if winner is _A else "TIE"
         return (
-            f'{{"a_id": {encode_basestring_ascii(self.a_id)}, '
-            f'"b_id": {encode_basestring_ascii(self.b_id)}, "eta": {self.eta!r}, '
-            f'"kind": "{kind}", "s_ab": {self.s_ab.value!r}, "s_ba": {self.s_ba.value!r}, '
+            f'{{"a_id": {encode_basestring_ascii(a_id)}, '
+            f'"b_id": {encode_basestring_ascii(b_id)}, "eta": {eta!r}, '
+            f'"kind": "{kind}", "s_ab": {s_ab.value!r}, "s_ba": {s_ba.value!r}, '
             f'"winner": "{won}"}}\n'
         )
 
@@ -139,8 +150,9 @@ class Comparator(Protocol):
     A comparator may also have ``score_pair(a, b) -> (s_ab, s_ba)``, which
     gets both directions of a pair at once; ``compare`` and the cache call it
     when it is there. The remote comparators have it, so that a pair's two
-    requests are in flight together; the oracle and other local comparators
-    leave it out and are asked twice in turn.
+    requests are in flight together, and so has the oracle, which looks up
+    a pair's levels and draws its flip once; a comparator without it, such
+    as a test double, is asked twice in turn.
     """
 
     def score_directed(self, existing: Message, new: Message) -> DirectionScore: ...
@@ -236,7 +248,6 @@ class NoisyOracleComparator:
         self._more_urgent = DirectionScore(0.5 + margin, ScoreKind.PROBABILITY)
         self._less_urgent = DirectionScore(0.5 - margin, ScoreKind.PROBABILITY)
         self._even = DirectionScore(0.5, ScoreKind.PROBABILITY)
-        self._last_draw: tuple[tuple[str, str] | None, bool] = (None, False)
         # names the draw, so a cache written under another draw rule misses
         self.cache_identity = (
             f"oracle(draw=blake2b,seed={seed},margin={margin},"
@@ -247,46 +258,45 @@ class NoisyOracleComparator:
         """The id, which keys the flip draw, and the gold level (null if none)."""
         return json.dumps([message.id, self._levels.get(message.id)])
 
-    def _level(self, message: Message) -> int:
-        level = self._levels.get(message.id)
-        if level is None:
-            raise OracleNeedsLabels(
-                f"no ordinal label for message {message.id!r}", message_id=message.id
-            )
-        return level
-
     def _flipped(self, id_a: str, id_b: str, flip: float) -> bool:
         """The pair's seeded flip draw, shared by both directions.
 
         u is the 8-byte BLAKE2b digest of ``"{seed}|{first}|{second}"``
         (the ids sorted), read big-endian; its top 53 bits make a float in
         [0, 1) the way ``random.random()`` builds one, and the pair flips
-        iff that float is below ``flip``. The last pair's result is kept
-        for the reverse direction that ``compare`` asks for next, which
-        saves one hash per pair. The memo is one tuple swapped whole, so
-        a concurrent caller can only miss it, never read a mixed entry.
+        iff that float is below ``flip``.
         """
-        pair = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-        last_pair, last_flipped = self._last_draw
-        if last_pair == pair:
-            return last_flipped
-        key = f"{self._seed}|{pair[0]}|{pair[1]}".encode()
+        first, second = (id_a, id_b) if id_a < id_b else (id_b, id_a)
+        key = f"{self._seed}|{first}|{second}".encode()
         u = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
-        flipped = (u >> 11) * 2**-53 < flip
-        self._last_draw = (pair, flipped)
-        return flipped
+        return (u >> 11) * 2**-53 < flip
+
+    def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]:
+        """(s_ab, s_ba) from one lookup of each level and one flip draw.
+
+        A message without an ordinal label raises OracleNeedsLabels, a's
+        before b's.
+        """
+        levels = self._levels
+        level_a = levels.get(a.id)
+        level_b = levels.get(b.id)
+        if level_a is None or level_b is None:
+            missing = a if level_a is None else b
+            raise OracleNeedsLabels(
+                f"no ordinal label for message {missing.id!r}", message_id=missing.id
+            )
+        if level_a == level_b:
+            return self._even, self._even
+        b_is_more_urgent = level_b < level_a
+        flip = self._flip.get(abs(level_a - level_b), 0.0)
+        if flip > 0.0 and self._flipped(a.id, b.id, flip):
+            b_is_more_urgent = not b_is_more_urgent
+        if b_is_more_urgent:
+            return self._more_urgent, self._less_urgent
+        return self._less_urgent, self._more_urgent
 
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
-        level_existing = self._level(existing)
-        level_new = self._level(new)
-        if level_existing == level_new:
-            return self._even
-        flip = self._flip.get(abs(level_existing - level_new), 0.0)
-        flipped = flip > 0.0 and self._flipped(existing.id, new.id, flip)
-        new_is_more_urgent = level_new < level_existing
-        if flipped:
-            new_is_more_urgent = not new_is_more_urgent
-        return self._more_urgent if new_is_more_urgent else self._less_urgent
+        return self.score_pair(existing, new)[0]
 
 
 def perfect_oracle(

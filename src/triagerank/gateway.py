@@ -3,9 +3,11 @@
 Speaks the OpenAI-compatible chat-completions schema plus a minimal
 scoring route (POST {prompt, completion} -> {score}) over the standard
 library's http.client, one connection per attempt. Transient failures
-(a network, TLS or HTTP framing error, or a status other than 200 outside
-4xx) are retried with exponential backoff; HTTP 4xx is rejected
-immediately. Secrets come only from environment variables.
+(a network, TLS or HTTP framing error, a status other than 200 outside
+4xx, or a 408 or 429) are retried with exponential backoff; a
+``Retry-After`` in whole seconds replaces the backoff, capped at the
+timeout. Any other HTTP 4xx is rejected immediately. Secrets come only
+from environment variables.
 """
 
 from __future__ import annotations
@@ -92,6 +94,24 @@ class CompletionResult:
     usage: dict[str, int] | None = None
 
 
+# Request Timeout and Too Many Requests: the endpoint asks for the request again
+_RETRIED_4XX = frozenset((408, 429))
+
+
+def _retry_after(value: str | None, cap: float) -> float | None:
+    """A ``Retry-After`` in whole seconds, at most ``cap``; None for an HTTP-date or none.
+
+    RFC 9110 10.2.3: the value is either delay-seconds (ASCII digits) or
+    an HTTP-date, which falls back to the backoff.
+    """
+    if value is None:
+        return None
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), cap)
+
+
 _semaphores: dict[tuple, threading.BoundedSemaphore] = {}
 _semaphores_lock = threading.Lock()
 
@@ -115,9 +135,11 @@ def _post_json(config: EndpointConfig, path: str, payload: dict) -> dict:
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"
     last_error: str = "no attempt made"
+    wait: float | None = None  # the last reply's Retry-After, which replaces the backoff
     for attempt in range(config.max_retries + 1):
         if attempt:
-            time.sleep(config.retry_backoff * 2 ** (attempt - 1))
+            time.sleep(config.retry_backoff * 2 ** (attempt - 1) if wait is None else wait)
+            wait = None
         connection = connection_type(parts.hostname, port, timeout=config.timeout)
         try:
             with _semaphore(config):
@@ -130,6 +152,11 @@ def _post_json(config: EndpointConfig, path: str, payload: dict) -> dict:
             continue
         finally:
             connection.close()
+        if status in _RETRIED_4XX:
+            wait = _retry_after(response.getheader("Retry-After"), config.timeout)
+            last_error = f"HTTP {status}"
+            logger.warning("request to %s failed (attempt %d): %s", url, attempt + 1, last_error)
+            continue
         if 400 <= status < 500:
             text = data.decode("utf-8", errors="replace")
             raise RequestRejected(

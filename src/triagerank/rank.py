@@ -11,14 +11,16 @@ so a score is exact whatever order its credits arrived in: an
 incrementally built ranking equals the full tournament bit for bit.
 
 Pairwise tasks are independent and may run in parallel, ``max_workers``
-pairs at a time. A remote comparator sends a pair's two directed requests
-together (``score_pair``), so up to ``2 * max_workers`` requests are in
-flight, within the endpoint's ``max_parallel``. Score accumulation stays
-single-threaded in sorted pair order, so the result equals the sequential
-computation. Each outcome is credited, then written to the tournament's
-log or dropped, so memory does not grow with the pairs. A failed
-comparison aborts the tournament, leaving no new log: a triage ranking
-built on partial comparisons is a safety hazard.
+pairs at a time. A comparator with ``score_pair`` scores a pair's two
+directions in one call: a remote one sends its two directed requests
+together, so up to ``2 * max_workers`` requests are in flight, within the
+endpoint's ``max_parallel``, and the oracle draws the pair's flip once.
+With one worker and no cache probe, a pair is one ``compare`` call.
+Score accumulation stays single-threaded in sorted pair order, so the
+result equals the sequential computation. Each outcome is credited, then
+written to the tournament's log or dropped, so memory does not grow with
+the pairs. A failed comparison aborts the tournament, leaving no new log:
+a triage ranking built on partial comparisons is a safety hazard.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ def _execute_pairs(
     cache line, so the probe is exact even with parallel workers.
     """
     probe = getattr(comparator, "has_cached_pair", None)
+    if probe is None and max_workers <= 1:
+        for a, b in pairs:
+            yield compare(comparator, a, b), False
+        return
 
     def _task(pair: tuple[Message, Message]) -> tuple[ComparisonOutcome, bool]:
         a, b = pair
@@ -116,14 +122,13 @@ def _credit(
             hits += 1
         else:
             made += 1
-        winner = outcome.winner
+        a_id, b_id, _, _, eta, winner = outcome  # one unpack, not four field reads
         if winner is tie:
-            units[outcome.a_id] += _HALF
-            units[outcome.b_id] += _HALF
+            units[a_id] += _HALF
+            units[b_id] += _HALF
             ties += 1
         else:
-            winner_id = outcome.b_id if winner is b_wins else outcome.a_id
-            units[winner_id] += int((1.0 + abs(outcome.eta)) * _UNIT)
+            units[b_id if winner is b_wins else a_id] += int((1.0 + abs(eta)) * _UNIT)
         yield outcome
     counts[0] += ties
     counts[1] += made

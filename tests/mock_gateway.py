@@ -1,7 +1,7 @@
 """Offline HTTP stand-in for a model endpoint.
 
-Replays a queue of scripted (status, body) responses and records every
-request, so gateway retry/auth/protocol behavior is testable without any
+Replays a queue of scripted (status, body, headers) responses and records
+every request, so gateway retry/auth/protocol behavior is testable without any
 network access. Once the queue is empty, ``answer(body)``, when set,
 builds the reply from the request body: a payload sent with status 200, or
 a (status, payload) pair. The server answers each connection on its own
@@ -58,7 +58,7 @@ def answer_by_new_message(fixtures: Mapping[str, str]) -> Callable[[dict], dict]
 
 class MockEndpoint:
     def __init__(self):
-        self.responses: list[tuple[int, bytes]] = []
+        self.responses: list[tuple[int, bytes, dict[str, str]]] = []
         self.requests: list[dict] = []
         self.answer: Callable[[dict], dict | tuple[int, dict]] | None = None
         self.inflight_peak = 0
@@ -93,8 +93,9 @@ class MockEndpoint:
                         {"path": self.path, "headers": dict(self.headers), "raw": raw, "body": body}
                     )
                     scripted = endpoint.responses.pop(0) if endpoint.responses else None
+                headers = {}
                 if scripted is not None:
-                    status, data = scripted
+                    status, data, headers = scripted
                 elif endpoint.answer is not None:
                     reply = endpoint.answer(body)
                     status, payload = reply if isinstance(reply, tuple) else (200, reply)
@@ -104,6 +105,8 @@ class MockEndpoint:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -125,12 +128,16 @@ class MockEndpoint:
         host, port = self._server.server_address
         return f"http://{host}:{port}"
 
-    def enqueue(self, status: int, payload: dict) -> None:
-        self.enqueue_raw(status, json.dumps(payload).encode("utf-8"))
+    def enqueue(
+        self, status: int, payload: dict, headers: Mapping[str, str] | None = None
+    ) -> None:
+        self.enqueue_raw(status, json.dumps(payload).encode("utf-8"), headers)
 
-    def enqueue_raw(self, status: int, body: bytes) -> None:
-        """Script a reply whose body is sent as given, JSON or not."""
-        self.responses.append((status, body))
+    def enqueue_raw(
+        self, status: int, body: bytes, headers: Mapping[str, str] | None = None
+    ) -> None:
+        """Script a reply whose body is sent as given, JSON or not, with extra headers."""
+        self.responses.append((status, body, dict(headers or {})))
 
     def enqueue_fixture(self, name: str, status: int = 200) -> None:
         self.enqueue(status, load_fixture(name))

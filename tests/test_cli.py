@@ -15,7 +15,13 @@ from pathlib import Path
 import pytest
 
 from triagerank import cli
-from triagerank.compare import DirectionScore, NoisyOracleComparator, ScoreKind, compare
+from triagerank.compare import (
+    ComparisonCache,
+    DirectionScore,
+    NoisyOracleComparator,
+    ScoreKind,
+    compare,
+)
 from triagerank.corpus import fixture_corpus_path, load_corpus, save_corpus
 from triagerank.errors import ComparisonFailed
 from triagerank.pairs import EvalPair, build_triplets
@@ -633,6 +639,89 @@ def test_rerun_after_a_kill_removes_the_orphan_temporary_file(tmp_path):
     ]
     for name in ("rank.json", "rank.outcomes.jsonl"):
         assert (run / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+# Kills its own process at the k-th cache put (argv[1]), before that pair's line is
+# written; with argv[2] "torn" it first appends half of the line, as a kill in the
+# middle of the write would leave it. The CLI gets the rest of the argv.
+_KILLED_AT_KTH_CACHE_PUT = """\
+import os, signal, sys
+from triagerank import cli
+store_type = sys.modules["triagerank.compare"].ComparisonCache
+put, kill_at, torn = store_type.put, int(sys.argv[1]), sys.argv[2] == "torn"
+puts = []
+def put_until_killed(store, key, first, second):
+    puts.append(key)
+    if len(puts) == kill_at:
+        if torn:
+            line = store._format_line(key, first, second).encode("ascii")
+            with open(store._path, "ab") as handle:
+                handle.write(line[: len(line) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+    put(store, key, first, second)
+store_type.put = put_until_killed
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "kill_at, torn", [(1, False), (1, True), (218, False), (218, True), (435, True)]
+)
+def test_rerun_after_a_kill_at_a_cache_put_equals_a_clean_run(
+    tmp_path, monkeypatch, kill_at, torn
+):
+    """A real SIGKILL at the k-th cache append of a cached rank-inbox; the rerun completes it.
+
+    The rerun exits 0 and its ranking, scores, outcome log and cache file
+    equal a clean run's byte for byte; the killed run's cache reloads with
+    at most one line dropped, the torn one, and no temporary file is left.
+    Power loss (an unsynced directory, a torn page) cannot be simulated in a
+    test, so only the kill is checked.
+    """
+    clean, run = tmp_path / "clean", tmp_path / "run"
+    clean.mkdir()
+    run.mkdir()
+    # the same relative paths in both runs, so that their config hashes agree
+    argv = [
+        "rank-inbox", "--inbox", FIXTURE, "--comparator", "oracle", "--flip", "1:0.3,2:0.15",
+        "--cache", "cache.jsonl", "--out", "rank.json",
+    ]
+    monkeypatch.chdir(clean)
+    assert run_cli(*argv) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_AT_KTH_CACHE_PUT, str(kill_at),
+         "torn" if torn else "whole", *argv],
+        cwd=run, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    assert child.wait(timeout=120) == -signal.SIGKILL
+    assert not (run / "rank.json").exists()
+    # the append handle opens at the first put, so a kill before it leaves no file
+    cache = run / "cache.jsonl"
+    killed_cache = cache.read_bytes() if cache.exists() else b""
+    whole = kill_at - 1
+    assert killed_cache.count(b"\n") == whole
+    assert len(killed_cache.splitlines()) == whole + torn
+    # a reload of a copy drops at most the torn line and keeps every whole one
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(killed_cache)
+    reloaded = ComparisonCache(copy)
+    assert len(reloaded) == whole
+    reloaded.close()
+
+    monkeypatch.chdir(run)
+    assert run_cli(*argv) == 0
+    assert not list(run.glob("*.tmp"))
+    for name in ("rank.outcomes.jsonl", "cache.jsonl"):
+        assert (run / name).read_bytes() == (clean / name).read_bytes(), name
+    rerun = json.loads((run / "rank.json").read_text())
+    reference = json.loads((clean / "rank.json").read_text())
+    # the report differs from the clean run's only in what the cache served
+    assert reference["tournament"].pop("cache_hits") == 0
+    pairs = reference["tournament"].pop("comparisons_made")
+    assert rerun["tournament"].pop("cache_hits") == whole
+    assert rerun["tournament"].pop("comparisons_made") == pairs - whole
+    assert rerun == reference
 
 
 def test_pipeline_removes_temporary_files_of_its_artifacts(tmp_path):

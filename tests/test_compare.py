@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import json
 import math
+import pickle
 import random
 import re
 import struct
 import sys
 import threading
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,25 @@ def test_outcome_derives_eta_and_winner(kind, s_ab, s_ba, winner):
     assert (outcome.eta > 0, outcome.eta < 0) == (winner is Winner.B, winner is Winner.A)
 
 
+def test_outcome_fields_are_read_only():
+    first = DirectionScore(0.9, ScoreKind.PROBABILITY)
+    second = DirectionScore(0.1, ScoreKind.PROBABILITY)
+    outcome = ComparisonOutcome("a", "b", first, second)
+    for name, value in [
+        ("a_id", "x"), ("b_id", "x"), ("s_ab", second), ("s_ba", first),
+        ("eta", -0.8), ("winner", Winner.A), ("other", 1),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(outcome, name, value)
+    assert (outcome.a_id, outcome.b_id, outcome.s_ab, outcome.s_ba) == ("a", "b", first, second)
+    assert outcome.eta == pytest.approx(0.8) and outcome.winner is Winner.B
+    # no path builds an outcome without deriving eta and the winner from its scores
+    assert not hasattr(ComparisonOutcome, "_replace") and not hasattr(ComparisonOutcome, "_make")
+    for copied in (copy.copy(outcome), copy.deepcopy(outcome), pickle.loads(pickle.dumps(outcome))):
+        assert type(copied) is ComparisonOutcome and copied == outcome
+    assert repr(outcome).startswith("ComparisonOutcome(a_id='a', b_id='b', s_ab=DirectionScore(")
+
+
 def test_outcome_of_mixed_kinds_fails():
     with pytest.raises(ComparisonFailed):
         ComparisonOutcome(
@@ -296,8 +317,8 @@ def test_oracle_equals_always_draw_reference_with_interleaved_pairs():
             assert oracle.score_directed(existing, new) == reference.score_directed(
                 existing, new
             )
-        # both directions of one pair, then of another, then back: the memo
-        # of the last draw must never answer for a different pair
+        # both directions of one pair, then of another, then back: no draw
+        # may answer for a different pair
         pairs = [rng.sample(messages, 2) for _ in range(200)]
         for (a, b), (c, d) in zip(pairs, pairs[1:]):
             for existing, new in ((a, b), (c, d), (b, a), (d, c), (b, a)):
@@ -314,8 +335,15 @@ def test_oracle_equals_always_draw_reference_in_parallel_tournament(tmp_path):
     reference = run_tournament(
         messages, AlwaysDrawOracle(labeled, NOISY_FLIP, seed=11), log=reference_log
     )
+    # the oracle's own sequential tournament, which parallel workers must equal
+    sequential_log = tmp_path / "sequential.jsonl"
+    sequential = run_tournament(
+        messages, NoisyOracleComparator(labeled, NOISY_FLIP, seed=11), log=sequential_log
+    )
+    assert sequential_log.read_bytes() == reference_log.read_bytes()
+    assert sequential == reference
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so a shared memo would show
+    sys.setswitchinterval(1e-6)  # switch threads often, so shared state would show
     try:
         for _ in range(3):
             oracle = NoisyOracleComparator(labeled, NOISY_FLIP, seed=11)
@@ -325,6 +353,36 @@ def test_oracle_equals_always_draw_reference_in_parallel_tournament(tmp_path):
             assert result.ranking == reference.ranking
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("flip", [NOISY_FLIP, {1: 0.3, 2: 0.15}], ids=["noisy", "default"])
+@pytest.mark.parametrize("margin", [0.4, 0.5])
+def test_oracle_score_pair_equals_both_directed_scores(seed, flip, margin):
+    labeled = _noisy_inbox(count=30, seed=seed)
+    oracle = NoisyOracleComparator(labeled, flip, seed=seed, margin=margin)
+    reference = AlwaysDrawOracle(labeled, flip, seed=seed, margin=margin)
+    for a, b in permutations([item.message for item in labeled], 2):
+        pair = oracle.score_pair(a, b)
+        assert pair == (oracle.score_directed(a, b), oracle.score_directed(b, a))
+        assert pair == (reference.score_directed(a, b), reference.score_directed(b, a))
+
+
+@pytest.mark.parametrize("unlabelled", ["a", "b", "both"])
+def test_oracle_unlabelled_message_fails_the_comparison_naming_it(unlabelled):
+    labeled = [make_labeled("m1", 1), make_labeled("m2", 4)]
+    oracle = NoisyOracleComparator(labeled, {3: 0.5}, seed=1)
+    a = make_message("s1") if unlabelled in ("a", "both") else labeled[0].message
+    b = make_message("s2") if unlabelled in ("b", "both") else labeled[1].message
+    named = a.id if unlabelled != "b" else b.id  # a's missing label is named first
+    with pytest.raises(ComparisonFailed) as excinfo:
+        compare(oracle, a, b)
+    assert str(excinfo.value) == f"pair ({a.id}, {b.id}): no ordinal label for message {named!r}"
+    cause = excinfo.value.__cause__
+    assert type(cause) is OracleNeedsLabels and cause.message_id == named
+    with pytest.raises(OracleNeedsLabels) as excinfo:
+        oracle.score_directed(a, b)
+    assert excinfo.value.message_id == named
 
 
 # (seed, first id, second id) -> u, the draw's 64-bit integer

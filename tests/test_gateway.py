@@ -9,6 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from triagerank import gateway
 from triagerank.errors import (
     BadScore,
     ConfigError,
@@ -193,6 +194,58 @@ def test_exhausted_retries(mock_endpoint):
     with pytest.raises(EndpointUnavailable):
         complete(config_for(mock_endpoint, max_retries=2), "sys", "user")
     assert len(mock_endpoint.requests) == 3
+
+
+def test_429_then_success_makes_two_requests(mock_endpoint):
+    mock_endpoint.enqueue(429, {"error": "slow down"})
+    mock_endpoint.enqueue_fixture("retry_success")
+    assert complete(config_for(mock_endpoint), "sys", "user").text == "YES"
+    assert len(mock_endpoint.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "retry_after, slept",
+    [
+        ("3", 3.0),
+        (" 0 ", 0.0),
+        ("120", 5.0),  # capped at the timeout
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.001),  # an HTTP-date: the backoff
+        ("1.5", 0.001),  # not whole seconds: the backoff
+        ("\u0663", 0.001),  # a digit, but not an ASCII one: the backoff
+        (None, 0.001),
+    ],
+)
+@pytest.mark.parametrize("status", [429, 408])
+def test_retry_after_in_whole_seconds_replaces_the_backoff(
+    mock_endpoint, monkeypatch, status, retry_after, slept
+):
+    sleeps = []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    mock_endpoint.enqueue(status, {"error": "later"}, headers)
+    mock_endpoint.enqueue(status, {"error": "later"})
+    mock_endpoint.enqueue_fixture("retry_success")
+    complete(config_for(mock_endpoint, timeout=5.0, max_retries=2), "sys", "user")
+    # the second wait follows a reply without the header: the backoff, doubled
+    assert sleeps == [slept, 0.002]
+    assert len(mock_endpoint.requests) == 3
+
+
+def test_408_on_every_attempt_is_unavailable_naming_it(mock_endpoint):
+    for _ in range(3):
+        mock_endpoint.enqueue(408, {"error": "timeout"})
+    with pytest.raises(EndpointUnavailable, match=r"after 3 attempts \(HTTP 408\)"):
+        complete(config_for(mock_endpoint, max_retries=2), "sys", "user")
+    assert len(mock_endpoint.requests) == 3
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 409, 422])
+def test_other_4xx_is_rejected_after_one_request(mock_endpoint, status):
+    mock_endpoint.enqueue(status, {"error": "no"}, {"Retry-After": "0"})
+    with pytest.raises(RequestRejected) as excinfo:
+        complete(config_for(mock_endpoint, max_retries=2), "sys", "user")
+    assert excinfo.value.status == status
+    assert len(mock_endpoint.requests) == 1
 
 
 def test_refused_connection_is_unavailable_after_every_attempt(caplog):

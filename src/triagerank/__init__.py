@@ -5,7 +5,7 @@ training triplets and exports, runs pairwise tournaments with pluggable
 comparators, and scores the results with triage-aware ranking metrics.
 """
 
-from .annotate import auto_label_corpus, classify_response, sextile_labels_from_winrate
+from .annotate import auto_label_corpus, classify_response, sextile_classes
 from .compare import (
     CachedComparator,
     Comparator,

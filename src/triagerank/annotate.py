@@ -1,18 +1,17 @@
-"""Urgency annotation: response classification and sextile labels.
+"""Urgency annotation: response classification and sextile classes.
 
 Labels are derived from clinician responses by a deterministic keyword
-classifier, so the whole pipeline runs offline. Win-rate-sorted inboxes
-can be cut into sextile labels.
+classifier, so the whole pipeline runs offline. A ranking can be cut
+into six predicted classes, its sextiles.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from typing import Sequence
 
-from .corpus import LabeledMessage, Message, UrgencyLabel, label_for_level
-from .errors import DataError, TooFewMessages
+from .corpus import LabeledMessage, Message, UrgencyLabel
+from .errors import TooFewMessages
 
 logger = logging.getLogger(__name__)
 
@@ -133,31 +132,20 @@ def auto_label_corpus(messages: Sequence[Message]) -> list[LabeledMessage]:
     return labeled
 
 
-def sextile_labels_from_winrate(
-    inbox: Sequence[tuple[str, float]],
-) -> dict[str, UrgencyLabel]:
-    """Assign L1..L6 by position in the win-rate-sorted inbox.
+def sextile_classes(ranking: Sequence[str]) -> list[list[str]]:
+    """Cut a ranking, most urgent first, into six predicted classes L1..L6.
 
-    Sorts descending by win-rate with ties broken by ascending id; the
-    sorted list is cut into six contiguous blocks whose sizes differ by at
-    most one, larger blocks first (most urgent end).
+    The classes are contiguous slices of the ranking whose sizes differ by
+    at most one, larger classes first (most urgent end).
     """
-    n = len(inbox)
+    n = len(ranking)
     if n < 6:
         raise TooFewMessages(f"sextile labeling needs >= 6 messages, got {n}")
-    if len({message_id for message_id, _ in inbox}) != n:
-        raise DataError("inbox contains duplicate message ids")
-    for message_id, winrate in inbox:
-        if not math.isfinite(winrate):
-            raise DataError(f"non-finite winrate for {message_id!r}")
-    ordered = sorted(inbox, key=lambda item: (-item[1], item[0]))
     base, remainder = divmod(n, 6)
-    sizes = [base + 1] * remainder + [base] * (6 - remainder)
-    labels: dict[str, UrgencyLabel] = {}
-    position = 0
-    for level, size in enumerate(sizes, start=1):
-        for message_id, _ in ordered[position : position + size]:
-            labels[message_id] = label_for_level(level)
-        position += size
-    return labels
-
+    classes = []
+    start = 0
+    for level in range(6):
+        end = start + base + (level < remainder)
+        classes.append(list(ranking[start:end]))
+        start = end
+    return classes

@@ -32,7 +32,6 @@ from .compare import (
     ORACLE_MARGIN,
     ReasoningComparator,
     RewardComparator,
-    compare,
 )
 from .corpus import (
     LabeledMessage,
@@ -243,21 +242,13 @@ def cmd_build_triplets(args: argparse.Namespace) -> str:
     return f"wrote {written} triplets -> {args.out}"
 
 
-def _triplets_from_args(args: argparse.Namespace):
-    if args.triplets:
-        return read_triplets(args.triplets)
-    if not args.corpus:
-        raise ConfigError("need --triplets or --corpus")
-    return build_triplets(load_corpus(args.corpus), args.cap, args.seed, args.count)
-
-
 def cmd_export_sft(args: argparse.Namespace) -> str:
-    summary = export_sft(_triplets_from_args(args), args.out)
+    summary = export_sft(read_triplets(args.triplets), args.out)
     return f"wrote {summary.records} SFT records -> {summary.path}"
 
 
 def cmd_export_reward(args: argparse.Namespace) -> str:
-    summary = export_reward(_triplets_from_args(args), args.out)
+    summary = export_reward(read_triplets(args.triplets), args.out)
     return f"wrote {summary.records} reward records -> {summary.path}"
 
 
@@ -328,13 +319,7 @@ def _extrinsic_sections(
 ) -> dict:
     """The "extrinsic" and "ranking" report sections."""
     labels = labels_by_id(inbox)
-    sextiles = annotate.sextile_labels_from_winrate(
-        [(message_id, result.scores[message_id]) for message_id in result.ranking]
-    )
-    class_groups = [
-        [m for m in result.ranking if sextiles[m].level == level]
-        for level in range(1, 7)
-    ]
+    class_groups = annotate.sextile_classes(result.ranking)
     by_k = {}
     for k in _report_ks(ks, len(inbox)):
         mean, stddev = metrics.expected_t_ndcg(class_groups, labels, k=k)
@@ -371,11 +356,7 @@ def cmd_bias_report(args: argparse.Namespace) -> str:
     eval_pairs = read_eval_pairs(args.pairs)
     labeled = [pair.a for pair in eval_pairs] + [pair.b for pair in eval_pairs]
     comparator = build_comparator(args.comparator, labeled, **_comparator_options(args))
-    outcomes = [
-        compare(comparator, pair.a.message, pair.b.message)
-        for pair in eval_pairs
-    ]
-    report = metrics.bias_strata(eval_pairs, outcomes, metrics.BiasScheme(args.scheme))
+    report = metrics.bias_strata(eval_pairs, comparator, metrics.BiasScheme(args.scheme))
     _write_args_report(args, comparator.cache_identity, bias=report.to_record())
     return (
         f"{args.scheme}: chi2={report.chi_square:.4f} p={report.p_value:.4f} "
@@ -685,11 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True)
 
     for name, func in (("export-sft", cmd_export_sft), ("export-reward", cmd_export_reward)):
-        sub = _sub(name, func, help=f"write the {name.split('-')[1]} training export")
-        sub.add_argument("--triplets", help="prebuilt triplets file")
-        sub.add_argument("--corpus", help="corpus to draw triplets from instead")
-        sub.add_argument("--cap", type=int, default=4)
-        sub.add_argument("--count", type=int)
+        sub = _sub(
+            name, func, seeded=False, help=f"write the {name.split('-')[1]} training export"
+        )
+        sub.add_argument("--triplets", required=True, help="triplets file from build-triplets")
         sub.add_argument("--out", required=True)
 
     sub = _sub("assemble-inbox", cmd_assemble_inbox, help="draw a per-level inbox sample")

@@ -147,32 +147,28 @@ def _post_json(config: EndpointConfig, path: str, payload: dict) -> dict:
                 response = connection.getresponse()
                 status, data = response.status, response.read()
         except (OSError, http.client.HTTPException) as exc:
-            last_error = f"{type(exc).__name__}: {exc}"
-            logger.warning("request to %s failed (attempt %d): %s", url, attempt + 1, last_error)
-            continue
+            status, last_error = None, f"{type(exc).__name__}: {exc}"
         finally:
             connection.close()
-        if status in _RETRIED_4XX:
-            wait = _retry_after(response.getheader("Retry-After"), config.timeout)
+        if status == 200:
+            try:
+                reply = json.loads(data)
+            except ValueError:
+                raise ProtocolError(f"{url} returned non-JSON body") from None
+            if not isinstance(reply, dict):
+                raise ProtocolError(f"{url} returned a non-object JSON payload")
+            return reply
+        if status is not None:
+            if status in _RETRIED_4XX:
+                wait = _retry_after(response.getheader("Retry-After"), config.timeout)
+            elif 400 <= status < 500:
+                text = data.decode("utf-8", errors="replace")
+                raise RequestRejected(
+                    f"{url} returned {status}: {text[:500]}", status=status, body=text
+                )
             last_error = f"HTTP {status}"
-            logger.warning("request to %s failed (attempt %d): %s", url, attempt + 1, last_error)
-            continue
-        if 400 <= status < 500:
-            text = data.decode("utf-8", errors="replace")
-            raise RequestRejected(
-                f"{url} returned {status}: {text[:500]}", status=status, body=text
-            )
-        if status != 200:
-            last_error = f"HTTP {status}"
-            logger.warning("request to %s failed (attempt %d): %s", url, attempt + 1, last_error)
-            continue
-        try:
-            reply = json.loads(data)
-        except ValueError:
-            raise ProtocolError(f"{url} returned non-JSON body") from None
-        if not isinstance(reply, dict):
-            raise ProtocolError(f"{url} returned a non-object JSON payload")
-        return reply
+        # a failed exchange, a 408 or 429, or a non-200 status outside 4xx: try again
+        logger.warning("request to %s failed (attempt %d): %s", url, attempt + 1, last_error)
     raise EndpointUnavailable(
         f"{url} unavailable after {config.max_retries + 1} attempts ({last_error})"
     )

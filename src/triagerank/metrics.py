@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .compare import Comparator, ComparisonOutcome, Winner, compare
+from .compare import Comparator, Winner, compare
 from .corpus import UrgencyLabel
 from .errors import ConfigError, DataError, MissingLabel, NoStrata, NoValidPairs
 from .pairs import Difficulty, EvalPair
@@ -316,24 +316,23 @@ def _stratum_for(pair: EvalPair, scheme: BiasScheme) -> str | None:
 
 def bias_strata(
     pairs: Sequence[EvalPair],
-    outcomes: Sequence[ComparisonOutcome],
+    comparator: Comparator,
     scheme: BiasScheme,
 ) -> BiasReport:
-    """Test whether correctness is independent of a demographic ordering.
+    """Test whether a comparator's correctness is independent of a demographic ordering.
 
-    Outcomes are matched to pairs by (a_id, b_id). Pairs lacking the
-    demographics the scheme needs (or lacking an outcome) are skipped and
-    counted.
+    A pair lacking the demographics the scheme needs is skipped and
+    counted, and never sent to the comparator. As in intrinsic_accuracy, a
+    TIE is incorrect.
     """
-    outcome_index = {(outcome.a_id, outcome.b_id): outcome for outcome in outcomes}
     counts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     skipped = 0
     for pair in pairs:
-        outcome = outcome_index.get((pair.a.id, pair.b.id))
         stratum = _stratum_for(pair, scheme)
-        if outcome is None or stratum is None:
+        if stratum is None:
             skipped += 1
             continue
+        outcome = compare(comparator, pair.a.message, pair.b.message)
         is_correct = outcome.winner is pair.gold_more_urgent
         counts[stratum][0 if is_correct else 1] += 1
     if not counts:

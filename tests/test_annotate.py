@@ -5,15 +5,13 @@ import random
 
 import pytest
 
-from triagerank.annotate import (
-    auto_label_corpus,
-    classify_response,
-    sextile_labels_from_winrate,
-)
+from triagerank.annotate import auto_label_corpus, classify_response, sextile_classes
+from triagerank.compare import NoisyOracleComparator, perfect_oracle
 from triagerank.corpus import UrgencyLabel
-from triagerank.errors import DataError, TooFewMessages
+from triagerank.errors import TooFewMessages
+from triagerank.rank import run_tournament
 
-from .conftest import make_message
+from .conftest import make_labeled, make_message
 
 
 # ----------------------------------------------------------------- classifier
@@ -67,65 +65,66 @@ def test_auto_label_retains_sentinels():
 # -------------------------------------------------------------------- sextile
 
 
+def _ranking(n):
+    return [f"id{i:03d}" for i in range(n)]
+
+
 def test_sextile_30_messages_five_per_level():
-    inbox = [(f"m{i:02d}", 100.0 - i) for i in range(30)]
-    labels = sextile_labels_from_winrate(inbox)
-    for index in range(30):
-        expected_level = index // 5 + 1
-        assert labels[f"m{index:02d}"].level == expected_level
+    ranking = _ranking(30)
+    assert sextile_classes(ranking) == [ranking[start:start + 5] for start in range(0, 30, 5)]
 
 
 def test_sextile_six_distinct_one_per_level():
-    inbox = [("f", 0.1), ("a", 0.9), ("c", 0.5), ("b", 0.7), ("e", 0.2), ("d", 0.3)]
-    labels = sextile_labels_from_winrate(inbox)
-    assert labels["a"] is UrgencyLabel.L1
-    assert labels["f"] is UrgencyLabel.L6
-    assert sorted(label.level for label in labels.values()) == [1, 2, 3, 4, 5, 6]
+    assert sextile_classes(("a", "b", "c", "d", "e", "f")) == [
+        ["a"], ["b"], ["c"], ["d"], ["e"], ["f"],
+    ]
 
 
 def test_sextile_tie_at_boundary_broken_by_id():
-    """Brute-force over permutations of tied ids: the assignment is fixed."""
-    # x and y tie exactly at a block boundary of a 6-message inbox
-    base = [("a", 0.9), ("x", 0.5), ("y", 0.5), ("d", 0.3), ("e", 0.2), ("f", 0.1)]
-    expected = sextile_labels_from_winrate(base)
-    assert expected["x"].level < expected["y"].level  # ascending id wins the tie
-    for permutation in itertools.permutations(base):
-        assert sextile_labels_from_winrate(list(permutation)) == expected
+    """Brute-force over inbox permutations: the classes of the ranking are fixed."""
+    # x and y tie exactly and sit either side of a class boundary of a 6-message inbox
+    corpus = [
+        make_labeled("a", 1), make_labeled("x", 3), make_labeled("y", 3),
+        make_labeled("d", 4), make_labeled("e", 5), make_labeled("f", 6),
+    ]
+    oracle = perfect_oracle(corpus)
+    for permutation in itertools.permutations(corpus):
+        result = run_tournament([labeled.message for labeled in permutation], oracle)
+        assert result.scores["x"] == result.scores["y"]
+        # ascending id wins the tie
+        assert sextile_classes(result.ranking) == [["a"], ["x"], ["y"], ["d"], ["e"], ["f"]]
 
 
 def test_sextile_block_sizes_differ_by_at_most_one():
-    for n in (6, 7, 11, 13, 29, 30, 31):
-        inbox = [(f"id{i:03d}", float(n - i)) for i in range(n)]
-        labels = sextile_labels_from_winrate(inbox)
-        sizes = [
-            sum(1 for label in labels.values() if label.level == level)
-            for level in range(1, 7)
-        ]
-        assert sum(sizes) == n
+    for n in range(6, 32):
+        ranking = _ranking(n)
+        classes = sextile_classes(ranking)
+        sizes = [len(group) for group in classes]
+        # contiguous slices, in ranking order, each id once
+        assert [message_id for group in classes for message_id in group] == ranking
+        assert len(sizes) == 6
         assert max(sizes) - min(sizes) <= 1
         # larger blocks sit at the most-urgent end
         assert sizes == sorted(sizes, reverse=True)
 
 
 def test_sextile_assigns_every_id_once_order_invariant():
+    """A tournament's classes hold every id once, whatever the inbox order."""
     rng = random.Random(5)
-    inbox = [(f"id{i:03d}", rng.random()) for i in range(17)]
-    labels = sextile_labels_from_winrate(inbox)
-    assert set(labels) == {message_id for message_id, _ in inbox}
-    shuffled = inbox[:]
+    corpus = [make_labeled(f"id{i:03d}", rng.randint(1, 6)) for i in range(17)]
+    oracle = NoisyOracleComparator(corpus, {1: 0.3, 2: 0.15}, seed=5)
+    result = run_tournament([labeled.message for labeled in corpus], oracle)
+    classes = sextile_classes(result.ranking)
+    assert sorted(message_id for group in classes for message_id in group) == sorted(
+        labeled.id for labeled in corpus
+    )
+    shuffled = corpus[:]
     rng.shuffle(shuffled)
-    assert sextile_labels_from_winrate(shuffled) == labels
+    result = run_tournament([labeled.message for labeled in shuffled], oracle)
+    assert sextile_classes(result.ranking) == classes
 
 
-def test_sextile_too_few_and_nonfinite():
-    with pytest.raises(TooFewMessages):
-        sextile_labels_from_winrate([("a", 1.0)] * 5)
-    with pytest.raises(DataError):
-        sextile_labels_from_winrate(
-            [("a", float("nan"))] + [(f"b{i}", 1.0) for i in range(5)]
-        )
-    with pytest.raises(DataError):
-        sextile_labels_from_winrate(
-            [("dup", 1.0), ("dup", 0.9)] + [(f"c{i}", 0.5) for i in range(4)]
-        )
-
+def test_sextile_classes_need_six_messages():
+    for n in range(6):
+        with pytest.raises(TooFewMessages):
+            sextile_classes(_ranking(n))

@@ -4,6 +4,7 @@ import fnmatch
 import hashlib
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -22,13 +23,13 @@ from triagerank.compare import (
     ScoreKind,
     compare,
 )
-from triagerank.corpus import fixture_corpus_path, load_corpus, save_corpus
+from triagerank.corpus import EhrRecord, Gender, fixture_corpus_path, load_corpus, save_corpus
 from triagerank.errors import ComparisonFailed
-from triagerank.pairs import EvalPair, build_triplets
+from triagerank.pairs import EvalPair, build_triplets, write_eval_pairs
 from triagerank.rank import run_tournament
 
 from .conftest import level_corpus, make_labeled
-from .mock_gateway import answer_by_new_message
+from .mock_gateway import answer_by_new_message, new_slot
 from .test_compare import _answer_by_urgency
 
 FIXTURE = str(fixture_corpus_path())
@@ -148,15 +149,28 @@ def test_build_triplets_and_exports(tmp_path):
     assert len(reward_path.read_text().splitlines()) == 2 * triplet_count
 
 
-def test_export_from_corpus_directly(tmp_path):
+def test_export_sft_reads_triplets_only(tmp_path):
+    """Exports take a triplets file; drawing triplets is build-triplets' work."""
+    triplets_path = tmp_path / "triplets.jsonl"
+    assert run_cli(
+        "build-triplets", "--corpus", FIXTURE, "--cap", 2, "--seed", 5, "--count", 6,
+        "--out", triplets_path,
+    ) == 0
     sft_path = tmp_path / "sft.jsonl"
-    assert (
-        run_cli(
-            "export-sft", "--corpus", FIXTURE, "--cap", 2, "--seed", 5,
-            "--count", 6, "--out", sft_path,
-        )
-        == 0
-    )
+    for command in ("export-sft", "export-reward"):
+        # the old route, and each of its flags beside --triplets, where it did nothing
+        for argv in (
+            ("--corpus", FIXTURE, "--cap", 2, "--seed", 5, "--count", 6),
+            ("--triplets", triplets_path, "--corpus", FIXTURE),
+            ("--triplets", triplets_path, "--cap", 2),
+            ("--triplets", triplets_path, "--seed", 5),
+            ("--triplets", triplets_path, "--count", 6),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(command, *argv, "--out", sft_path)
+            assert excinfo.value.code == 2, (command, argv)
+    assert not sft_path.exists()
+    assert run_cli("export-sft", "--triplets", triplets_path, "--out", sft_path) == 0
     assert len(sft_path.read_text().splitlines()) == 24
 
 
@@ -237,6 +251,65 @@ def test_bias_report_cli(tmp_path):
     )
     report = read_json(report_path)
     assert 0.0 <= report["bias"]["cramers_v"] <= 1.0
+
+
+def _bias_pair(index, more_level, less_level, more_age=None, less_age=None):
+    """An eval pair of messages whose text names their urgency, with an EHR where an age is given."""
+
+    def labeled(side, level, age):
+        message_id = f"{side}{index}"
+        ehr = None if age is None else EhrRecord(age=age, gender=Gender.FEMALE)
+        text = f"urgency {level}: note {message_id}"
+        return make_labeled(message_id, level, text=text, ehr=ehr)
+
+    return EvalPair(labeled("more", more_level, more_age), labeled("less", less_level, less_age))
+
+
+def test_remote_bias_report_asks_only_about_stratifiable_pairs(tmp_path, mock_endpoint):
+    mock_endpoint.answer = _answer_by_urgency
+    pairs = [
+        _bias_pair(0, 1, 4, 70, 30),
+        _bias_pair(1, 2, 5, 20, 60),
+        _bias_pair(2, 1, 3, 50, None),  # one side has no EHR
+        _bias_pair(3, 2, 6),  # neither side has one
+        _bias_pair(4, 3, 6, 40, 40),  # equal ages: no ordering
+        _bias_pair(5, 1, 4, 80, 35),
+    ]
+    write_eval_pairs(pairs, tmp_path / "pairs.jsonl")
+    out = tmp_path / "bias.json"
+    assert run_cli(
+        "bias-report", "--pairs", tmp_path / "pairs.jsonl", "--scheme", "age_ordering",
+        "--comparator", "logprob", "--model", "mock", "--base-url", mock_endpoint.base_url,
+        "--out", out,
+    ) == 0
+    # two directed requests for each of the three stratifiable pairs, none for the rest
+    assert len(mock_endpoint.requests) == 2 * 3
+    asked = {
+        re.search(r"note (\w+)", new_slot(request["body"])).group(1)
+        for request in mock_endpoint.requests
+    }
+    assert asked == {"more0", "less0", "more1", "less1", "more5", "less5"}
+    bias = read_json(out)["bias"]
+    assert bias["skipped"] == 3
+    assert bias["strata"] == {
+        "older_less_urgent": {"correct": 1, "incorrect": 0},
+        "older_more_urgent": {"correct": 2, "incorrect": 0},
+    }
+
+
+def test_remote_bias_report_over_pairs_without_ehr_sends_nothing(
+    tmp_path, mock_endpoint, capsys
+):
+    mock_endpoint.answer = _answer_by_urgency
+    write_eval_pairs([_bias_pair(0, 1, 4), _bias_pair(1, 2, 6)], tmp_path / "pairs.jsonl")
+    out = tmp_path / "bias.json"
+    assert run_cli(
+        "bias-report", "--pairs", tmp_path / "pairs.jsonl", "--comparator", "logprob",
+        "--model", "mock", "--base-url", mock_endpoint.base_url, "--out", out,
+    ) == 3
+    assert "no pair is usable" in capsys.readouterr().err
+    assert mock_endpoint.requests == []
+    assert not out.exists()
 
 
 def test_agreement_cli(tmp_path):
@@ -722,6 +795,59 @@ def test_rerun_after_a_kill_at_a_cache_put_equals_a_clean_run(
     assert rerun["tournament"].pop("cache_hits") == whole
     assert rerun["tournament"].pop("comparisons_made") == pairs - whole
     assert rerun == reference
+
+
+# Kills its own process on entering cli.export_sft, after the triplets stage and
+# before the export_sft stage writes anything, then runs the CLI on its argv.
+_KILLED_ENTERING_EXPORT_SFT = """\
+import os, signal, sys
+from triagerank import cli
+def export_sft_killed(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+cli.export_sft = export_sft_killed
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "script, written, orphan",
+    [
+        (
+            _KILLED_ENTERING_EXPORT_SFT,
+            ["filtered.jsonl", "eval_pairs.jsonl", "triplets.jsonl"], None,
+        ),
+        (_KILLED_AT_TENTH_LOG_LINE, _BEFORE_INBOX + ["inbox.jsonl"], "outcomes.jsonl"),
+    ],
+    ids=["entering-export-sft", "tenth-outcome-line"],
+)
+def test_pipeline_rerun_after_a_kill_equals_a_clean_run(tmp_path, script, written, orphan):
+    """A real SIGKILL between two pipeline stages or mid-tournament; the rerun completes it.
+
+    The killed run leaves the artifacts of the stages before the kill, the
+    temporary file of the artifact it was writing, and no manifest. The
+    rerun exits 0, leaves no temporary file, and writes every artifact and
+    the manifest byte for byte as a clean run does. Power loss (an unsynced
+    directory, a torn page) cannot be simulated in a test, so only the kill
+    is checked.
+    """
+    clean, run = tmp_path / "clean", tmp_path / "run"
+    argv = ["pipeline", "--corpus", FIXTURE, "--seed", "3"]
+    assert run_cli(*argv, "--out-dir", clean) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", script, *argv, "--out-dir", str(run)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    assert child.wait(timeout=120) == -signal.SIGKILL
+    orphans = [f"{orphan}.{child.pid}.tmp"] if orphan else []
+    assert sorted(path.name for path in run.iterdir()) == sorted(written + orphans)
+    assert run_cli(*argv, "--out-dir", run) == 0
+    assert not list(run.glob("*.tmp"))
+    names = sorted(path.name for path in clean.iterdir())
+    assert sorted(path.name for path in run.iterdir()) == names
+    assert "manifest.json" in names
+    for name in names:
+        assert (run / name).read_bytes() == (clean / name).read_bytes(), name
 
 
 def test_pipeline_removes_temporary_files_of_its_artifacts(tmp_path):

@@ -12,7 +12,6 @@ from triagerank.compare import (
     NoisyOracleComparator,
     ScoreKind,
     Winner,
-    compare,
     perfect_oracle,
 )
 from triagerank.corpus import EhrRecord, Gender, UrgencyLabel
@@ -32,6 +31,7 @@ from triagerank.metrics import (
 from triagerank.pairs import Difficulty, EvalPair
 
 from .conftest import make_labeled
+from .test_compare import ScriptedComparator
 
 
 # Brute-force oracle: the DCG formula written out directly, independent of
@@ -518,8 +518,7 @@ def test_bias_gender_strata_counts():
         labels[pair.a.id] = pair.a.label
         labels[pair.b.id] = pair.b.label
     oracle = NoisyOracleComparator(labels, {4: 0.3}, seed=11)
-    outcomes = [compare(oracle, pair.a.message, pair.b.message) for pair in pairs]
-    report = bias_strata(pairs, outcomes, BiasScheme.GENDER_OF_ROLES)
+    report = bias_strata(pairs, oracle, BiasScheme.GENDER_OF_ROLES)
     assert set(report.strata) == {
         "more=male,less=male",
         "more=male,less=female",
@@ -533,7 +532,7 @@ def test_bias_gender_strata_counts():
 def test_bias_age_ordering_independent_fixture():
     """Correctness unrelated to age ordering: expect a comfortable p-value."""
     pairs = []
-    outcomes = []
+    table = {}
     index = 0
     # 2x2 balanced table: 15 correct / 5 incorrect in both age orderings
     for older_is_more_urgent in (True, False):
@@ -546,62 +545,48 @@ def test_bias_age_ordering_independent_fixture():
                 Winner.B if pair.gold_more_urgent is Winner.A else Winner.A
             )
             eta = 0.5 if winner is Winner.B else -0.5
-            outcomes.append(
-                compare(
-                    _scripted_for(pair, eta),
-                    pair.a.message,
-                    pair.b.message,
-                )
-            )
+            table.update(_scripted_scores(pair, eta))
             pairs.append(pair)
             index += 1
-    report = bias_strata(pairs, outcomes, BiasScheme.AGE_ORDERING)
+    report = bias_strata(pairs, ScriptedComparator(table), BiasScheme.AGE_ORDERING)
     assert set(report.strata) == {"older_more_urgent", "older_less_urgent"}
     assert report.chi_square == pytest.approx(0.0, abs=1e-9)
     assert report.p_value > 0.05
 
 
-def _scripted_for(pair, eta):
-    from .test_compare import ScriptedComparator
-
+def _scripted_scores(pair, eta):
+    """The two directed scores of ``pair`` whose outcome has this eta."""
     half = abs(eta) / 2
     s_ab = 0.5 + (half if eta > 0 else -half)
     s_ba = 0.5 - (half if eta > 0 else -half)
-    return ScriptedComparator(
-        {(pair.a.id, pair.b.id): s_ab, (pair.b.id, pair.a.id): s_ba}
-    )
+    return {(pair.a.id, pair.b.id): s_ab, (pair.b.id, pair.a.id): s_ba}
 
 
 def test_bias_skips_pairs_without_demographics(fixture_corpus):
     plain = EvalPair(make_labeled("x", 1), make_labeled("y", 5))
     pair_with_ehr = _demographic_pair(0, Gender.MALE, Gender.FEMALE, 40, 20)
+    # the oracle knows no label of the plain pair, so asking it about that pair would raise
     labels = {
-        "x": UrgencyLabel.L1,
-        "y": UrgencyLabel.L5,
         pair_with_ehr.a.id: pair_with_ehr.a.label,
         pair_with_ehr.b.id: pair_with_ehr.b.label,
     }
     oracle = perfect_oracle(labels)
-    pairs = [plain, pair_with_ehr]
-    outcomes = [compare(oracle, pair.a.message, pair.b.message) for pair in pairs]
-    report = bias_strata(pairs, outcomes, BiasScheme.GENDER_OF_ROLES)
+    report = bias_strata([plain, pair_with_ehr], oracle, BiasScheme.GENDER_OF_ROLES)
     assert report.skipped == 1
 
 
 def test_bias_no_strata():
     plain = EvalPair(make_labeled("x", 1), make_labeled("y", 5))
     oracle = perfect_oracle({"x": UrgencyLabel.L1, "y": UrgencyLabel.L5})
-    outcome = compare(oracle, plain.a.message, plain.b.message)
     with pytest.raises(NoStrata):
-        bias_strata([plain], [outcome], BiasScheme.AGE_ORDERING)
+        bias_strata([plain], oracle, BiasScheme.AGE_ORDERING)
 
 
 def test_bias_equal_ages_skipped():
     pair = _demographic_pair(0, Gender.MALE, Gender.FEMALE, 44, 44)
     labels = {pair.a.id: pair.a.label, pair.b.id: pair.b.label}
-    outcome = compare(perfect_oracle(labels), pair.a.message, pair.b.message)
     with pytest.raises(NoStrata):
-        bias_strata([pair], [outcome], BiasScheme.AGE_ORDERING)
+        bias_strata([pair], perfect_oracle(labels), BiasScheme.AGE_ORDERING)
 
 
 # ---------------------------------------------------------------- agreement

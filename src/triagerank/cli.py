@@ -479,6 +479,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, name, None)  # None when not given or not a pipeline flag
         if flag is not None:
             settings[name] = flag
+    if getattr(args, "flip", None) is not None:
+        settings["flip"] = _parse_entries(args.flip, "flip", "gap:prob", int, float)
     unknown = set(settings) - names
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -724,6 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--corpus")
     sub.add_argument("--out-dir")
     sub.add_argument("--comparator", choices=COMPARATOR_CHOICES)
+    sub.add_argument("--flip", help="oracle flip map, e.g. 1:0.3,2:0.15")
+    sub.add_argument("--margin", type=float)
     sub.add_argument("--model")
     sub.add_argument("--base-url")
     sub.add_argument("--auto-label", action="store_true", default=None)

@@ -422,12 +422,17 @@ class ComparisonCache:
     score kind and the pair's two scores by repr, in the order of the key's
     two message digests. A load drops corrupt lines with a warning each, and
     lines of the old per-direction format, which can never hit, with one;
-    later lines win. A load that drops or overrides a line compacts the file
-    through ``write_lines``, so a crash leaves the old file whole.
+    later lines win. A load that drops a line, or finds a pair stored twice
+    with different scores, compacts the file through ``write_lines``, so a
+    crash leaves the old file whole; a pair stored twice with the same
+    scores, as two stores that both missed it write it, is left in place.
 
     Writes go through one unbuffered binary append handle, opened on the
     first put; each line is one write (repeated only after a short write),
-    so another store opened on the same path sees every pair written so far.
+    so another store opened on the same path sees every pair written so far,
+    unless another store's load has compacted the file since this one opened
+    its handle: the compaction renames a new file into place, and this store
+    goes on appending to the old one.
     """
 
     def __init__(self, path: str | Path):
@@ -469,7 +474,9 @@ class ComparisonCache:
                 else:
                     logger.warning("CacheInvalid: dropping corrupt cache line in %s", self._path)
                 continue
-            dirty = dirty or key in self._entries
+            # a repeat of a stored line changes nothing, so only different scores compact
+            if key in self._entries and self._entries[key] != scores:
+                dirty = True
             self._entries[key] = scores
         if old_format:
             logger.warning(

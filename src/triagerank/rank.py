@@ -16,17 +16,20 @@ directions in one call: a remote one sends its two directed requests
 together, so up to ``2 * max_workers`` requests are in flight, within the
 endpoint's ``max_parallel``, and the oracle draws the pair's flip once.
 With one worker and no cache probe, a pair is one ``compare`` call.
+A cache is probed on the calling thread: a pair it holds is served there,
+and with more than one worker only the misses go to the pool, at most
+``2 * max_workers`` outstanding and a bounded queue of hits behind them.
 Score accumulation stays single-threaded in sorted pair order, so the
 result equals the sequential computation. Each outcome is credited, then
-written to the tournament's log or dropped, so memory does not grow with
-the pairs. A failed comparison aborts the tournament, leaving no new log:
+written to the tournament's log or dropped, so memory is O(max_workers),
+not O(pairs). A failed comparison aborts the tournament, leaving no new log:
 a triage ranking built on partial comparisons is a safety hazard.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -39,6 +42,9 @@ from .errors import DataError, DuplicateId
 
 _UNIT = 2**52
 _HALF = _UNIT // 2
+# hits a parallel tournament holds behind an unfinished miss: enough look-ahead
+# to find the next misses of a warm tournament with one new message among hundreds
+_WAITING_HITS = 1024
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,19 @@ def _execute_pairs(
 ) -> Iterator[tuple[ComparisonOutcome, bool]]:
     """Yield (outcome, served_from_cache) in the given pair order.
 
-    A comparator with ``has_cached_pair`` is probed first, and the outcome
-    it serves stands for the pair. Only this pair's task ever writes its
-    cache line, so the probe is exact even with parallel workers.
+    A comparator with ``has_cached_pair`` is probed first, on the calling
+    thread, and the outcome it serves stands for the pair. With more than
+    one worker, only the pairs the probe misses go to the pool, at most
+    ``2 * max_workers`` of them outstanding, and at most
+    ``_WAITING_HITS`` hits wait behind an unfinished miss. So the pairs
+    pulled ahead of the last one yielded, and the memory they hold, do not
+    grow with the pairs. Closing the generator, or an error, cancels the
+    queued misses and waits for the running ones.
+
+    The probe misses a pair whose line is not yet stored. Two messages with
+    the same ``backend_view`` share their pairs' keys, so with parallel
+    workers a pair probed while another with its key is in flight is
+    scored again, where one worker would have served it from the cache.
     """
     probe = getattr(comparator, "has_cached_pair", None)
     if probe is None and max_workers <= 1:
@@ -100,9 +116,45 @@ def _execute_pairs(
         for pair in pairs:
             yield _task(pair)
         return
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        # map preserves order and re-raises each task's error at its slot
-        yield from pool.map(_task, pairs)
+    window = 2 * max_workers
+    # in pair order: a Future for each miss, and each hit that waits behind one
+    pending: deque = deque()
+    misses = 0
+    pool = ThreadPoolExecutor(max_workers=max_workers)
+    try:
+        for a, b in pairs:
+            try:
+                outcome = None if probe is None else probe(a, b)
+            except Exception as exc:
+                # raised in the pair's turn, after the pairs before it, as one worker would
+                failed: Future = Future()
+                failed.set_exception(exc)
+                pending.append(failed)
+                break
+            if outcome is None:
+                pending.append(pool.submit(compare, comparator, a, b))
+                misses += 1
+            elif pending:
+                pending.append(outcome)
+            else:
+                yield outcome, True
+                continue
+            while pending:
+                head = pending[0]
+                if not isinstance(head, Future):
+                    pending.popleft()
+                    yield head, True
+                elif misses == window or len(pending) - misses >= _WAITING_HITS or head.done():
+                    pending.popleft()
+                    misses -= 1
+                    yield head.result(), False
+                else:
+                    break
+        while pending:
+            head = pending.popleft()
+            yield (head.result(), False) if isinstance(head, Future) else (head, True)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _credit(

@@ -509,6 +509,41 @@ def test_pipeline_config_file_with_overrides(tmp_path):
     assert read_json(tmp_path / "override" / "manifest.json")["seed"] == 9
 
 
+@pytest.mark.parametrize(
+    "flags, settings",
+    [
+        (["--flip", "1:0.3,2:0.15"], {"flip": {"1": 0.3, "2": 0.15}}),
+        (["--margin", "0.35", "--flip", "1:0.2"], {"margin": 0.35, "flip": {"1": 0.2}}),
+    ],
+    ids=["flip", "margin"],
+)
+def test_pipeline_noise_flags_equal_the_config_file(tmp_path, monkeypatch, flags, settings):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.jsonl").write_bytes(Path(FIXTURE).read_bytes())
+    Path("noise.json").write_text(json.dumps(settings))
+    common = ["--corpus", "corpus.jsonl", "--seed", "3"]
+    assert run_cli("pipeline", "--config", "noise.json", *common, "--out-dir", "file") == 0
+    assert run_cli("pipeline", *flags, *common, "--out-dir", "flags") == 0
+    from_file = read_json(Path("file/manifest.json"))
+    from_flags = read_json(Path("flags/manifest.json"))
+    assert from_flags["config_hash"] == from_file["config_hash"]
+    hashes = {name: entry["sha256"] for name, entry in from_flags["artifacts"].items()}
+    assert hashes == {name: entry["sha256"] for name, entry in from_file["artifacts"].items()}
+    if flags[0] == "--flip":
+        assert hashes == GOLDEN_ARTIFACT_SHA256
+    # a flag beats the file, as every pipeline flag does
+    assert run_cli("pipeline", "--config", "noise.json", *common, "--flip", "", "--out-dir", "none") == 0
+    unflipped = cli.RunConfig("corpus.jsonl", "none", seed=3, **{**settings, "flip": {}})
+    assert read_json(Path("none/manifest.json"))["config_hash"] == unflipped.config_hash
+
+
+def test_pipeline_bad_flip_flag_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert run_cli("pipeline", "--corpus", FIXTURE, "--flip", "1:x", "--out-dir", out_dir) == 2
+    assert "bad flip entry '1:x'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_pipeline_unknown_config_key(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"corpus": FIXTURE, "out_dir": "x", "nope": 1}))

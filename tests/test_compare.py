@@ -1328,6 +1328,35 @@ def test_cache_key_holding_a_raw_unicode_line_break_loads(
     assert counting.backend_calls == 2 and comparator.hits == 2
 
 
+def test_identical_duplicate_line_leaves_a_live_writer_where_loads_read(tmp_path, monkeypatch):
+    # two stores that both missed a pair each append its line; a later load must
+    # not rename a new file under the store still holding its append handle
+    path = tmp_path / "cache.jsonl"
+    first, second = DirectionScore(0.9, ScoreKind.PROBABILITY), DirectionScore(0.1, ScoreKind.PROBABILITY)
+    writer = ComparisonCache(path)
+    writer.put("a" * 80, first, second)
+    writer.put("a" * 80, first, second)
+    before = path.read_bytes()
+    inode = path.stat().st_ino
+    loaded, compacted = _load_spying_compaction(path, monkeypatch)
+    assert not compacted and len(loaded) == 1
+    assert path.stat().st_ino == inode and path.read_bytes() == before
+    writer.put("b" * 80, second, first)
+    writer.close()
+    assert ComparisonCache(path).get("b" * 80) == (second, first)
+
+
+def test_duplicate_line_with_different_scores_compacts_to_the_later(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    later = f"{'a' * 80} probability 0.8 0.2\n"
+    path.write_text(f"{'a' * 80} probability 0.9 0.1\n" + later, encoding="ascii")
+    inode = path.stat().st_ino
+    loaded, compacted = _load_spying_compaction(path, monkeypatch)
+    assert compacted
+    assert path.read_text(encoding="ascii") == later and path.stat().st_ino != inode
+    assert [score.value for score in loaded.get("a" * 80)] == [0.8, 0.2]
+
+
 def _load_spying_compaction(path, monkeypatch):
     compactions = []
     compact = ComparisonCache._compact

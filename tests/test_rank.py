@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import threading
+import time
 
 import pytest
 
@@ -290,3 +291,160 @@ def test_insert_built_scores_equal_full_tournament_exactly():
     assert built.scores == full.scores
     assert built.ranking == full.ranking
     assert built.score_units == full.score_units
+
+
+class _ThreadRecordingStore(ComparisonCache):
+    """A cache that records the thread of every lookup."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.threads = set()
+
+    def get(self, key):
+        self.threads.add(threading.get_ident())
+        return super().get(key)
+
+
+def test_warm_parallel_rerank_is_served_on_the_calling_thread(tmp_path, fixture_corpus):
+    messages = [labeled.message for labeled in fixture_corpus[:15]]
+    counting = CountingComparator(NoisyOracleComparator(fixture_corpus, {1: 0.3}, seed=2))
+    cold_store = ComparisonCache(tmp_path / "cache")
+    cold = run_tournament(messages, CachedComparator(counting, cold_store), max_workers=4)
+    cold_store.close()
+    calls = counting.backend_calls
+    store = _ThreadRecordingStore(tmp_path / "cache")
+    threads = threading.active_count()
+    warm = run_tournament(messages, CachedComparator(counting, store), max_workers=4)
+    assert store.threads == {threading.get_ident()}
+    assert counting.backend_calls == calls
+    assert threading.active_count() == threads  # no worker was started
+    assert (warm.cache_hits, warm.comparisons_made) == (15 * 14 // 2, 0)
+    assert warm.score_units == cold.score_units and warm.ranking == cold.ranking
+
+
+class _FirstPairBlocks:
+    """Serves every pair but the first from a probe; the first is scored on a worker.
+
+    The first pair's score waits until the probes stop coming, then records
+    how many pairs had been probed by then.
+    """
+
+    def __init__(self):
+        self.probes = 0
+        self.probed_while_blocked = None
+
+    def has_cached_pair(self, a, b):
+        self.probes += 1
+        if self.probes == 1:
+            return None
+        return ComparisonOutcome(
+            a.id, b.id, DirectionScore(0.4, ScoreKind.PROBABILITY),
+            DirectionScore(0.6, ScoreKind.PROBABILITY),
+        )
+
+    def score_directed(self, existing, new):
+        if self.probed_while_blocked is None:
+            seen, steady, deadline = -1, 0, time.monotonic() + 10
+            while steady < 5 and time.monotonic() < deadline:
+                steady = steady + 1 if self.probes == seen else 0
+                seen = self.probes
+                time.sleep(0.01)
+            self.probed_while_blocked = seen
+        return DirectionScore(0.5, ScoreKind.PROBABILITY)
+
+
+def test_parallel_lookahead_past_an_unfinished_miss_does_not_grow_with_the_inbox():
+    pulled = []
+    for n in (60, 120):
+        comparator = _FirstPairBlocks()
+        result = run_tournament([make_message(f"m{i:03d}") for i in range(n)], comparator, max_workers=4)
+        assert (result.comparisons_made, result.cache_hits) == (1, n * (n - 1) // 2 - 1)
+        pulled.append(comparator.probed_while_blocked - 1)
+    assert pulled[0] == pulled[1] < 60 * 59 // 2 - 1
+
+
+def test_mixed_hits_and_misses_log_the_same_for_any_worker_count(tmp_path, fixture_corpus):
+    messages = [labeled.message for labeled in fixture_corpus[:24]]
+    oracle = NoisyOracleComparator(fixture_corpus, {1: 0.3, 2: 0.15}, seed=4)
+    warm = tmp_path / "warm"
+    # every third message was ranked before, so hits and misses interleave
+    run_tournament(messages[::3], CachedComparator(oracle, ComparisonCache(warm)))
+    runs = []
+    for workers in (1, 2, 4):
+        cache = tmp_path / f"cache-{workers}"
+        cache.write_bytes(warm.read_bytes())
+        log = tmp_path / f"outcomes-{workers}.jsonl"
+        result = run_tournament(
+            messages, CachedComparator(oracle, ComparisonCache(cache)), max_workers=workers, log=log
+        )
+        runs.append((log.read_bytes(), result.comparisons_made, result.cache_hits, cache.read_bytes()))
+    assert runs[0][1:3] == (24 * 23 // 2 - 8 * 7 // 2, 8 * 7 // 2)
+    assert runs[1][:3] == runs[0][:3] and runs[2][:3] == runs[0][:3]
+    # the misses append in completion order, so the cache holds the same lines
+    assert [sorted(run[3].splitlines()) for run in runs[1:]] == [sorted(runs[0][3].splitlines())] * 2
+
+
+def _workers_alive():
+    return [thread for thread in threading.enumerate() if thread.name.startswith("ThreadPoolExecutor")]
+
+
+def test_parallel_failure_among_hits_leaves_the_previous_log_whole(tmp_path, fixture_corpus):
+    messages = [labeled.message for labeled in fixture_corpus[:12]]
+    oracle = perfect_oracle(fixture_corpus)
+    cache = tmp_path / "cache"
+    run_tournament(messages[::2], CachedComparator(oracle, ComparisonCache(cache)))
+    failing = {messages[2].id, messages[5].id}
+    # in the tournament's pair order, stored pairs come both before and after the failing one
+    order = [{a.id, b.id} for a, b in itertools.combinations(sorted(messages, key=lambda m: m.id), 2)]
+    stored = [i for i, pair in enumerate(order) if pair <= {m.id for m in messages[::2]}]
+    assert stored[0] < order.index(failing) < stored[-1]
+
+    class FailsOnOnePair:
+        cache_identity = oracle.cache_identity
+
+        def backend_view(self, message):
+            return oracle.backend_view(message)
+
+        def score_directed(self, existing, new):
+            if {existing.id, new.id} == failing:
+                raise RuntimeError("backend fell over")
+            return oracle.score_directed(existing, new)
+
+    log = tmp_path / "outcomes.jsonl"
+    log.write_bytes(b"previous run\n")
+    comparator = CachedComparator(FailsOnOnePair(), ComparisonCache(cache))
+    with pytest.raises(ComparisonFailed, match="backend fell over"):
+        run_tournament(messages, comparator, max_workers=4, log=log)
+    assert log.read_bytes() == b"previous run\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert _workers_alive() == []
+    assert comparator.hits > 0
+
+
+def test_parallel_errors_surface_in_pair_order():
+    class SlowFirstFailureThenBrokenProbe:
+        """The first pair fails slowly on a worker; the fourth pair's probe fails at once."""
+
+        def __init__(self):
+            self.probes = 0
+
+        def has_cached_pair(self, a, b):
+            self.probes += 1
+            if self.probes == 4:
+                raise LookupError("probe fell over")
+            if self.probes == 1:
+                return None
+            return ComparisonOutcome(
+                a.id, b.id, DirectionScore(0.4, ScoreKind.PROBABILITY),
+                DirectionScore(0.6, ScoreKind.PROBABILITY),
+            )
+
+        def score_directed(self, existing, new):
+            time.sleep(0.05)
+            raise RuntimeError("first pair fell over")
+
+    messages = [make_message(f"m{i}") for i in range(6)]
+    for workers in (1, 4):
+        with pytest.raises(ComparisonFailed, match="first pair fell over"):
+            run_tournament(messages, SlowFirstFailureThenBrokenProbe(), max_workers=workers)
+    assert _workers_alive() == []

@@ -95,34 +95,45 @@ class DirectionScore:
 class ComparisonOutcome(tuple):
     """Both directed scores for a pair plus the margin and winner derived from them.
 
-    An immutable record: a tuple of (a_id, b_id, s_ab, s_ba, eta, winner),
-    read by field name. eta is ``pair_eta(s_ab, s_ba)``, so mixed score
-    kinds raise ComparisonFailed; every way to build one goes through it.
+    An immutable record: a tuple of (a_id, b_id, ab, ba, eta, winner, kind),
+    the two scores held as plain floats of one kind. a_id, b_id, eta and
+    winner are read by name; ``s_ab`` and ``s_ba`` build the pair's
+    DirectionScores when read. eta is
+    ``_eta(kind, ab, ba)``, and every way to build one derives it there: the
+    public constructor from two DirectionScores, raising ComparisonFailed on
+    mixed kinds, and ``_outcome`` from values already checked.
     """
 
     __slots__ = ()
 
     def __new__(cls, a_id: str, b_id: str, s_ab: DirectionScore, s_ba: DirectionScore):
-        eta = pair_eta(s_ab, s_ba)
-        winner = _B if eta > 0 else _A if eta < 0 else _TIE
-        return tuple.__new__(cls, (a_id, b_id, s_ab, s_ba, eta, winner))
+        kind = s_ab.kind
+        if s_ba.kind is not kind:
+            raise _mixed_kinds(s_ab, s_ba)
+        return _outcome(a_id, b_id, kind, s_ab.value, s_ba.value)
 
     a_id = property(itemgetter(0))
     b_id = property(itemgetter(1))
-    s_ab = property(itemgetter(2))
-    s_ba = property(itemgetter(3))
     eta = property(itemgetter(4))
     winner = property(itemgetter(5))
 
+    @property
+    def s_ab(self) -> DirectionScore:
+        return DirectionScore(self[2], self[6])
+
+    @property
+    def s_ba(self) -> DirectionScore:
+        return DirectionScore(self[3], self[6])
+
     def __getnewargs__(self) -> tuple[str, str, DirectionScore, DirectionScore]:
         # copy and pickle rebuild an outcome from its scores, deriving the rest again
-        return self[:4]
+        return self[0], self[1], self.s_ab, self.s_ba
 
     def __repr__(self) -> str:
-        a_id, b_id, s_ab, s_ba, eta, winner = self
+        a_id, b_id, _, _, eta, winner, _ = self
         return (
-            f"ComparisonOutcome(a_id={a_id!r}, b_id={b_id!r}, s_ab={s_ab!r}, "
-            f"s_ba={s_ba!r}, eta={eta!r}, winner={winner!r})"
+            f"ComparisonOutcome(a_id={a_id!r}, b_id={b_id!r}, s_ab={self.s_ab!r}, "
+            f"s_ba={self.s_ba!r}, eta={eta!r}, winner={winner!r})"
         )
 
     def to_line(self) -> str:
@@ -133,15 +144,25 @@ class ComparisonOutcome(tuple):
         values. Every score and eta is a finite plain float, which json.dumps
         writes by repr; the kind and winner names need no escaping.
         """
-        a_id, b_id, s_ab, s_ba, eta, winner = self
-        kind = _PROBABILITY_NAME if s_ab.kind is _PROBABILITY else _REWARD_NAME
+        a_id, b_id, ab, ba, eta, winner, kind = self
+        kind_name = _PROBABILITY_NAME if kind is _PROBABILITY else _REWARD_NAME
         won = "B" if winner is _B else "A" if winner is _A else "TIE"
         return (
             f'{{"a_id": {encode_basestring_ascii(a_id)}, '
             f'"b_id": {encode_basestring_ascii(b_id)}, "eta": {eta!r}, '
-            f'"kind": "{kind}", "s_ab": {s_ab.value!r}, "s_ba": {s_ba.value!r}, '
+            f'"kind": "{kind_name}", "s_ab": {ab!r}, "s_ba": {ba!r}, '
             f'"winner": "{won}"}}\n'
         )
+
+
+_new_tuple = tuple.__new__
+
+
+def _outcome(a_id: str, b_id: str, kind: ScoreKind, ab: float, ba: float) -> ComparisonOutcome:
+    """The pair's outcome from its two scores of one kind, values DirectionScore accepts."""
+    eta = _eta(kind, ab, ba)
+    winner = _B if eta > 0 else _A if eta < 0 else _TIE
+    return _new_tuple(ComparisonOutcome, (a_id, b_id, ab, ba, eta, winner, kind))
 
 
 class Comparator(Protocol):
@@ -175,16 +196,24 @@ def _logistic(x: float) -> float:
     return z / (1.0 + z)
 
 
+def _mixed_kinds(s_ab: DirectionScore, s_ba: DirectionScore) -> ComparisonFailed:
+    return ComparisonFailed(f"mixed score kinds: {s_ab.kind.value} vs {s_ba.kind.value}")
+
+
+def _eta(kind: ScoreKind, ab: float, ba: float) -> float:
+    """The signed margin in [-1, 1] of two directed scores of one kind."""
+    if kind is _PROBABILITY:
+        return ab - ba
+    difference = ab - ba
+    return _logistic(difference) - _logistic(-difference)
+
+
 def pair_eta(s_ab: DirectionScore, s_ba: DirectionScore) -> float:
     """Reduce two directed scores to the signed margin eta in [-1, 1]."""
-    if s_ab.kind is not s_ba.kind:
-        raise ComparisonFailed(
-            f"mixed score kinds: {s_ab.kind.value} vs {s_ba.kind.value}"
-        )
-    if s_ab.kind is _PROBABILITY:
-        return s_ab.value - s_ba.value
-    difference = s_ab.value - s_ba.value
-    return _logistic(difference) - _logistic(-difference)
+    kind = s_ab.kind
+    if s_ba.kind is not kind:
+        raise _mixed_kinds(s_ab, s_ba)
+    return _eta(kind, s_ab.value, s_ba.value)
 
 
 def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome:
@@ -420,12 +449,17 @@ class ComparisonCache:
 
     A line is ``<key> <kind> <first> <second>``: a fixed-width hex key, the
     score kind and the pair's two scores by repr, in the order of the key's
-    two message digests. A load drops corrupt lines with a warning each, and
-    lines of the old per-direction format, which can never hit, with one;
-    later lines win. A load that drops a line, or finds a pair stored twice
-    with different scores, compacts the file through ``write_lines``, so a
-    crash leaves the old file whole; a pair stored twice with the same
-    scores, as two stores that both missed it write it, is left in place.
+    two message digests. A loaded line is held as its kind and two floats,
+    with no DirectionScore built: the load applies DirectionScore's rule to
+    each value (finite, and a probability in [0, 1]), and ``get`` returns
+    ``(kind, first, second)``. A load drops corrupt lines with a warning
+    each, a line that does not decode as UTF-8 among them (valid lines are
+    ASCII), and lines of the old per-direction format, which can never hit,
+    with one; later lines win. A load that drops a line, or finds a pair
+    stored twice with different scores, compacts the file through
+    ``write_lines``, so a crash leaves the old file whole; a pair stored
+    twice with the same scores, as two stores that both missed it write it,
+    is left in place.
 
     Writes go through one unbuffered binary append handle, opened on the
     first put; each line is one write (repeated only after a short write),
@@ -437,7 +471,7 @@ class ComparisonCache:
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
-        self._entries: dict[str, tuple[DirectionScore, DirectionScore]] = {}
+        self._entries: dict[str, tuple[ScoreKind, float, float]] = {}
         self._lock = threading.Lock()
         self._handle = None
         if self._path.exists():
@@ -448,8 +482,12 @@ class ComparisonCache:
 
     def _load(self) -> None:
         try:
-            text = self._path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+            try:
+                text = self._path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                # a byte that does not decode spoils only its line, which the loop drops
+                text = self._path.read_text(encoding="utf-8", errors="replace")
+        except OSError as exc:
             logger.warning(
                 "CacheInvalid: cannot read cache %s (%s); starting empty", self._path, exc
             )
@@ -457,27 +495,34 @@ class ComparisonCache:
         # a last line without its newline would swallow the next append
         dirty = bool(text) and not text.endswith("\n")
         old_format = 0
+        entries, isfinite = self._entries, math.isfinite
         # only "\n" ends a line: the text-mode read has turned "\r\n" and "\r" into it
         for line in text.split("\n"):
             if not line:
                 continue
             try:
                 key, kind_name, first, second = line.split(" ")
-                if len(key) != _KEY_WIDTH:
-                    raise ValueError("key width")
                 kind = _KINDS[kind_name]
-                scores = (DirectionScore(float(first), kind), DirectionScore(float(second), kind))
-            except (ValueError, KeyError, BadScore):
+                first, second = float(first), float(second)
+                # an ASCII key of the width, and values that pass DirectionScore's rule
+                if len(key) != _KEY_WIDTH or not key.isascii() or not (
+                    0.0 <= first <= 1.0 and 0.0 <= second <= 1.0
+                    if kind is _PROBABILITY
+                    else isfinite(first) and isfinite(second)
+                ):
+                    raise ValueError("bad line")
+            except (ValueError, KeyError):
                 dirty = True
                 if line.startswith("{"):
                     old_format += 1
                 else:
                     logger.warning("CacheInvalid: dropping corrupt cache line in %s", self._path)
                 continue
+            scores = (kind, first, second)
             # a repeat of a stored line changes nothing, so only different scores compact
-            if key in self._entries and self._entries[key] != scores:
+            if key in entries and entries[key] != scores:
                 dirty = True
-            self._entries[key] = scores
+            entries[key] = scores
         if old_format:
             logger.warning(
                 "CacheInvalid: dropping %d old-format lines in %s", old_format, self._path
@@ -487,21 +532,24 @@ class ComparisonCache:
 
     def _compact(self) -> None:
         format_line = self._format_line
-        write_lines((format_line(key, *pair) for key, pair in self._entries.items()), self._path)
+        write_lines((format_line(key, *scores) for key, scores in self._entries.items()), self._path)
 
     @staticmethod
-    def _format_line(key: str, first: DirectionScore, second: DirectionScore) -> str:
-        """The pair's line: key, kind and the two values by repr; the scores share a kind."""
-        kind = _PROBABILITY_NAME if first.kind is _PROBABILITY else _REWARD_NAME
-        return f"{key} {kind} {first.value!r} {second.value!r}\n"
+    def _format_line(key: str, kind: ScoreKind, first: float, second: float) -> str:
+        """The pair's line: key, kind and the two values by repr."""
+        kind_name = _PROBABILITY_NAME if kind is _PROBABILITY else _REWARD_NAME
+        return f"{key} {kind_name} {first!r} {second!r}\n"
 
-    def get(self, key: str) -> tuple[DirectionScore, DirectionScore] | None:
+    def get(self, key: str) -> tuple[ScoreKind, float, float] | None:
+        """The pair's (kind, first, second), in the order of the key's digests, or None."""
         return self._entries.get(key)
 
     def put(self, key: str, first: DirectionScore, second: DirectionScore) -> None:
-        line = self._format_line(key, first, second).encode("ascii")
+        """Store the pair's two scores, which share first's kind, and append its line."""
+        scores = (first.kind, first.value, second.value)
+        line = self._format_line(key, *scores).encode("ascii")
         with self._lock:
-            self._entries[key] = (first, second)
+            self._entries[key] = scores
             handle = self._handle
             if handle is None:
                 handle = self._handle = self._path.open("ab", buffering=0)
@@ -543,37 +591,40 @@ class CachedComparator:
         self.cache_identity = getattr(inner, "cache_identity", type(inner).__name__)
         self.prompt_variant = getattr(inner, "prompt_variant", "default")
         self._prefix = _hex_digest(json.dumps([self.cache_identity, self.prompt_variant]), 8)
-        # by id(message): the entry holds the message, so no other object takes its id
-        self._digests: dict[int, tuple[Message, str]] = {}
+        # by id(message): _held keeps each message alive, so no other object takes its id
+        self._digests: dict[int, str] = {}
+        self._held: list[Message] = []
         self._count_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def _digest(self, message: Message) -> str:
-        entry = self._digests.get(id(message))
-        if entry is None or entry[0] is not message:
-            digest = _hex_digest(self._inner.backend_view(message), 16)
-            entry = self._digests[id(message)] = (message, digest)
-        return entry[1]
+        digest = self._digests.get(id(message))
+        if digest is None:
+            self._held.append(message)  # before its id is stored
+            digest = self._digests[id(message)] = _hex_digest(self._inner.backend_view(message), 16)
+        return digest
 
     def _read(
         self, a: Message, b: Message
-    ) -> tuple[str, bool, tuple[DirectionScore, DirectionScore] | None]:
-        """The pair's key, whether its line holds (b, a)'s order, and its (s_ab, s_ba) or None."""
-        first, second = self._digest(a), self._digest(b)
+    ) -> tuple[str, bool, tuple[ScoreKind, float, float] | None]:
+        """The pair's key, whether its line holds (b, a)'s order, and its (kind, ab, ba) or None."""
+        digests = self._digests  # a stored digest is read here, without a call
+        first = digests.get(id(a)) or self._digest(a)
+        second = digests.get(id(b)) or self._digest(b)
         swapped = second < first
         key = f"{self._prefix}{second}{first}" if swapped else f"{self._prefix}{first}{second}"
-        scores = self._store.get(key)
-        if scores is not None and swapped:
-            scores = scores[1], scores[0]
-        return key, swapped, scores
+        stored = self._store.get(key)
+        if stored is not None and swapped:
+            stored = stored[0], stored[2], stored[1]
+        return key, swapped, stored
 
     def has_cached_pair(self, a: Message, b: Message) -> ComparisonOutcome | None:
         """The pair's outcome when its line is stored, else None; never a self-pair's."""
-        scores = None if a.id == b.id else self._read(a, b)[2]
-        if scores is None:
+        stored = None if a.id == b.id else self._read(a, b)[2]
+        if stored is None:
             return None
-        outcome = ComparisonOutcome(a.id, b.id, *scores)
+        outcome = _outcome(a.id, b.id, *stored)
         with self._count_lock:
             self.hits += 2
         return outcome
@@ -583,16 +634,17 @@ class CachedComparator:
 
         A pair that fails to score, or scores in mixed kinds, stores nothing.
         """
-        key, swapped, scores = self._read(a, b)
-        if scores is None:
-            scores = _score_both(self._inner, a, b)
-            pair_eta(*scores)  # raises on mixed kinds
-            self._store.put(key, *(scores[::-1] if swapped else scores))
-            with self._count_lock:
-                self.misses += 2
-        else:
+        key, swapped, stored = self._read(a, b)
+        if stored is not None:
             with self._count_lock:
                 self.hits += 2
+            kind, ab, ba = stored
+            return DirectionScore(ab, kind), DirectionScore(ba, kind)
+        scores = _score_both(self._inner, a, b)
+        pair_eta(*scores)  # raises on mixed kinds
+        self._store.put(key, *(scores[::-1] if swapped else scores))
+        with self._count_lock:
+            self.misses += 2
         return scores
 
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:

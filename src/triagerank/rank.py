@@ -174,7 +174,7 @@ def _credit(
             hits += 1
         else:
             made += 1
-        a_id, b_id, _, _, eta, winner = outcome  # one unpack, not four field reads
+        a_id, b_id, _, _, eta, winner, _ = outcome  # one unpack, not four field reads
         if winner is tie:
             units[a_id] += _HALF
             units[b_id] += _HALF
@@ -214,6 +214,12 @@ def run_tournament(
     written to that path through ``write_lines`` as soon as it is credited:
     a failed comparison leaves no new log, and the previous one whole.
     Without it, outcomes are dropped.
+
+    ``max_workers`` above one helps only a comparator that waits on I/O.
+    The oracle is pure Python under the interpreter lock, so with two
+    workers a 300-message oracle tournament took 1.2-1.9 s, against 0.10 s
+    with one: each missed pair pays a hand-off to a thread and overlaps
+    nothing.
     """
     if len(inbox) < 2:
         raise DataError(f"tournament needs at least 2 messages, got {len(inbox)}")

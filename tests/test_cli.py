@@ -762,7 +762,7 @@ def put_until_killed(store, key, first, second):
     puts.append(key)
     if len(puts) == kill_at:
         if torn:
-            line = store._format_line(key, first, second).encode("ascii")
+            line = store._format_line(key, first.kind, first.value, second.value).encode("ascii")
             with open(store._path, "ab") as handle:
                 handle.write(line[: len(line) // 2])
         os.kill(os.getpid(), signal.SIGKILL)

@@ -5,10 +5,13 @@ import gc
 import hashlib
 import json
 import math
+import os
 import pickle
 import random
 import re
+import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import triagerank
 from triagerank import gateway, prompts
 from triagerank.compare import (
     CachedComparator,
@@ -1118,13 +1122,14 @@ def test_put_finishes_each_line_across_short_writes(tmp_path, monkeypatch):
     for key, scores in entries.items():
         store.put(key, *scores)
     store.close()
-    lines = [ComparisonCache._format_line(key, *scores) for key, scores in entries.items()]
+    stored = {key: (first.kind, first.value, second.value) for key, (first, second) in entries.items()}
+    lines = [ComparisonCache._format_line(key, *scores) for key, scores in stored.items()]
     assert lines[-1] == f"{'f' * 80} reward -12.5 3.0\n"
     assert len(handles) == 1
     assert handles[0].writes == sum(-(-len(line) // 7) for line in lines)
     assert path.read_text(encoding="ascii") == "".join(lines)
     reloaded = ComparisonCache(path)
-    assert {key: reloaded.get(key) for key in entries} == entries
+    assert {key: reloaded.get(key) for key in entries} == stored
 
 
 # sha256 of the cache file a cached noisy-oracle tournament over the first 25
@@ -1196,17 +1201,93 @@ def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, m
     format_line = ComparisonCache._format_line
     written = []
 
-    def fail_halfway(key, first, second):
+    def fail_halfway(key, kind, first, second):
         if len(written) == 5:
             raise OSError("disk full")
         written.append(key)
-        return format_line(key, first, second)
+        return format_line(key, kind, first, second)
 
     monkeypatch.setattr(ComparisonCache, "_format_line", staticmethod(fail_halfway))
     with pytest.raises(ExportFailed, match="disk full"):
         ComparisonCache(path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl"]
+
+
+# Loads the cache at argv[2] and kills its own process at the m-th line (argv[1])
+# the load's compaction formats, before that line is written to the temporary file.
+_KILLED_AT_MTH_COMPACTED_LINE = """\
+import os, signal, sys
+from triagerank.compare import ComparisonCache
+format_line, kill_at = ComparisonCache._format_line, int(sys.argv[1])
+formatted = []
+def format_until_killed(key, kind, first, second):
+    formatted.append(key)
+    if len(formatted) == kill_at:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return format_line(key, kind, first, second)
+ComparisonCache._format_line = staticmethod(format_until_killed)
+ComparisonCache(sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("kill_at", [1, 8, 15])
+def test_a_kill_mid_compaction_leaves_the_cache_file_whole(tmp_path, fixture_corpus, kill_at):
+    """A real SIGKILL at the m-th line of a load's compaction leaves the old file as it was.
+
+    The only trace of the kill is the child's temporary file; a fresh load
+    drops the corrupt line again and serves every good pair. Power loss (an
+    unsynced directory, a torn page) cannot be simulated in a test, so only
+    the kill is checked.
+    """
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
+    messages = [labeled.message for labeled in fixture_corpus[:6]]
+    outcomes = [compare(comparator, a, b) for a, b in combinations(messages, 2)]
+    store.close()
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write("not a cache line\n")
+    before = path.read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(Path(triagerank.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_AT_MTH_COMPACTED_LINE, str(kill_at), str(path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    assert child.wait(timeout=120) == -signal.SIGKILL
+    assert path.read_bytes() == before
+    leftover = f"cache.jsonl.{child.pid}.tmp"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl", leftover]
+    reloaded = ComparisonCache(path)
+    assert len(reloaded) == len(outcomes) == 15
+    comparator = CachedComparator(perfect_oracle(fixture_corpus), reloaded)
+    for (a, b), outcome in zip(combinations(messages, 2), outcomes):
+        assert comparator.has_cached_pair(a, b) == outcome
+
+
+def test_a_line_that_does_not_decode_is_dropped_and_the_rest_served(tmp_path, caplog):
+    # an undecodable byte in a key and one in a value each spoil only their own line
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(
+        _GOOD_LINE.encode("ascii")
+        + b"b" * 79 + b"\xff probability 0.5 0.5\n"
+        + b"c" * 80 + b" reward 0.\xff5 1.0\n"
+    )
+    with caplog.at_level("WARNING"):
+        store = ComparisonCache(path)
+    dropped = [record for record in caplog.records if "CacheInvalid" in record.getMessage()]
+    assert len(dropped) == 2 and "corrupt cache line" in dropped[0].getMessage()
+    assert len(store) == 1 and store.get("a" * 80) == (ScoreKind.PROBABILITY, 0.9, 0.1)
+    assert path.read_bytes() == _GOOD_LINE.encode("ascii")
+    store.put("d" * 80, DirectionScore(-2.5, ScoreKind.REWARD), DirectionScore(4.0, ScoreKind.REWARD))
+    store.close()
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        reloaded = ComparisonCache(path)
+    assert not caplog.records
+    assert reloaded.get("a" * 80) == (ScoreKind.PROBABILITY, 0.9, 0.1)
+    assert reloaded.get("d" * 80) == (ScoreKind.REWARD, -2.5, 4.0)
+    assert len(reloaded) == 2
 
 
 
@@ -1255,8 +1336,9 @@ def test_cache_reads_back_every_score_it_writes(tmp_path, monkeypatch, value):
     store.close()
     reloaded, compacted = _load_spying_compaction(path, monkeypatch)
     assert not compacted
-    first, second = reloaded.get(key)
-    assert (repr(first.value), repr(second.value)) == (repr(float(value)), repr(-float(value)))
+    kind, first, second = reloaded.get(key)
+    assert kind is ScoreKind.REWARD
+    assert (repr(first), repr(second)) == (repr(float(value)), repr(-float(value)))
 
 
 _AWKWARD_KEYS = [
@@ -1343,7 +1425,7 @@ def test_identical_duplicate_line_leaves_a_live_writer_where_loads_read(tmp_path
     assert path.stat().st_ino == inode and path.read_bytes() == before
     writer.put("b" * 80, second, first)
     writer.close()
-    assert ComparisonCache(path).get("b" * 80) == (second, first)
+    assert ComparisonCache(path).get("b" * 80) == (ScoreKind.PROBABILITY, 0.1, 0.9)
 
 
 def test_duplicate_line_with_different_scores_compacts_to_the_later(tmp_path, monkeypatch):
@@ -1354,7 +1436,7 @@ def test_duplicate_line_with_different_scores_compacts_to_the_later(tmp_path, mo
     loaded, compacted = _load_spying_compaction(path, monkeypatch)
     assert compacted
     assert path.read_text(encoding="ascii") == later and path.stat().st_ino != inode
-    assert [score.value for score in loaded.get("a" * 80)] == [0.8, 0.2]
+    assert loaded.get("a" * 80) == (ScoreKind.PROBABILITY, 0.8, 0.2)
 
 
 def _load_spying_compaction(path, monkeypatch):
@@ -1390,6 +1472,42 @@ def test_cache_value_that_is_not_a_finite_json_number_is_corrupt(
     assert any("CacheInvalid" in record.message for record in caplog.records)
     assert store.get("b" * 80) is None and len(store) == 1
     assert path.read_text(encoding="utf-8") == _GOOD_LINE
+
+
+_TOKENS = [
+    "0.25", "-0.0", "5e-324", "1e16", "1.5", "-0.1", "nan", "inf", "-inf", "1e309",
+    "1" * 400, "1_0", "0x1",
+]
+
+
+@pytest.mark.parametrize("kind", list(ScoreKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("token", _TOKENS, ids=lambda token: token[:12])
+def test_cache_load_keeps_exactly_the_values_a_direction_score_accepts(
+    tmp_path, caplog, monkeypatch, token, kind
+):
+    # the load checks values without building scores; it must agree with DirectionScore
+    try:
+        expected = DirectionScore(float(token), kind)
+    except (ValueError, BadScore):
+        expected = None
+    path = tmp_path / "cache.jsonl"
+    # the token first in one line and second in another, the other value 0.5
+    lines = [f"{'e' * 80} {kind.value} {token} 0.5\n", f"{'f' * 80} {kind.value} 0.5 {token}\n"]
+    path.write_text(_GOOD_LINE + "".join(lines), encoding="ascii")
+    with caplog.at_level("WARNING"):
+        store, compacted = _load_spying_compaction(path, monkeypatch)
+    if expected is None:
+        assert len(store) == 1 and compacted
+        assert store.get("e" * 80) is None and store.get("f" * 80) is None
+        assert sum("CacheInvalid" in record.getMessage() for record in caplog.records) == 2
+        assert path.read_text(encoding="ascii") == _GOOD_LINE
+        return
+    assert len(store) == 3 and not compacted and not caplog.records
+    e_kind, e_first, e_second = store.get("e" * 80)
+    f_kind, f_first, f_second = store.get("f" * 80)
+    assert e_kind is f_kind is kind and e_second == f_first == 0.5
+    for value in (e_first, f_second):
+        assert DirectionScore(value, kind) == expected and repr(value) == repr(expected.value)
 
 
 def test_direction_scores_carry_no_backend_payload(mock_endpoint):

@@ -10,6 +10,9 @@ and a failed write raises ExportFailed. ``write_jsonl`` writes through
 ``write_lines``, the package's one writer of whole files (reports, outcome
 logs and the compacted cache too), which replaces each file atomically;
 ``remove_temporaries`` clears the temporary files a killed writer left.
+Writers that repeat a value across many lines (triplets, training exports)
+join each line from pieces encoded once, with ``encode_text`` and
+``line_format``, in the bytes ``write_jsonl`` would write.
 
 All types here are frozen: values are safe to share across concurrent
 consumers after load.
@@ -24,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -58,14 +62,15 @@ class UrgencyLabel(Enum):
 
     @property
     def is_ordinal(self) -> bool:
-        return self not in (UrgencyLabel.UNCLEAR, UrgencyLabel.SUPPORTIVE_CARE)
+        return self._value_ in _LEVEL_OF_VALUE
 
     @property
     def level(self) -> int:
         """Numeric level 1..6; lower means more urgent."""
-        if not self.is_ordinal:
-            raise BadLabel(f"{self.value} has no ordinal level")
-        return int(self.value[1])
+        level = _LEVEL_OF_VALUE.get(self._value_)
+        if level is None:
+            raise BadLabel(f"{self._value_} has no ordinal level")
+        return level
 
     @classmethod
     def from_token(cls, token: str) -> "UrgencyLabel":
@@ -73,6 +78,11 @@ class UrgencyLabel(Enum):
             return cls(token)
         except ValueError:
             raise BadLabel(f"unknown label token {token!r}") from None
+
+
+# the level of each ordinal label, by value: read per pair and per triplet, so
+# it is looked up, not derived from the value
+_LEVEL_OF_VALUE = {f"L{level}": level for level in range(1, 7)}
 
 
 def label_for_level(level: int) -> UrgencyLabel:
@@ -339,9 +349,43 @@ def remove_temporaries(path: str | Path) -> None:
             sibling.unlink(missing_ok=True)
 
 
+# json.dumps(record, sort_keys=True) without building an encoder per call;
+# encode keeps no state between calls, so threads may share it
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def encode_json(value: object) -> str:
+    """A value as ``write_jsonl`` encodes it: sorted-key JSON, escaped to ASCII."""
+    return _ENCODER.encode(value)
+
+
 def write_jsonl(records: Iterable[dict], path: str | Path) -> int:
     """Write records as sorted-key JSONL and return the count; OSError -> ExportFailed."""
-    return write_lines((json.dumps(record, sort_keys=True) + "\n" for record in records), path)
+    return write_lines((encode_json(record) + "\n" for record in records), path)
+
+
+def encode_text(text: str) -> str:
+    """``json.dumps(text)`` without its quotes.
+
+    JSON escapes each code point on its own (to ASCII, a lone surrogate
+    too), so the encoding of a concatenation is the concatenation of the
+    encodings: a line can be joined from pieces encoded once.
+    """
+    return encode_basestring_ascii(text)[1:-1]
+
+
+def line_format(keys: Sequence[str]) -> str:
+    """A ``str.format`` format of the ``write_jsonl`` line of an object with these keys.
+
+    Given the ``encode_json`` of each value, in the order of ``keys``, it
+    formats the line ``write_jsonl`` writes for the object: sorted-key JSON
+    encodes a nested value as it encodes it alone.
+    """
+    fields = (
+        json.dumps(keys[index]).replace("{", "{{").replace("}", "}}") + f": {{{index}}}"
+        for index in sorted(range(len(keys)), key=keys.__getitem__)
+    )
+    return "{{" + ", ".join(fields) + "}}\n"
 
 
 def _unique_ids(from_record: Callable[[Mapping], T]) -> Callable[[dict], T]:

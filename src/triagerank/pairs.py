@@ -18,17 +18,20 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import prompts
 from .compare import Winner
 from .corpus import (
     LabeledMessage,
     by_level,
+    encode_json,
     label_for_level,
+    line_format,
     read_jsonl,
     split_ordinal,
     write_jsonl,
+    write_lines,
 )
 from .errors import (
     ConfigError,
@@ -37,6 +40,9 @@ from .errors import (
     NoTriplets,
     NoValidPairs,
 )
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class Difficulty(Enum):
@@ -318,8 +324,38 @@ def read_eval_pairs(path: str | Path) -> list[EvalPair]:
     return read_jsonl(path, EvalPair.from_record)
 
 
+def _per_object(encode: Callable[[T], R]) -> Callable[[T], R]:
+    """``encode`` run once per object, for one file.
+
+    Objects are told apart by identity: hashing a message costs more than
+    encoding it. The memo holds each object, so no other can reuse its id.
+    """
+    memo: dict[int, tuple[T, R]] = {}
+
+    def encoded(item: T) -> R:
+        entry = memo.get(id(item))
+        if entry is None:
+            entry = memo[id(item)] = (item, encode(item))
+        return entry[1]
+
+    return encoded
+
+
+_TRIPLET_LINE = line_format(("anchor", "more_urgent", "less_urgent"))
+
+
 def write_triplets(triplets: Iterable[Triplet], path: str | Path) -> int:
-    return write_jsonl((triplet.to_record() for triplet in triplets), path)
+    """Write ``Triplet.to_record`` lines, each message's record encoded once."""
+    record = _per_object(lambda labeled: encode_json(labeled.to_record()))
+    return write_lines(
+        (
+            _TRIPLET_LINE.format(
+                record(triplet.anchor), record(triplet.more_urgent), record(triplet.less_urgent)
+            )
+            for triplet in triplets
+        ),
+        path,
+    )
 
 
 def read_triplets(path: str | Path) -> list[Triplet]:
@@ -332,76 +368,70 @@ class ExportSummary:
     path: Path
 
 
-def sft_records(triplets: Sequence[Triplet]) -> list[dict]:
-    """Four yes/no records per triplet, exactly label-balanced.
-
-    Each record's prompt asks whether the new (second) message is more
-    urgent than the existing (first) one, so:
-    (anchor, more) -> YES, (anchor, less) -> NO,
-    (more, anchor) -> NO,  (less, anchor) -> YES.
-    """
-    records = []
-    for triplet in triplets:
-        layout = (
-            (triplet.anchor, triplet.more_urgent, "YES"),
-            (triplet.anchor, triplet.less_urgent, "NO"),
-            (triplet.more_urgent, triplet.anchor, "NO"),
-            (triplet.less_urgent, triplet.anchor, "YES"),
-        )
-        for existing, new, target in layout:
-            prompt = prompts.render(
-                prompts.URGENT_SFT,
-                prompts.pair_bindings(existing.message, new.message),
-            )
-            records.append({"prompt": prompt, "completion": target})
-    return records
+_SFT_LINE = line_format(("prompt", "completion"))
+_REWARD_LINE = line_format(("prompt", "chosen", "rejected"))
+_YES, _NO = encode_json("YES"), encode_json("NO")
 
 
 def export_sft(triplets: Sequence[Triplet], path: str | Path) -> ExportSummary:
-    """Write the SFT training export (JSONL of {prompt, completion})."""
+    """Write the SFT training export (JSONL of {prompt, completion}).
+
+    Four yes/no records per triplet, exactly label-balanced. Each record's
+    prompt asks whether the new (second) message is more urgent than the
+    existing (first) one, so:
+    (anchor, more) -> YES, (anchor, less) -> NO,
+    (more, anchor) -> NO,  (less, anchor) -> YES.
+    The lines stream into the file, joined from each message's encoding.
+    """
     if not triplets:
         raise NoTriplets("nothing to export")
-    return ExportSummary(write_jsonl(sft_records(triplets), path), Path(path))
+    encoded = _per_object(prompts.encode_message)
 
+    def lines():
+        for triplet in triplets:
+            anchor = encoded(triplet.anchor.message)
+            more = encoded(triplet.more_urgent.message)
+            less = encoded(triplet.less_urgent.message)
+            layout = (
+                (anchor, more, _YES),
+                (anchor, less, _NO),
+                (more, anchor, _NO),
+                (less, anchor, _YES),
+            )
+            for existing, new, target in layout:
+                prompt = prompts.render_json(
+                    prompts.URGENT_SFT, prompts.encoded_pair_bindings(existing, new)
+                )
+                yield _SFT_LINE.format(prompt, target)
 
-def reward_records(triplets: Sequence[Triplet]) -> list[dict]:
-    """Two preference records per triplet: forward and inverse prompts.
-
-    Forward asks for a more urgent message (chosen = more urgent); the
-    inverse asks for a less urgent one (chosen = less urgent), balancing
-    gradient updates against the four SFT records.
-    """
-    records = []
-    for triplet in triplets:
-        anchor_block = prompts.message_block(triplet.anchor.message)
-        more_block = prompts.message_block(triplet.more_urgent.message)
-        less_block = prompts.message_block(triplet.less_urgent.message)
-        records.append(
-            {
-                "prompt": prompts.render(
-                    prompts.URGENT_REWARD, {"message": anchor_block}
-                ),
-                "chosen": more_block,
-                "rejected": less_block,
-            }
-        )
-        records.append(
-            {
-                "prompt": prompts.render(
-                    prompts.URGENT_REWARD_INVERSE, {"message": anchor_block}
-                ),
-                "chosen": less_block,
-                "rejected": more_block,
-            }
-        )
-    return records
+    return ExportSummary(write_lines(lines(), path), Path(path))
 
 
 def export_reward(triplets: Sequence[Triplet], path: str | Path) -> ExportSummary:
-    """Write the reward training export (JSONL of {prompt, chosen, rejected})."""
+    """Write the reward training export (JSONL of {prompt, chosen, rejected}).
+
+    Two preference records per triplet: forward and inverse prompts.
+    Forward asks for a more urgent message (chosen = more urgent); the
+    inverse asks for a less urgent one (chosen = less urgent), balancing
+    gradient updates against the four SFT records. The lines stream into
+    the file, joined from each message's encoding.
+    """
     if not triplets:
         raise NoTriplets("nothing to export")
-    return ExportSummary(write_jsonl(reward_records(triplets), path), Path(path))
+    encoded = _per_object(lambda message: prompts.encode_message(message).block)
+
+    def lines():
+        for triplet in triplets:
+            anchor = {"message": encoded(triplet.anchor.message)}
+            # chosen and rejected are the blocks themselves, as JSON strings
+            more = f'"{encoded(triplet.more_urgent.message)}"'
+            less = f'"{encoded(triplet.less_urgent.message)}"'
+            forward = prompts.render_json(prompts.URGENT_REWARD, anchor)
+            inverse = prompts.render_json(prompts.URGENT_REWARD_INVERSE, anchor)
+            yield _REWARD_LINE.format(forward, more, less)
+            yield _REWARD_LINE.format(inverse, less, more)
+
+    return ExportSummary(write_lines(lines(), path), Path(path))
 
 
 @dataclass(frozen=True)

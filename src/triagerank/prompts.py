@@ -5,15 +5,19 @@ placeholder in one pass (inserted text is never re-scanned), so a bound
 render can leave no residual markers. Section headers like
 ``### Existing Patient:`` double as unique delimiters, keeping renders of
 distinct message bindings distinct.
+
+The training exports write each prompt as a JSON string, and
+``render_json`` renders it straight into that form from bindings encoded
+once per message (``encode_message``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple
 
-from .corpus import EhrRecord, Message
+from .corpus import EhrRecord, Message, encode_text
 from .errors import MissingBinding
 
 CATALOG_VERSION = "1.0"
@@ -23,23 +27,54 @@ _PLACEHOLDER = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
 @dataclass(frozen=True)
 class PromptTemplate:
+    """A named body, split once at its placeholders.
+
+    A render joins the literal text with the bound strings, so it never
+    re-scans what it inserted. The JSON parts hold the literal text already
+    encoded, with the string's quotes at the ends.
+    """
+
     name: str
     body: str
+    _parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _json_parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # literal text at even indices, placeholder names at odd ones
+        parts = _PLACEHOLDER.split(self.body)
+        encoded = [part if index % 2 else encode_text(part) for index, part in enumerate(parts)]
+        encoded[0] = f'"{encoded[0]}'
+        encoded[-1] = f'{encoded[-1]}"'
+        object.__setattr__(self, "_parts", tuple(parts))
+        object.__setattr__(self, "_json_parts", tuple(encoded))
 
 
-def render(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
-    """Substitute all placeholders; raises MissingBinding on the first unbound one."""
-
-    def _substitute(match: re.Match) -> str:
-        name = match.group(1)
+def _join(template: PromptTemplate, parts: tuple[str, ...], bindings: Mapping[str, str]) -> str:
+    pieces = list(parts)
+    for index in range(1, len(parts), 2):
+        name = parts[index]
         if name not in bindings:
             raise MissingBinding(
                 f"template {template.name!r} has unbound placeholder {name!r}",
                 placeholder=name,
             )
-        return str(bindings[name])
+        pieces[index] = str(bindings[name])
+    return "".join(pieces)
 
-    return _PLACEHOLDER.sub(_substitute, template.body)
+
+def render(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
+    """Substitute all placeholders; raises MissingBinding on the first unbound one."""
+    return _join(template, template._parts, bindings)
+
+
+def render_json(template: PromptTemplate, encoded: Mapping[str, str]) -> str:
+    """``json.dumps(render(template, bindings))``, from each binding's ``encode_text``.
+
+    JSON escapes each code point on its own, so the encoded render is the
+    template's encoded literal text joined with the encoded bindings. Raises
+    MissingBinding as ``render`` does.
+    """
+    return _join(template, template._json_parts, encoded)
 
 
 def format_ehr_block(ehr: EhrRecord | None) -> str:
@@ -71,6 +106,33 @@ def pair_bindings(existing: Message, new: Message) -> dict[str, str]:
         "ehr_1": format_ehr_block(existing.ehr),
         "message_2": new.text,
         "ehr_2": format_ehr_block(new.ehr),
+    }
+
+
+class EncodedMessage(NamedTuple):
+    """The strings the templates bind of a message, each as ``encode_text`` gives it."""
+
+    text: str
+    ehr_block: str  # format_ehr_block
+    block: str  # message_block
+
+
+def encode_message(message: Message) -> EncodedMessage:
+    text = encode_text(message.text)
+    ehr_block = encode_text(format_ehr_block(message.ehr))
+    if message.ehr is None:
+        return EncodedMessage(text, ehr_block, text)
+    # message_block's join, encoded piece by piece
+    return EncodedMessage(text, ehr_block, text + encode_text("\n") + ehr_block)
+
+
+def encoded_pair_bindings(existing: EncodedMessage, new: EncodedMessage) -> dict[str, str]:
+    """``pair_bindings`` for ``render_json``."""
+    return {
+        "message_1": existing.text,
+        "ehr_1": existing.ehr_block,
+        "message_2": new.text,
+        "ehr_2": new.ehr_block,
     }
 
 

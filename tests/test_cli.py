@@ -885,6 +885,76 @@ def test_pipeline_rerun_after_a_kill_equals_a_clean_run(tmp_path, script, writte
         assert (run / name).read_bytes() == (clean / name).read_bytes(), name
 
 
+# Kills its own process when the m-th line (argv[1]) of sft.jsonl is pulled from
+# the export's stream, before it is written, then runs the CLI on the rest of its
+# argv. The export looks write_lines up in triagerank.pairs, so it is patched there.
+_KILLED_AT_MTH_SFT_LINE = """\
+import os, signal, sys
+from triagerank import cli, pairs
+write_lines, kill_at = pairs.write_lines, int(sys.argv[1])
+def write_lines_until_killed(lines, path):
+    if os.path.basename(path) != "sft.jsonl":
+        return write_lines(lines, path)
+    def until_killed():
+        for number, line in enumerate(lines, start=1):
+            if number == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield line
+    return write_lines(until_killed(), path)
+pairs.write_lines = write_lines_until_killed
+sys.exit(cli.main(sys.argv[2:]))
+"""
+# the fixture run below writes 80 SFT lines: 20 triplets, four lines each
+_SFT_LINES = 80
+
+
+@pytest.mark.parametrize(
+    "kill_at", [1, _SFT_LINES // 2, _SFT_LINES], ids=["first", "middle", "last"]
+)
+def test_pipeline_rerun_after_a_kill_mid_sft_export_writes_the_goldens(
+    tmp_path, monkeypatch, kill_at
+):
+    """A real SIGKILL while sft.jsonl streams; the rerun writes every golden artifact.
+
+    The killed run leaves the three artifacts before the export, the
+    export's temporary file, holding a prefix of the finished file, and no
+    sft.jsonl or manifest. Power loss (an unsynced directory, a torn page)
+    cannot be simulated in a test, so only the kill is checked.
+    """
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.jsonl").write_bytes(Path(FIXTURE).read_bytes())
+    # the relative paths and the flips of the golden run
+    argv = [
+        "pipeline", "--corpus", "corpus.jsonl", "--out-dir", "run", "--seed", "3",
+        "--flip", "1:0.3,2:0.15",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_AT_MTH_SFT_LINE, str(kill_at), *argv],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    assert child.wait(timeout=120) == -signal.SIGKILL
+    run = tmp_path / "run"
+    orphan = f"sft.jsonl.{child.pid}.tmp"
+    assert sorted(path.name for path in run.iterdir()) == sorted(
+        ["filtered.jsonl", "eval_pairs.jsonl", "triplets.jsonl", orphan]
+    )
+    streamed = (run / orphan).read_bytes()
+
+    assert run_cli(*argv) == 0
+    assert not list(run.glob("*.tmp"))
+    sft = (run / "sft.jsonl").read_bytes()
+    assert sft.count(b"\n") == _SFT_LINES
+    # what reached the disk before the kill is the start of the finished file
+    assert sft.startswith(streamed) and streamed.count(b"\n") < kill_at
+    manifest = read_json(run / "manifest.json")
+    hashes = {
+        name: hashlib.sha256((run / entry["path"]).read_bytes()).hexdigest()
+        for name, entry in manifest["artifacts"].items()
+    }
+    assert hashes == GOLDEN_ARTIFACT_SHA256
+
+
 def test_pipeline_removes_temporary_files_of_its_artifacts(tmp_path):
     out_dir = tmp_path / "run"
     out_dir.mkdir()

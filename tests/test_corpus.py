@@ -164,6 +164,20 @@ def test_label_ordering_and_sentinels():
         UrgencyLabel.from_token("L0")
 
 
+@pytest.mark.parametrize("label", list(UrgencyLabel), ids=lambda label: label.value)
+def test_label_level_table_equals_the_rule_on_the_value(label):
+    # the rule the table replaced: the two sentinels have no level, and an
+    # ordinal label's level is the digit of its value
+    ordinal = label not in (UrgencyLabel.UNCLEAR, UrgencyLabel.SUPPORTIVE_CARE)
+    assert label.is_ordinal is ordinal
+    if ordinal:
+        assert label.level == int(label.value[1])
+    else:
+        with pytest.raises(BadLabel) as excinfo:
+            label.level
+        assert str(excinfo.value) == f"{label.value} has no ordinal level"
+
+
 def test_load_messages_ignores_labels(tmp_path):
     path = write_lines(
         tmp_path,
@@ -381,3 +395,10 @@ def test_remove_temporaries_removes_only_what_write_lines_names(tmp_path):
     corpus.remove_temporaries(target)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept)
     corpus.remove_temporaries(tmp_path / "missing" / "rank.json")  # no directory, no error
+
+
+def test_line_format_places_encoded_values_in_sorted_key_order():
+    record = {"zeta": [1, {"b": None, "a": 2.5}], "a{b}": 'x"é', "mid": {"k": "\ud800"}}
+    keys = tuple(record)
+    line = corpus.line_format(keys).format(*(corpus.encode_json(record[key]) for key in keys))
+    assert line == json.dumps(record, sort_keys=True) + "\n"

@@ -32,8 +32,6 @@ from triagerank.pairs import (
     export_sft,
     read_eval_pairs,
     read_triplets,
-    reward_records,
-    sft_records,
     write_eval_pairs,
     write_triplets,
 )
@@ -414,10 +412,16 @@ def test_sft_export_linear_count(tmp_path, fixture_corpus):
     assert summary.records == 40
 
 
-def test_sft_anchor_more_records_target_yes():
+def _written(path):
+    """The records of a written JSONL file."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_sft_anchor_more_records_target_yes(tmp_path):
     corpus = [make_labeled("hi", 1), make_labeled("mid", 3), make_labeled("lo", 6)]
     (triplet,) = build_triplets(corpus, 4, seed=0)
-    records = sft_records([triplet])
+    export_sft([triplet], tmp_path / "sft.jsonl")
+    records = _written(tmp_path / "sft.jsonl")
     anchor_text = triplet.anchor.message.text
     more_text = triplet.more_urgent.message.text
     for record in records:
@@ -446,14 +450,18 @@ def test_reward_export_pairing(tmp_path):
     assert inverse["rejected"] == triplet.more_urgent.message.text
 
 
-def test_reward_count_is_half_of_sft(fixture_corpus):
+def test_reward_count_is_half_of_sft(tmp_path, fixture_corpus):
     triplets = build_triplets(fixture_corpus, 4, seed=6, count=5)
-    assert len(reward_records(triplets)) * 2 == len(sft_records(triplets))
+    export_reward(triplets, tmp_path / "reward.jsonl")
+    export_sft(triplets, tmp_path / "sft.jsonl")
+    reward = _written(tmp_path / "reward.jsonl")
+    assert len(reward) * 2 == len(_written(tmp_path / "sft.jsonl"))
 
 
-def test_sft_export_exactly_balanced_any_triplets(fixture_corpus):
+def test_sft_export_exactly_balanced_any_triplets(tmp_path, fixture_corpus):
     triplets = build_triplets(fixture_corpus, 4, seed=8)
-    records = sft_records(triplets)
+    export_sft(triplets, tmp_path / "sft.jsonl")
+    records = _written(tmp_path / "sft.jsonl")
     targets = Counter(record["completion"] for record in records)
     assert targets["YES"] == targets["NO"] == len(triplets) * 2
 

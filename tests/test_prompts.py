@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -96,3 +97,52 @@ def test_render_injective_over_message_bindings():
             assert seen[rendered] == key
         seen[rendered] = key
 
+
+
+# literal text that a % format or JSON would read as markers, around placeholders
+_MARKED = prompts.PromptTemplate(
+    "marked",
+    'a "quoted" \\ 100% %s %(first)s {first}\t{second}\n{Not_a_name} {} café \U0001f600',
+)
+
+
+def test_render_fills_the_placeholders_and_keeps_the_literal_text():
+    bindings = {"first": "{second} %(second)s", "second": "\ud800"}
+    rendered = prompts.render(_MARKED, bindings)
+    assert rendered == (
+        'a "quoted" \\ 100% %s %(first)s {second} %(second)s\t\ud800\n'
+        "{Not_a_name} {} café \U0001f600"
+    )
+
+
+@pytest.mark.parametrize("template", [_MARKED, prompts.URGENT_SFT, prompts.SYSTEM])
+def test_render_json_equals_the_dumped_render(template):
+    bindings = {
+        name: f'{name} "{{first}}" %s \\ \ud83d\n'
+        for name in ("first", "second", "message_1", "ehr_1", "message_2", "ehr_2")
+    }
+    encoded = {name: json.dumps(text)[1:-1] for name, text in bindings.items()}
+    assert prompts.render_json(template, encoded) == json.dumps(prompts.render(template, bindings))
+
+
+def test_render_json_raises_the_missing_binding_render_raises():
+    with pytest.raises(MissingBinding) as excinfo:
+        prompts.render_json(prompts.URGENT_SFT, {"message_1": "x", "ehr_1": "y"})
+    assert excinfo.value.placeholder == "message_2"
+    assert str(excinfo.value) == "template 'urgent_sft' has unbound placeholder 'message_2'"
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        make_message("a", text='bare "text" \\ \ud800'),
+        make_message("b", text="with\tehr", ehr=EhrRecord(problem_list=("a\nb",), age=9)),
+    ],
+    ids=["no-ehr", "ehr"],
+)
+def test_encode_message_encodes_each_bound_string(message):
+    encoded = prompts.encode_message(message)
+    assert json.loads(f'"{encoded.text}"') == message.text
+    assert json.loads(f'"{encoded.ehr_block}"') == prompts.format_ehr_block(message.ehr)
+    assert json.loads(f'"{encoded.block}"') == prompts.message_block(message)
+    assert f'"{encoded.block}"' == json.dumps(prompts.message_block(message))

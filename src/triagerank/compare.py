@@ -1,9 +1,9 @@
-"""Pairwise urgency comparators and the directed-score contract.
+"""Pairwise urgency comparators and the pair-score contract.
 
-A comparator scores one direction at a time: score_directed(existing, new)
-answers "how strongly is the new message more urgent than the existing
-one". compare() gets both directions, through the comparator's score_pair
-when it has one, and reduces them to a signed margin eta in [-1, 1]:
+A comparator scores a pair in both directions: score_pair(a, b) returns
+(s_ab, s_ba), where s_ab answers "how strongly is b, the new message, more
+urgent than a, the existing one" and s_ba the same with the roles swapped.
+compare() reduces the two to a signed margin eta in [-1, 1]:
 
     probability backends:  eta = s_ab - s_ba
     reward backends:       eta = sigmoid(d) - sigmoid(-d),  d = s_ab - s_ba
@@ -166,27 +166,15 @@ def _outcome(a_id: str, b_id: str, kind: ScoreKind, ab: float, ba: float) -> Com
 
 
 class Comparator(Protocol):
-    """Scores one direction of a pair.
+    """Scores both directions of a pair in one call.
 
-    A comparator may also have ``score_pair(a, b) -> (s_ab, s_ba)``, which
-    gets both directions of a pair at once; ``compare`` and the cache call it
-    when it is there. The remote comparators have it, so that a pair's two
-    requests are in flight together, and so has the oracle, which looks up
-    a pair's levels and draws its flip once; a comparator without it, such
-    as a test double, is asked twice in turn.
+    The remote comparators put a pair's two requests in flight together,
+    and the oracle looks up a pair's levels and draws its flip once. A
+    comparator that goes behind ``CachedComparator`` also has
+    ``backend_view(message)``.
     """
 
-    def score_directed(self, existing: Message, new: Message) -> DirectionScore: ...
-
-
-def _score_both(
-    comparator: Comparator, a: Message, b: Message
-) -> tuple[DirectionScore, DirectionScore]:
-    """(s_ab, s_ba): the comparator's score_pair, or score_directed one way then the other."""
-    score_pair = getattr(comparator, "score_pair", None)
-    if score_pair is None:
-        return comparator.score_directed(a, b), comparator.score_directed(b, a)
-    return score_pair(a, b)
+    def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]: ...
 
 
 def _logistic(x: float) -> float:
@@ -208,24 +196,16 @@ def _eta(kind: ScoreKind, ab: float, ba: float) -> float:
     return _logistic(difference) - _logistic(-difference)
 
 
-def pair_eta(s_ab: DirectionScore, s_ba: DirectionScore) -> float:
-    """Reduce two directed scores to the signed margin eta in [-1, 1]."""
-    kind = s_ab.kind
-    if s_ba.kind is not kind:
-        raise _mixed_kinds(s_ab, s_ba)
-    return _eta(kind, s_ab.value, s_ba.value)
-
-
 def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome:
-    """Score both directions; the outcome derives eta and the winner.
+    """Score the pair through ``score_pair``; the outcome derives eta and the winner.
 
-    Any backend failure in either direction raises ComparisonFailed; no
-    partial outcome is produced.
+    Any failure in either direction, or a comparator without ``score_pair``,
+    raises ComparisonFailed; no partial outcome is produced.
     """
     if a.id == b.id:
         raise ConfigError(f"cannot compare message {a.id!r} with itself")
     try:
-        s_ab, s_ba = _score_both(comparator, a, b)
+        s_ab, s_ba = comparator.score_pair(a, b)
     except ComparisonFailed:
         raise
     except TriageRankError as exc:
@@ -324,6 +304,7 @@ class NoisyOracleComparator:
             return self._more_urgent, self._less_urgent
         return self._less_urgent, self._more_urgent
 
+    # kept only because bench/spans.py wraps it, until ROADMAP item 7 wraps score_pair
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
         return self.score_pair(existing, new)[0]
 
@@ -453,13 +434,14 @@ class ComparisonCache:
     with no DirectionScore built: the load applies DirectionScore's rule to
     each value (finite, and a probability in [0, 1]), and ``get`` returns
     ``(kind, first, second)``. A load drops corrupt lines with a warning
-    each, a line that does not decode as UTF-8 among them (valid lines are
-    ASCII), and lines of the old per-direction format, which can never hit,
-    with one; later lines win. A load that drops a line, or finds a pair
-    stored twice with different scores, compacts the file through
-    ``write_lines``, so a crash leaves the old file whole; a pair stored
-    twice with the same scores, as two stores that both missed it write it,
-    is left in place.
+    each, among them a line that does not decode as UTF-8 (valid lines are
+    ASCII) and a last line without its newline, which a write that stopped
+    partway leaves; it drops lines of the old per-direction format, which
+    can never hit, with one; later lines win. A load that drops a line, or
+    finds a pair stored twice with different scores, compacts the file
+    through ``write_lines``, so a crash leaves the old file whole; a pair
+    stored twice with the same scores, as two stores that both missed it
+    write it, is left in place.
 
     Writes go through one unbuffered binary append handle, opened on the
     first put; each line is one write (repeated only after a short write),
@@ -481,48 +463,57 @@ class ComparisonCache:
         return len(self._entries)
 
     def _load(self) -> None:
+        dirty = False
+        old_format = 0
+        entries, isfinite = self._entries, math.isfinite
         try:
-            try:
-                text = self._path.read_text(encoding="utf-8")
-            except UnicodeDecodeError:
-                # a byte that does not decode spoils only its line, which the loop drops
-                text = self._path.read_text(encoding="utf-8", errors="replace")
+            # a byte that does not decode spoils only its line, which the loop drops;
+            # only "\n" ends a line: text mode turns "\r\n" and "\r" into it
+            with self._path.open(encoding="utf-8", errors="replace") as lines:
+                for line in lines:
+                    if line[-1] != "\n":
+                        # the last line, cut short by a write that stopped partway: it
+                        # may still parse, to a wrong score, and would swallow an append
+                        logger.warning(
+                            "CacheInvalid: dropping unterminated last line in %s", self._path
+                        )
+                        dirty = True
+                        break
+                    if line == "\n":
+                        continue
+                    try:
+                        # the line keeps its "\n", which float() ignores like any
+                        # whitespace around a number
+                        key, kind_name, first, second = line.split(" ")
+                        kind = _KINDS[kind_name]
+                        first, second = float(first), float(second)
+                        # an ASCII key of the width, and values that pass DirectionScore's rule
+                        if len(key) != _KEY_WIDTH or not key.isascii() or not (
+                            0.0 <= first <= 1.0 and 0.0 <= second <= 1.0
+                            if kind is _PROBABILITY
+                            else isfinite(first) and isfinite(second)
+                        ):
+                            raise ValueError("bad line")
+                    except (ValueError, KeyError):
+                        dirty = True
+                        if line.startswith("{"):
+                            old_format += 1
+                        else:
+                            logger.warning(
+                                "CacheInvalid: dropping corrupt cache line in %s", self._path
+                            )
+                        continue
+                    scores = (kind, first, second)
+                    # a repeat of a stored line changes nothing, so only different scores compact
+                    if key in entries and entries[key] != scores:
+                        dirty = True
+                    entries[key] = scores
         except OSError as exc:
+            entries.clear()
             logger.warning(
                 "CacheInvalid: cannot read cache %s (%s); starting empty", self._path, exc
             )
             return
-        # a last line without its newline would swallow the next append
-        dirty = bool(text) and not text.endswith("\n")
-        old_format = 0
-        entries, isfinite = self._entries, math.isfinite
-        # only "\n" ends a line: the text-mode read has turned "\r\n" and "\r" into it
-        for line in text.split("\n"):
-            if not line:
-                continue
-            try:
-                key, kind_name, first, second = line.split(" ")
-                kind = _KINDS[kind_name]
-                first, second = float(first), float(second)
-                # an ASCII key of the width, and values that pass DirectionScore's rule
-                if len(key) != _KEY_WIDTH or not key.isascii() or not (
-                    0.0 <= first <= 1.0 and 0.0 <= second <= 1.0
-                    if kind is _PROBABILITY
-                    else isfinite(first) and isfinite(second)
-                ):
-                    raise ValueError("bad line")
-            except (ValueError, KeyError):
-                dirty = True
-                if line.startswith("{"):
-                    old_format += 1
-                else:
-                    logger.warning("CacheInvalid: dropping corrupt cache line in %s", self._path)
-                continue
-            scores = (kind, first, second)
-            # a repeat of a stored line changes nothing, so only different scores compact
-            if key in entries and entries[key] != scores:
-                dirty = True
-            entries[key] = scores
         if old_format:
             logger.warning(
                 "CacheInvalid: dropping %d old-format lines in %s", old_format, self._path
@@ -545,8 +536,14 @@ class ComparisonCache:
         return self._entries.get(key)
 
     def put(self, key: str, first: DirectionScore, second: DirectionScore) -> None:
-        """Store the pair's two scores, which share first's kind, and append its line."""
-        scores = (first.kind, first.value, second.value)
+        """Store the pair's two scores and append its line.
+
+        Scores of mixed kinds raise ComparisonFailed and store nothing.
+        """
+        kind = first.kind
+        if second.kind is not kind:
+            raise _mixed_kinds(first, second)
+        scores = (kind, first.value, second.value)
         line = self._format_line(key, *scores).encode("ascii")
         with self._lock:
             self._entries[key] = scores
@@ -581,8 +578,7 @@ class CachedComparator:
     misses, and the other order of a pair reads its line with the scores
     swapped, unless the digests are equal (one prompt both ways). ``hits``
     and ``misses`` count directed scores read from the store and computed.
-    A miss scores the pair through the inner comparator's ``score_pair``
-    when it has one.
+    A miss scores the pair through the inner comparator's ``score_pair``.
     """
 
     def __init__(self, inner: Comparator, store: ComparisonCache):
@@ -640,13 +636,12 @@ class CachedComparator:
                 self.hits += 2
             kind, ab, ba = stored
             return DirectionScore(ab, kind), DirectionScore(ba, kind)
-        scores = _score_both(self._inner, a, b)
-        pair_eta(*scores)  # raises on mixed kinds
+        scores = self._inner.score_pair(a, b)
         self._store.put(key, *(scores[::-1] if swapped else scores))
         with self._count_lock:
             self.misses += 2
         return scores
 
+    # kept only because bench/spans.py wraps it, until ROADMAP item 7 wraps score_pair
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
-        """One directed score: the first of ``score_pair``'s, so a miss stores the pair."""
         return self.score_pair(existing, new)[0]

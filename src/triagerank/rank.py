@@ -11,12 +11,12 @@ so a score is exact whatever order its credits arrived in: an
 incrementally built ranking equals the full tournament bit for bit.
 
 Pairwise tasks are independent and may run in parallel, ``max_workers``
-pairs at a time. A comparator with ``score_pair`` scores a pair's two
-directions in one call: a remote one sends its two directed requests
+pairs at a time. A comparator scores a pair's two directions in one
+``score_pair`` call: a remote one sends its two directed requests
 together, so up to ``2 * max_workers`` requests are in flight, within the
 endpoint's ``max_parallel``, and the oracle draws the pair's flip once.
-With one worker and no cache probe, a pair is one ``compare`` call.
-A cache is probed on the calling thread: a pair it holds is served there,
+A pair is one ``compare`` call unless a cache serves it. A cache is
+probed on the calling thread: a pair it holds is served there,
 and with more than one worker only the misses go to the pool, at most
 ``2 * max_workers`` outstanding and a bounded queue of hits behind them.
 Score accumulation stays single-threaded in sorted pair order, so the
@@ -84,10 +84,10 @@ def _execute_pairs(
 ) -> Iterator[tuple[ComparisonOutcome, bool]]:
     """Yield (outcome, served_from_cache) in the given pair order.
 
-    A comparator with ``has_cached_pair`` is probed first, on the calling
-    thread, and the outcome it serves stands for the pair. With more than
-    one worker, only the pairs the probe misses go to the pool, at most
-    ``2 * max_workers`` of them outstanding, and at most
+    A cache, a comparator with ``has_cached_pair``, is probed first, on
+    the calling thread, and the outcome it serves stands for the pair. With
+    more than one worker, only the pairs the probe misses go to the pool,
+    at most ``2 * max_workers`` of them outstanding, and at most
     ``_WAITING_HITS`` hits wait behind an unfinished miss. So the pairs
     pulled ahead of the last one yielded, and the memory they hold, do not
     grow with the pairs. Closing the generator, or an error, cancels the
@@ -99,22 +99,13 @@ def _execute_pairs(
     scored again, where one worker would have served it from the cache.
     """
     probe = getattr(comparator, "has_cached_pair", None)
-    if probe is None and max_workers <= 1:
-        for a, b in pairs:
-            yield compare(comparator, a, b), False
-        return
-
-    def _task(pair: tuple[Message, Message]) -> tuple[ComparisonOutcome, bool]:
-        a, b = pair
-        if probe is not None:
-            outcome = probe(a, b)
-            if outcome is not None:
-                return outcome, True
-        return compare(comparator, a, b), False
-
     if max_workers <= 1:
-        for pair in pairs:
-            yield _task(pair)
+        for a, b in pairs:
+            outcome = None if probe is None else probe(a, b)
+            if outcome is None:
+                yield compare(comparator, a, b), False
+            else:
+                yield outcome, True
         return
     window = 2 * max_workers
     # in pair order: a Future for each miss, and each hit that waits behind one

@@ -975,8 +975,12 @@ class ScriptedReward:
     def __init__(self, values):
         self.values = values
 
-    def score_directed(self, existing, new):
-        return DirectionScore(self.values[existing.id, new.id], ScoreKind.REWARD)
+    def score_pair(self, a, b):
+        values = self.values
+        return (
+            DirectionScore(values[a.id, b.id], ScoreKind.REWARD),
+            DirectionScore(values[b.id, a.id], ScoreKind.REWARD),
+        )
 
 
 def _oracle_case(labeled, flip=None, seed=0):

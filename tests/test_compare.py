@@ -34,7 +34,6 @@ from triagerank.compare import (
     ScoreKind,
     Winner,
     compare,
-    pair_eta,
     parse_final_answer,
     perfect_oracle,
 )
@@ -57,7 +56,7 @@ from .test_gateway import config_for
 
 
 class ScriptedComparator:
-    """Returns fixed directed scores from a (existing_id, new_id) table."""
+    """Returns fixed directed scores from a (existing_id, new_id) table; counts directions."""
 
     def __init__(self, table, kind=ScoreKind.PROBABILITY):
         self.table = table
@@ -67,9 +66,10 @@ class ScriptedComparator:
     def backend_view(self, message):
         return message.id
 
-    def score_directed(self, existing, new):
-        self.calls += 1
-        return DirectionScore(self.table[(existing.id, new.id)], self.kind)
+    def score_pair(self, a, b):
+        self.calls += 2
+        table, kind = self.table, self.kind
+        return DirectionScore(table[a.id, b.id], kind), DirectionScore(table[b.id, a.id], kind)
 
 
 def test_eta_formula_probability():
@@ -134,14 +134,73 @@ def test_reward_eta_bounded_for_large_scores():
 
 def test_mixed_kinds_fail():
     class Mixed:
-        def __init__(self):
-            self.kinds = [ScoreKind.PROBABILITY, ScoreKind.REWARD]
-
-        def score_directed(self, existing, new):
-            return DirectionScore(0.5, self.kinds.pop(0))
+        def score_pair(self, a, b):
+            return DirectionScore(0.5, ScoreKind.PROBABILITY), DirectionScore(0.5, ScoreKind.REWARD)
 
     with pytest.raises(ComparisonFailed):
         compare(Mixed(), make_message("a"), make_message("b"))
+
+
+class DirectedOnly:
+    """A comparator that scores one direction at a time and has no score_pair."""
+
+    def backend_view(self, message):
+        return message.id
+
+    def score_directed(self, existing, new):
+        return DirectionScore(0.5, ScoreKind.PROBABILITY)
+
+
+class PairCalls:
+    """Records the ids of each score_pair call, then asks the comparator it wraps."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.pairs = []
+
+    def backend_view(self, message):
+        return self.inner.backend_view(message)
+
+    def score_pair(self, a, b):
+        self.pairs.append((a.id, b.id))
+        return self.inner.score_pair(a, b)
+
+
+def test_a_comparator_without_score_pair_fails_naming_it(tmp_path):
+    messages = [make_message(message_id) for message_id in ("a", "b", "c")]
+    with pytest.raises(ComparisonFailed, match="score_pair"):
+        compare(DirectedOnly(), *messages[:2])
+    for workers in (1, 4):
+        with pytest.raises(ComparisonFailed, match="score_pair"):
+            run_tournament(messages, DirectedOnly(), max_workers=workers)
+    store = ComparisonCache(tmp_path / "cache.jsonl")
+    with pytest.raises(ComparisonFailed, match="score_pair"):
+        compare(CachedComparator(DirectedOnly(), store), *messages[:2])
+    assert len(store) == 0
+
+
+def test_compare_asks_score_pair_once_per_pair():
+    table = {(x, y): 0.25 if x < y else 0.75 for x in "abcd" for y in "abcd" if x != y}
+    messages = [make_message(message_id) for message_id in "dbca"]
+    comparator = PairCalls(ScriptedComparator(table))
+    compare(comparator, messages[0], messages[1])
+    assert comparator.pairs == [("d", "b")]
+    comparator.pairs.clear()
+    run_tournament(messages, comparator)
+    assert comparator.pairs == list(combinations("abcd", 2))
+
+
+def test_a_cache_miss_asks_the_inner_score_pair_once_and_a_hit_never(tmp_path):
+    inner = PairCalls(ScriptedComparator({("a", "b"): 0.75, ("b", "a"): 0.25}))
+    comparator = CachedComparator(inner, ComparisonCache(tmp_path / "cache.jsonl"))
+    a, b = make_message("a"), make_message("b")
+    miss = comparator.score_pair(a, b)
+    assert inner.pairs == [("a", "b")]
+    assert comparator.score_pair(a, b) == miss
+    assert comparator.score_pair(b, a) == miss[::-1]
+    assert compare(comparator, b, a).s_ab == miss[1]
+    assert inner.pairs == [("a", "b")]
+    assert (comparator.hits, comparator.misses) == (6, 2)
 
 
 @pytest.mark.parametrize(
@@ -155,9 +214,13 @@ def test_mixed_kinds_fail():
     ],
 )
 def test_outcome_derives_eta_and_winner(kind, s_ab, s_ba, winner):
+    def logistic(x):  # the stable form, so the expected eta is exact
+        return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
     first, second = DirectionScore(s_ab, kind), DirectionScore(s_ba, kind)
     outcome = ComparisonOutcome("a", "b", first, second)
-    assert outcome.eta == pair_eta(first, second)
+    d = s_ab - s_ba
+    assert outcome.eta == (d if kind is ScoreKind.PROBABILITY else logistic(d) - logistic(-d))
     assert outcome.winner is winner
     assert (outcome.eta > 0, outcome.eta < 0) == (winner is Winner.B, winner is Winner.A)
 
@@ -225,9 +288,9 @@ def test_oracle_same_level_is_tie(fixture_corpus):
 def test_oracle_emits_calibrated_margin(fixture_corpus):
     oracle = NoisyOracleComparator(fixture_corpus, margin=0.4)
     by_id = {labeled.id: labeled for labeled in fixture_corpus}
-    score = oracle.score_directed(by_id["m30"].message, by_id["m01"].message)
+    score = oracle.score_pair(by_id["m30"].message, by_id["m01"].message)[0]
     assert score.value == 0.9
-    score = oracle.score_directed(by_id["m01"].message, by_id["m30"].message)
+    score = oracle.score_pair(by_id["m01"].message, by_id["m30"].message)[0]
     assert score.value == pytest.approx(0.1)
 
 
@@ -236,7 +299,7 @@ def test_oracle_needs_labels(fixture_corpus):
     with pytest.raises(ComparisonFailed):
         compare(oracle, make_message("stranger"), fixture_corpus[0].message)
     with pytest.raises(OracleNeedsLabels):
-        oracle.score_directed(make_message("stranger"), fixture_corpus[0].message)
+        oracle.score_pair(make_message("stranger"), fixture_corpus[0].message)
 
 
 def test_oracle_flip_half_gives_coin_accuracy():
@@ -281,13 +344,16 @@ def reference_uniform(u):
 
 
 class AlwaysDrawOracle:
-    """The noisy oracle's rule with a fresh per-pair draw on every call."""
+    """The noisy oracle's rule with a fresh per-pair draw for every direction."""
 
     def __init__(self, labeled, flip, seed, margin=0.4):
         self.levels = {item.id: item.level for item in labeled}
         self.flip, self.seed, self.margin = flip, seed, margin
 
-    def score_directed(self, existing, new):
+    def score_pair(self, a, b):
+        return self.directed_score(a, b), self.directed_score(b, a)
+
+    def directed_score(self, existing, new):
         level_existing, level_new = self.levels[existing.id], self.levels[new.id]
         if level_existing == level_new:
             return DirectionScore(0.5, ScoreKind.PROBABILITY)
@@ -318,17 +384,13 @@ def test_oracle_equals_always_draw_reference_with_interleaved_pairs():
         rng = random.Random(8)
         for _ in range(3000):
             existing, new = rng.sample(messages, 2)
-            assert oracle.score_directed(existing, new) == reference.score_directed(
-                existing, new
-            )
+            assert oracle.score_pair(existing, new) == reference.score_pair(existing, new)
         # both directions of one pair, then of another, then back: no draw
         # may answer for a different pair
         pairs = [rng.sample(messages, 2) for _ in range(200)]
         for (a, b), (c, d) in zip(pairs, pairs[1:]):
             for existing, new in ((a, b), (c, d), (b, a), (d, c), (b, a)):
-                assert oracle.score_directed(existing, new) == reference.score_directed(
-                    existing, new
-                )
+                assert oracle.score_pair(existing, new) == reference.score_pair(existing, new)
             assert compare(oracle, a, b) == compare(reference, a, b)
 
 
@@ -368,8 +430,8 @@ def test_oracle_score_pair_equals_both_directed_scores(seed, flip, margin):
     reference = AlwaysDrawOracle(labeled, flip, seed=seed, margin=margin)
     for a, b in permutations([item.message for item in labeled], 2):
         pair = oracle.score_pair(a, b)
-        assert pair == (oracle.score_directed(a, b), oracle.score_directed(b, a))
-        assert pair == (reference.score_directed(a, b), reference.score_directed(b, a))
+        assert pair == oracle.score_pair(b, a)[::-1]
+        assert pair == (reference.directed_score(a, b), reference.directed_score(b, a))
 
 
 @pytest.mark.parametrize("unlabelled", ["a", "b", "both"])
@@ -385,7 +447,7 @@ def test_oracle_unlabelled_message_fails_the_comparison_naming_it(unlabelled):
     cause = excinfo.value.__cause__
     assert type(cause) is OracleNeedsLabels and cause.message_id == named
     with pytest.raises(OracleNeedsLabels) as excinfo:
-        oracle.score_directed(a, b)
+        oracle.score_pair(a, b)
     assert excinfo.value.message_id == named
 
 
@@ -411,7 +473,7 @@ def test_oracle_flip_draw_pinned(key, u):
     for flip, flipped in ((draw, False), (math.nextafter(draw, 1.0), True)):
         oracle = NoisyOracleComparator(labeled, {1: flip}, seed=seed)
         for existing, new in ((less_urgent, urgent), (urgent, less_urgent)):
-            new_wins = oracle.score_directed(existing, new).value > 0.5
+            new_wins = oracle.score_pair(existing, new)[0].value > 0.5
             assert new_wins == ((new is urgent) != flipped), (flip, new.id)
 
 
@@ -423,7 +485,7 @@ def test_oracle_flip_share_is_uniform(probability):
     less_urgent = [item.message for item in labeled if item.level == 2]
     oracle = NoisyOracleComparator(labeled, {1: probability}, seed=7)
     flips = sum(
-        oracle.score_directed(existing, new).value < 0.5
+        oracle.score_pair(existing, new)[0].value < 0.5
         for existing in less_urgent
         for new in urgent
     )
@@ -538,9 +600,9 @@ class CountingComparator:
     def backend_view(self, message):
         return self.inner.backend_view(message)
 
-    def score_directed(self, existing, new):
-        self.backend_calls += 1
-        return self.inner.score_directed(existing, new)
+    def score_pair(self, a, b):
+        self.backend_calls += 2
+        return self.inner.score_pair(a, b)
 
 
 def test_cache_hit_skips_backend(tmp_path, fixture_corpus):
@@ -571,7 +633,7 @@ def test_cache_key_is_direction_sensitive(tmp_path):
     assert (comparator.hits, comparator.misses) == (0, 2)
     for existing, new, value in ((b, a, 0.25), (a, b, 0.75)):
         reloaded = CachedComparator(counting, ComparisonCache(path))
-        assert reloaded.score_directed(existing, new).value == value
+        assert reloaded.score_pair(existing, new)[0].value == value
         assert (reloaded.hits, reloaded.misses) == (2, 0)  # one lookup reads both
     assert counting.backend_calls == 2
 
@@ -918,8 +980,8 @@ def test_cached_scores_lose_only_raw_payload(tmp_path, fixture_corpus):
     store = ComparisonCache(tmp_path / "cache.jsonl")
     comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
-    fresh = comparator.score_directed(a, b)
-    again = comparator.score_directed(a, b)
+    fresh = comparator.score_pair(a, b)[0]
+    again = comparator.score_pair(a, b)[0]
     assert again.value == fresh.value
     assert again.kind is fresh.kind
 
@@ -936,9 +998,11 @@ def test_cache_written_under_the_old_oracle_draw_misses(tmp_path, fixture_corpus
         cache_identity = old_identity
         backend_view = oracle.backend_view
 
-        def score_directed(self, existing, new):
-            value = 1.0 - oracle.score_directed(existing, new).value
-            return DirectionScore(value, ScoreKind.PROBABILITY)
+        def score_pair(self, a, b):
+            return tuple(
+                DirectionScore(1.0 - score.value, ScoreKind.PROBABILITY)
+                for score in oracle.score_pair(a, b)
+            )
 
     messages = [labeled.message for labeled in fixture_corpus]
     path = tmp_path / "cache.jsonl"
@@ -1026,10 +1090,10 @@ def test_cache_counts_exact_with_pairs_cached_in_one_direction(tmp_path, fixture
     # a third of the pairs cached in the tournament's order, a third reversed, a third not
     for index, (a, b) in enumerate(combinations(messages, 2)):
         if index % 3 == 0:
-            seeding.score_directed(a, b)
+            seeding.score_pair(a, b)
             forward += 1
         elif index % 3 == 1:
-            seeding.score_directed(b, a)
+            seeding.score_pair(b, a)
             backward += 1
     store.close()
     neither = 16 * 15 // 2 - forward - backward
@@ -1065,9 +1129,8 @@ def test_probe_never_serves_a_self_pair(tmp_path):
 
 def test_probe_of_mixed_kinds_fails(tmp_path):
     class MixedKinds(ScriptedComparator):
-        def score_directed(self, existing, new):
-            kind = ScoreKind.PROBABILITY if existing.id < new.id else ScoreKind.REWARD
-            return DirectionScore(0.5, kind)
+        def score_pair(self, a, b):
+            return DirectionScore(0.5, ScoreKind.PROBABILITY), DirectionScore(0.5, ScoreKind.REWARD)
 
     a, b = make_message("a"), make_message("b")
     store = ComparisonCache(tmp_path / "cache.jsonl")
@@ -1180,10 +1243,44 @@ def test_cache_repairs_missing_final_newline_before_appending(tmp_path, fixture_
     store.close()
     path.write_bytes(path.read_bytes().rstrip(b"\n"))
     store = ComparisonCache(path)
-    compare(CachedComparator(counting, store), a, c)
+    # the line without its newline is dropped: its pair is asked again, and
+    # neither append is swallowed by it
+    comparator = CachedComparator(counting, store)
+    compare(comparator, a, c)
+    compare(comparator, a, b)
     store.close()
     assert len(ComparisonCache(path)) == 2
-    assert counting.backend_calls == 4
+    assert counting.backend_calls == 6
+
+
+def test_a_line_cut_short_is_scored_again_not_served(tmp_path, fixture_corpus, caplog):
+    # a write that stopped partway leaves "... 0.09999999999999998 0" of
+    # "... 0.09999999999999998 0.9\n", which parses to the other winner
+    path = tmp_path / "cache.jsonl"
+    oracle = perfect_oracle(fixture_corpus)
+    counting = CountingComparator(oracle)
+    for a, b in combinations([labeled.message for labeled in fixture_corpus], 2):
+        store = ComparisonCache(path)
+        compare(CachedComparator(counting, store), a, b)
+        store.close()
+        line = path.read_bytes()
+        if line.endswith(b" 0.9\n"):
+            break
+        path.unlink()
+    path.write_bytes(line[:-3])
+    counting.backend_calls = 0
+    with caplog.at_level("WARNING"):
+        store = ComparisonCache(path)
+    assert len(store) == 0
+    assert any("unterminated last line" in record.getMessage() for record in caplog.records)
+    comparator = CachedComparator(counting, store)
+    assert compare(comparator, a, b) == compare(oracle, a, b)
+    assert counting.backend_calls == 2 and comparator.misses == 2
+    store.close()
+    assert path.read_bytes() == line
+    reloaded = CachedComparator(counting, ComparisonCache(path))
+    assert reloaded.has_cached_pair(a, b) == compare(oracle, a, b)
+    assert counting.backend_calls == 2
 
 
 def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, monkeypatch):

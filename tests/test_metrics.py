@@ -334,8 +334,9 @@ def test_intrinsic_perfect_oracle_all_ones(fixture_corpus):
 
 def test_intrinsic_always_tie_scores_zero(fixture_corpus):
     class AlwaysTie:
-        def score_directed(self, existing, new):
-            return DirectionScore(0.5, ScoreKind.PROBABILITY)
+        def score_pair(self, a, b):
+            even = DirectionScore(0.5, ScoreKind.PROBABILITY)
+            return even, even
 
     pairs = _fixture_pairs(fixture_corpus[:10])
     report = intrinsic_accuracy(pairs, AlwaysTie())

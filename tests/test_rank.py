@@ -105,7 +105,10 @@ def test_failure_aborts_with_partial_outcomes():
             self.limit = limit
             self.calls = 0
 
-        def score_directed(self, existing, new):
+        def score_pair(self, a, b):
+            return self._directed(a, b), self._directed(b, a)
+
+        def _directed(self, existing, new):
             self.calls += 1
             if self.calls > self.limit:
                 raise RuntimeError("backend fell over")
@@ -121,17 +124,21 @@ def test_failure_aborts_with_partial_outcomes():
 
 
 class FailsOnPair:
-    """Prefers the larger id, and fails on the first direction of the k-th pair (1-based)."""
+    """Prefers the larger id, and fails on the k-th pair (1-based)."""
 
     def __init__(self, k):
-        self.failing_call = 2 * k - 1
-        self.calls = 0
+        self.k = k
+        self.pairs = 0
 
-    def score_directed(self, existing, new):
-        self.calls += 1
-        if self.calls == self.failing_call:
+    def score_pair(self, a, b):
+        self.pairs += 1
+        if self.pairs == self.k:
             raise RuntimeError("backend fell over")
-        return DirectionScore(0.6 if new.id > existing.id else 0.4, ScoreKind.PROBABILITY)
+        larger_b = b.id > a.id
+        return (
+            DirectionScore(0.6 if larger_b else 0.4, ScoreKind.PROBABILITY),
+            DirectionScore(0.4 if larger_b else 0.6, ScoreKind.PROBABILITY),
+        )
 
 
 def test_failed_comparison_leaves_the_previous_log_whole(tmp_path):
@@ -243,10 +250,14 @@ def test_parallel_equals_sequential(tmp_path, fixture_corpus):
 
 def test_parallel_failure_still_aborts(fixture_corpus):
     class Flaky:
-        def score_directed(self, existing, new):
-            if new.id == "m09" or existing.id == "m09":
+        def score_pair(self, a, b):
+            if "m09" in (a.id, b.id):
                 raise RuntimeError("backend fell over")
-            return DirectionScore(0.6 if new.id > existing.id else 0.4, ScoreKind.PROBABILITY)
+            larger_b = b.id > a.id
+            return (
+                DirectionScore(0.6 if larger_b else 0.4, ScoreKind.PROBABILITY),
+                DirectionScore(0.4 if larger_b else 0.6, ScoreKind.PROBABILITY),
+            )
 
     messages = [labeled.message for labeled in fixture_corpus[:10]]
     with pytest.raises(ComparisonFailed):
@@ -277,9 +288,11 @@ def test_insert_built_scores_equal_full_tournament_exactly():
     class RandomProbabilities:
         """A fixed pseudo-random probability per directed pair."""
 
-        def score_directed(self, existing, new):
-            rng = random.Random(f"{existing.id}|{new.id}")
-            return DirectionScore(rng.random(), ScoreKind.PROBABILITY)
+        def score_pair(self, a, b):
+            return tuple(
+                DirectionScore(random.Random(f"{x.id}|{y.id}").random(), ScoreKind.PROBABILITY)
+                for x, y in ((a, b), (b, a))
+            )
 
     comparator = RandomProbabilities()
     messages = [make_message(f"m{index:02d}") for index in range(40)]
@@ -342,7 +355,7 @@ class _FirstPairBlocks:
             DirectionScore(0.6, ScoreKind.PROBABILITY),
         )
 
-    def score_directed(self, existing, new):
+    def score_pair(self, a, b):
         if self.probed_while_blocked is None:
             seen, steady, deadline = -1, 0, time.monotonic() + 10
             while steady < 5 and time.monotonic() < deadline:
@@ -350,7 +363,8 @@ class _FirstPairBlocks:
                 seen = self.probes
                 time.sleep(0.01)
             self.probed_while_blocked = seen
-        return DirectionScore(0.5, ScoreKind.PROBABILITY)
+        even = DirectionScore(0.5, ScoreKind.PROBABILITY)
+        return even, even
 
 
 def test_parallel_lookahead_past_an_unfinished_miss_does_not_grow_with_the_inbox():
@@ -405,10 +419,10 @@ def test_parallel_failure_among_hits_leaves_the_previous_log_whole(tmp_path, fix
         def backend_view(self, message):
             return oracle.backend_view(message)
 
-        def score_directed(self, existing, new):
-            if {existing.id, new.id} == failing:
+        def score_pair(self, a, b):
+            if {a.id, b.id} == failing:
                 raise RuntimeError("backend fell over")
-            return oracle.score_directed(existing, new)
+            return oracle.score_pair(a, b)
 
     log = tmp_path / "outcomes.jsonl"
     log.write_bytes(b"previous run\n")
@@ -439,7 +453,7 @@ def test_parallel_errors_surface_in_pair_order():
                 DirectionScore(0.6, ScoreKind.PROBABILITY),
             )
 
-        def score_directed(self, existing, new):
+        def score_pair(self, a, b):
             time.sleep(0.05)
             raise RuntimeError("first pair fell over")
 

@@ -597,7 +597,13 @@ def run_pipeline(config: RunConfig) -> dict:
             **envelope,
             "config": config.canonical(),
             "artifacts": {
-                name: {"path": _ARTIFACTS[name], "sha256": _sha256_file(path[name])}
+                name: {
+                    "path": _ARTIFACTS[name],
+                    # the tournament section has hashed the outcome log, the largest artifact
+                    "sha256": section["outcomes_sha256"]
+                    if name == "outcomes"
+                    else _sha256_file(path[name]),
+                }
                 for name in sorted(_ARTIFACTS)
             },
         }

@@ -15,6 +15,7 @@ no epsilon band.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -142,17 +143,39 @@ class ComparisonOutcome(tuple):
         It is ``json.dumps(record, sort_keys=True) + "\\n"`` for the record of
         a_id, b_id, eta, kind, s_ab, s_ba and winner, the enums by their
         values. Every score and eta is a finite plain float, which json.dumps
-        writes by repr; the kind and winner names need no escaping.
+        writes by repr; the kind and winner names need no escaping. The two
+        ids are encoded per line; the rest, from ``"eta"`` on, comes from
+        ``_outcome_tail``, which formats each distinct pair of scores once and
+        holds the last ``_TAIL_CACHE_SIZE`` of them. A pair with a zero score
+        skips that cache: ``0.0 == -0.0`` and both hash alike, but they print
+        differently.
         """
-        a_id, b_id, ab, ba, eta, winner, kind = self
-        kind_name = _PROBABILITY_NAME if kind is _PROBABILITY else _REWARD_NAME
-        won = "B" if winner is _B else "A" if winner is _A else "TIE"
+        a_id, b_id, ab, ba, _, _, kind = self
+        tail = _outcome_tail if ab and ba else _outcome_tail.__wrapped__
         return (
             f'{{"a_id": {encode_basestring_ascii(a_id)}, '
-            f'"b_id": {encode_basestring_ascii(b_id)}, "eta": {eta!r}, '
-            f'"kind": "{kind_name}", "s_ab": {ab!r}, "s_ba": {ba!r}, '
-            f'"winner": "{won}"}}\n'
+            f'"b_id": {encode_basestring_ascii(b_id)}, {tail(kind is _PROBABILITY, ab, ba)}'
         )
+
+
+# how many distinct score pairs each line-tail cache below holds; the oracle
+# gives three, and a remote run's one-off values evict each other
+_TAIL_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_TAIL_CACHE_SIZE)
+def _outcome_tail(is_probability: bool, ab: float, ba: float) -> str:
+    """An outcome line from ``"eta"`` to its end, eta and the winner derived as ``_outcome`` does.
+
+    Keyed on a bool, not the ScoreKind: an enum member hashes in Python.
+    """
+    eta = _eta(_PROBABILITY if is_probability else ScoreKind.REWARD, ab, ba)
+    won = "B" if eta > 0 else "A" if eta < 0 else "TIE"
+    kind_name = _PROBABILITY_NAME if is_probability else _REWARD_NAME
+    return (
+        f'"eta": {eta!r}, "kind": "{kind_name}", "s_ab": {ab!r}, "s_ba": {ba!r}, '
+        f'"winner": "{won}"}}\n'
+    )
 
 
 _new_tuple = tuple.__new__
@@ -199,22 +222,39 @@ def _eta(kind: ScoreKind, ab: float, ba: float) -> float:
 def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome:
     """Score the pair through ``score_pair``; the outcome derives eta and the winner.
 
-    Any failure in either direction, or a comparator without ``score_pair``,
-    raises ComparisonFailed; no partial outcome is produced.
+    Any failure in either direction, a comparator without ``score_pair``, a
+    ``score_pair`` that returns anything but two DirectionScores, or scores
+    of mixed kinds raises ComparisonFailed; no partial outcome is produced.
     """
-    if a.id == b.id:
-        raise ConfigError(f"cannot compare message {a.id!r} with itself")
+    a_id, b_id = a.id, b.id
+    if a_id == b_id:
+        raise ConfigError(f"cannot compare message {a_id!r} with itself")
     try:
-        s_ab, s_ba = comparator.score_pair(a, b)
+        scores = comparator.score_pair(a, b)
     except ComparisonFailed:
         raise
     except TriageRankError as exc:
-        raise ComparisonFailed(f"pair ({a.id}, {b.id}): {exc}") from exc
+        raise ComparisonFailed(f"pair ({a_id}, {b_id}): {exc}") from exc
     except Exception as exc:
         raise ComparisonFailed(
-            f"pair ({a.id}, {b.id}): {type(exc).__name__}: {exc}"
+            f"pair ({a_id}, {b_id}): {type(exc).__name__}: {exc}"
         ) from exc
-    return ComparisonOutcome(a.id, b.id, s_ab, s_ba)
+    try:
+        s_ab, s_ba = scores
+    except (TypeError, ValueError):
+        raise _malformed(a_id, b_id, scores) from None
+    if type(s_ab) is not DirectionScore or type(s_ba) is not DirectionScore:
+        raise _malformed(a_id, b_id, scores)
+    kind = s_ab.kind
+    if s_ba.kind is not kind:
+        raise _mixed_kinds(s_ab, s_ba)
+    return _outcome(a_id, b_id, kind, s_ab.value, s_ba.value)
+
+
+def _malformed(a_id: str, b_id: str, scores: object) -> ComparisonFailed:
+    return ComparisonFailed(
+        f"pair ({a_id}, {b_id}): score_pair returned {scores!r:.200}, not two DirectionScores"
+    )
 
 
 # the oracle's probability distance from 0.5 unless a caller sets one
@@ -527,9 +567,15 @@ class ComparisonCache:
 
     @staticmethod
     def _format_line(key: str, kind: ScoreKind, first: float, second: float) -> str:
-        """The pair's line: key, kind and the two values by repr."""
-        kind_name = _PROBABILITY_NAME if kind is _PROBABILITY else _REWARD_NAME
-        return f"{key} {kind_name} {first!r} {second!r}\n"
+        """The pair's line: key, kind and the two values by repr.
+
+        The part after the key comes from ``_cache_line_tail``, which formats
+        each distinct pair of values once and holds the last
+        ``_TAIL_CACHE_SIZE`` of them. A pair with a zero value skips that
+        cache: ``0.0 == -0.0`` and both hash alike, but they print differently.
+        """
+        tail = _cache_line_tail if first and second else _cache_line_tail.__wrapped__
+        return key + tail(kind is _PROBABILITY, first, second)
 
     def get(self, key: str) -> tuple[ScoreKind, float, float] | None:
         """The pair's (kind, first, second), in the order of the key's digests, or None."""
@@ -562,6 +608,13 @@ class ComparisonCache:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
+
+
+@functools.lru_cache(maxsize=_TAIL_CACHE_SIZE)
+def _cache_line_tail(is_probability: bool, first: float, second: float) -> str:
+    """A cache line after its key: the kind and the two values by repr."""
+    kind_name = _PROBABILITY_NAME if is_probability else _REWARD_NAME
+    return f" {kind_name} {first!r} {second!r}\n"
 
 
 def _hex_digest(data: str, size: int) -> str:

@@ -407,6 +407,25 @@ def test_pipeline_artifact_hashes_golden(tmp_path, monkeypatch):
     assert hashes == GOLDEN_ARTIFACT_SHA256
 
 
+def test_pipeline_hashes_the_outcome_log_once(tmp_path, monkeypatch):
+    hashed = []
+    sha256_file = cli._sha256_file
+
+    def spy(path):
+        hashed.append(Path(path).name)
+        return sha256_file(path)
+
+    monkeypatch.setattr(cli, "_sha256_file", spy)
+    out_dir = tmp_path / "run"
+    manifest = cli.run_pipeline(cli.RunConfig(corpus=FIXTURE, out_dir=str(out_dir), seed=3))
+    assert hashed.count("outcomes.jsonl") == 1
+    assert sorted(hashed) == sorted(cli._ARTIFACTS.values())
+    digest = hashlib.sha256((out_dir / "outcomes.jsonl").read_bytes()).hexdigest()
+    ranking = read_json(out_dir / "ranking.json")
+    assert manifest["artifacts"]["outcomes"]["sha256"] == digest
+    assert ranking["tournament"]["outcomes_sha256"] == digest
+
+
 def test_pipeline_missing_corpus_signals_load_stage(tmp_path, capsys):
     code = run_cli(
         "pipeline", "--corpus", tmp_path / "absent.jsonl", "--out-dir", tmp_path / "o"
@@ -885,15 +904,16 @@ def test_pipeline_rerun_after_a_kill_equals_a_clean_run(tmp_path, script, writte
         assert (run / name).read_bytes() == (clean / name).read_bytes(), name
 
 
-# Kills its own process when the m-th line (argv[1]) of sft.jsonl is pulled from
-# the export's stream, before it is written, then runs the CLI on the rest of its
-# argv. The export looks write_lines up in triagerank.pairs, so it is patched there.
-_KILLED_AT_MTH_SFT_LINE = """\
+# Kills its own process when the m-th line (argv[2]) of the export named by argv[1]
+# is pulled from the export's stream, before it is written, then runs the CLI on
+# the rest of its argv. The exports look write_lines up in triagerank.pairs, so it
+# is patched there.
+_KILLED_AT_MTH_EXPORT_LINE = """\
 import os, signal, sys
 from triagerank import cli, pairs
-write_lines, kill_at = pairs.write_lines, int(sys.argv[1])
+write_lines, target, kill_at = pairs.write_lines, sys.argv[1], int(sys.argv[2])
 def write_lines_until_killed(lines, path):
-    if os.path.basename(path) != "sft.jsonl":
+    if os.path.basename(path) != target:
         return write_lines(lines, path)
     def until_killed():
         for number, line in enumerate(lines, start=1):
@@ -902,25 +922,40 @@ def write_lines_until_killed(lines, path):
             yield line
     return write_lines(until_killed(), path)
 pairs.write_lines = write_lines_until_killed
-sys.exit(cli.main(sys.argv[2:]))
+sys.exit(cli.main(sys.argv[3:]))
 """
-# the fixture run below writes 80 SFT lines: 20 triplets, four lines each
-_SFT_LINES = 80
+# the fixture run below writes 20 triplets, then four SFT lines and two reward
+# lines per triplet; a kill leaves the artifacts of the stages before the export
+_EXPORTS = {
+    "triplets.jsonl": (20, ["filtered.jsonl", "eval_pairs.jsonl"]),
+    "sft.jsonl": (80, ["filtered.jsonl", "eval_pairs.jsonl", "triplets.jsonl"]),
+    "reward.jsonl": (40, ["filtered.jsonl", "eval_pairs.jsonl", "triplets.jsonl", "sft.jsonl"]),
+}
 
 
 @pytest.mark.parametrize(
-    "kill_at", [1, _SFT_LINES // 2, _SFT_LINES], ids=["first", "middle", "last"]
+    "target, kill_at",
+    [
+        ("triplets.jsonl", 1), ("triplets.jsonl", 20),
+        ("sft.jsonl", 1), ("sft.jsonl", 40), ("sft.jsonl", 80),
+        ("reward.jsonl", 1), ("reward.jsonl", 40),
+    ],
+    ids=[
+        "triplets-first", "triplets-last", "sft-first", "sft-middle", "sft-last",
+        "reward-first", "reward-last",
+    ],
 )
-def test_pipeline_rerun_after_a_kill_mid_sft_export_writes_the_goldens(
-    tmp_path, monkeypatch, kill_at
+def test_pipeline_rerun_after_a_kill_mid_export_writes_the_goldens(
+    tmp_path, monkeypatch, target, kill_at
 ):
-    """A real SIGKILL while sft.jsonl streams; the rerun writes every golden artifact.
+    """A real SIGKILL while an export streams; the rerun writes every golden artifact.
 
-    The killed run leaves the three artifacts before the export, the
-    export's temporary file, holding a prefix of the finished file, and no
-    sft.jsonl or manifest. Power loss (an unsynced directory, a torn page)
+    The killed run leaves the artifacts before the export, the export's
+    temporary file, holding a prefix of the finished file, and neither the
+    export nor a manifest. Power loss (an unsynced directory, a torn page)
     cannot be simulated in a test, so only the kill is checked.
     """
+    lines, before = _EXPORTS[target]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "corpus.jsonl").write_bytes(Path(FIXTURE).read_bytes())
     # the relative paths and the flips of the golden run
@@ -930,23 +965,21 @@ def test_pipeline_rerun_after_a_kill_mid_sft_export_writes_the_goldens(
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     child = subprocess.Popen(
-        [sys.executable, "-c", _KILLED_AT_MTH_SFT_LINE, str(kill_at), *argv],
+        [sys.executable, "-c", _KILLED_AT_MTH_EXPORT_LINE, target, str(kill_at), *argv],
         cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     assert child.wait(timeout=120) == -signal.SIGKILL
     run = tmp_path / "run"
-    orphan = f"sft.jsonl.{child.pid}.tmp"
-    assert sorted(path.name for path in run.iterdir()) == sorted(
-        ["filtered.jsonl", "eval_pairs.jsonl", "triplets.jsonl", orphan]
-    )
+    orphan = f"{target}.{child.pid}.tmp"
+    assert sorted(path.name for path in run.iterdir()) == sorted([*before, orphan])
     streamed = (run / orphan).read_bytes()
 
     assert run_cli(*argv) == 0
     assert not list(run.glob("*.tmp"))
-    sft = (run / "sft.jsonl").read_bytes()
-    assert sft.count(b"\n") == _SFT_LINES
+    written = (run / target).read_bytes()
+    assert written.count(b"\n") == lines
     # what reached the disk before the kill is the start of the finished file
-    assert sft.startswith(streamed) and streamed.count(b"\n") < kill_at
+    assert written.startswith(streamed) and streamed.count(b"\n") < kill_at
     manifest = read_json(run / "manifest.json")
     hashes = {
         name: hashlib.sha256((run / entry["path"]).read_bytes()).hexdigest()

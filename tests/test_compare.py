@@ -33,6 +33,8 @@ from triagerank.compare import (
     RewardComparator,
     ScoreKind,
     Winner,
+    _cache_line_tail,
+    _outcome_tail,
     compare,
     parse_final_answer,
     perfect_oracle,
@@ -178,6 +180,35 @@ def test_a_comparator_without_score_pair_fails_naming_it(tmp_path):
         compare(CachedComparator(DirectedOnly(), store), *messages[:2])
     assert len(store) == 0
 
+
+
+class ReturnsScores:
+    """A comparator whose score_pair returns a fixed object, whatever it is."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score_pair(self, a, b):
+        return self.scores
+
+
+_HALF = DirectionScore(0.5, ScoreKind.PROBABILITY)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [(0.75, 0.25), (_HALF,), (_HALF, _HALF, _HALF), (_HALF, 0.5), (0.5, _HALF), None, "ab"],
+    ids=["two-floats", "one", "three", "second-float", "first-float", "none", "string"],
+)
+def test_a_malformed_score_pair_return_fails_the_comparison_naming_it(scores):
+    a, b = make_message("a"), make_message("b")
+    with pytest.raises(ComparisonFailed, match="score_pair returned .*not two DirectionScores"):
+        compare(ReturnsScores(scores), a, b)
+    for workers in (1, 4):
+        with pytest.raises(ComparisonFailed, match="score_pair returned"):
+            run_tournament([a, b], ReturnsScores(scores), max_workers=workers)
+    # a list of two scores is two scores
+    assert compare(ReturnsScores([_HALF, _HALF]), a, b).winner is Winner.TIE
 
 def test_compare_asks_score_pair_once_per_pair():
     table = {(x, y): 0.25 if x < y else 0.75 for x in "abcd" for y in "abcd" if x != y}
@@ -1480,6 +1511,62 @@ def test_cache_line_bytes_equal_json_dumps(tmp_path, key, value, kind):
     assert (repr(outcome.s_ab.value), repr(outcome.s_ba.value)) == (repr(float(value)),) * 2
     assert inner.calls == 2
 
+
+
+# ------------------------------------------------------------ cached line tails
+
+
+def _tail_value_sets():
+    """(kind, s_ab, s_ba) sets: the oracle's three pairs, random floats, the
+    smallest subnormal, and a signed zero in each position."""
+    rng = random.Random(30)
+    low = 0.5 - 0.4  # 0.09999999999999998, the oracle's less-urgent score
+    zeros = [(x, y) for x in (0.0, -0.0, 0.5) for y in (0.0, -0.0, 0.5) if x == 0.0 or y == 0.0]
+    probability = [(0.9, low), (low, 0.9), (0.5, 0.5), (5e-324, 0.5), (1.0, 5e-324), *zeros]
+    probability += [(rng.random(), rng.random()) for _ in range(40)]
+    reward = [(-5e-324, 5e-324), (5e-324, 5e-324), (-3.0, 3.0), *zeros]
+    reward += [(-x, y) for x, y in zeros]
+    reward += [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(40)]
+    return [(ScoreKind.PROBABILITY, *pair) for pair in probability] + [
+        (ScoreKind.REWARD, *pair) for pair in reward
+    ]
+
+
+def test_outcome_and_cache_lines_equal_their_reference_formats_on_misses_and_hits():
+    key = "0123456789abcdef" * 5
+    values = _tail_value_sets()
+    for _ in range(2):  # the second round is served by the caches
+        for kind, ab, ba in values:
+            outcome = ComparisonOutcome(
+                "a\u00e9\"", "b\n", DirectionScore(ab, kind), DirectionScore(ba, kind)
+            )
+            record = {
+                "a_id": outcome.a_id, "b_id": outcome.b_id, "eta": outcome.eta,
+                "kind": kind.value, "s_ab": ab, "s_ba": ba, "winner": outcome.winner.value,
+            }
+            assert outcome.to_line() == json.dumps(record, sort_keys=True) + "\n"
+            line = ComparisonCache._format_line(key, kind, ab, ba)
+            assert line == f"{key} {kind.value} {ab!r} {ba!r}\n"
+
+
+def test_a_negative_zero_is_not_served_the_line_of_a_positive_zero():
+    # 0.0 == -0.0 and both hash alike, so a cache keyed on the values alone would
+    # serve the first zero's text for the second
+    reward = ScoreKind.REWARD
+    for ab, ba in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.0)]:
+        line = ComparisonOutcome(
+            "a", "b", DirectionScore(ab, reward), DirectionScore(ba, reward)
+        ).to_line()
+        assert f'"s_ab": {ab!r}, "s_ba": {ba!r},' in line
+        assert ComparisonCache._format_line("k", reward, ab, ba) == f"k reward {ab!r} {ba!r}\n"
+
+
+def test_line_tail_caches_stay_within_their_bound():
+    for tail in (_outcome_tail, _cache_line_tail):
+        for value in range(1, 10_001):
+            tail(False, float(value), 0.5)
+        info = tail.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["LS", "PS", "NEL"])
 def test_cache_key_holding_a_raw_unicode_line_break_loads(

@@ -23,13 +23,13 @@ import math
 import re
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from . import gateway, prompts
 from .corpus import LabeledMessage, Message, UrgencyLabel, write_lines
@@ -191,10 +191,11 @@ def _outcome(a_id: str, b_id: str, kind: ScoreKind, ab: float, ba: float) -> Com
 class Comparator(Protocol):
     """Scores both directions of a pair in one call.
 
-    The remote comparators put a pair's two requests in flight together,
-    and the oracle looks up a pair's levels and draws its flip once. A
-    comparator that goes behind ``CachedComparator`` also has
-    ``backend_view(message)``.
+    The oracle looks up a pair's levels and draws its flip once. A
+    comparator may also have ``score_batch(pairs)``, which yields each
+    pair's ``(outcome, served_from_cache)`` in pair order, as the remote
+    comparators and the cache do. A comparator that goes behind
+    ``CachedComparator`` also has ``backend_view(message)``.
     """
 
     def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]: ...
@@ -233,12 +234,8 @@ def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome
         scores = comparator.score_pair(a, b)
     except ComparisonFailed:
         raise
-    except TriageRankError as exc:
-        raise ComparisonFailed(f"pair ({a_id}, {b_id}): {exc}") from exc
     except Exception as exc:
-        raise ComparisonFailed(
-            f"pair ({a_id}, {b_id}): {type(exc).__name__}: {exc}"
-        ) from exc
+        raise _failed(a_id, b_id, exc) from exc
     try:
         s_ab, s_ba = scores
     except (TypeError, ValueError):
@@ -249,6 +246,21 @@ def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome
     if s_ba.kind is not kind:
         raise _mixed_kinds(s_ab, s_ba)
     return _outcome(a_id, b_id, kind, s_ab.value, s_ba.value)
+
+
+def _failed(a_id: str, b_id: str, exc: Exception) -> ComparisonFailed:
+    detail = exc if isinstance(exc, TriageRankError) else f"{type(exc).__name__}: {exc}"
+    return ComparisonFailed(f"pair ({a_id}, {b_id}): {detail}")
+
+
+def _scored(
+    comparator: Comparator, pairs: Sequence[tuple[Message, Message]]
+) -> Iterator[ComparisonOutcome]:
+    """The pairs' outcomes in order, from the comparator's ``score_batch`` or else ``compare``."""
+    score_batch = getattr(comparator, "score_batch", None)
+    if score_batch is None:
+        return (compare(comparator, a, b) for a, b in pairs)
+    return (outcome for outcome, _ in score_batch(pairs))
 
 
 def _malformed(a_id: str, b_id: str, scores: object) -> ComparisonFailed:
@@ -344,7 +356,7 @@ class NoisyOracleComparator:
             return self._more_urgent, self._less_urgent
         return self._less_urgent, self._more_urgent
 
-    # kept only because bench/spans.py wraps it, until ROADMAP item 7 wraps score_pair
+    # kept only because bench/spans.py wraps it; goes with ROADMAP item 7
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
         return self.score_pair(existing, new)[0]
 
@@ -359,32 +371,50 @@ def perfect_oracle(
 class _EndpointComparator:
     """A comparator that sends one request per direction to an endpoint.
 
-    ``score_pair`` puts a pair's two requests in flight together: the
-    reverse runs on a helper thread while the forward runs on the caller's.
-    The helpers are reused across calls, up to ``max_parallel`` of them, and
-    end once the comparator is dropped; the gateway's ``max_parallel``
-    semaphore still bounds the requests in flight.
+    ``score_batch`` hands every request of its pairs to one pool of
+    ``max_parallel`` threads, so that many are in flight across pairs, and
+    ``score_pair`` is a batch of one. The threads are reused across calls
+    and end once the comparator is dropped; the gateway's ``max_parallel``
+    semaphore still bounds the requests in flight per endpoint.
     """
 
     def __init__(self, config: gateway.EndpointConfig):
         self._config = config
-        self._helpers = ThreadPoolExecutor(
-            config.max_parallel, thread_name_prefix="triagerank-reverse"
+        self._requests = ThreadPoolExecutor(
+            config.max_parallel, thread_name_prefix="triagerank-request"
         )
 
     def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]:
-        """(s_ab, s_ba), both requests sent at once.
+        """(s_ab, s_ba), both requests sent at once."""
+        ((outcome, _),) = self.score_batch([(a, b)])
+        return outcome.s_ab, outcome.s_ba
 
-        Both are awaited before anything raises, so no request outlives the
-        call; when both fail, the forward's error is the one raised.
+    def score_batch(
+        self, pairs: Sequence[tuple[Message, Message]]
+    ) -> Iterator[tuple[ComparisonOutcome, bool]]:
+        """Yield each pair's (outcome, False) in pair order, all its requests sent at once.
+
+        The first pair in order that fails raises as ``compare`` would, its
+        forward's error before its reverse's. On that error, and when the
+        caller stops early, the requests not yet started are cancelled and
+        the running ones awaited, so no request outlives the call.
         """
-        reverse = self._helpers.submit(self.score_directed, b, a)
+        submit, directed = self._requests.submit, self.score_directed
+        sent = [(submit(directed, a, b), submit(directed, b, a)) for a, b in pairs]
         try:
-            s_ab = self.score_directed(a, b)
-        except BaseException:
-            reverse.exception()  # waits; the reverse's own error, if any, is dropped
-            raise
-        return s_ab, reverse.result()
+            for (a, b), (forward, reverse) in zip(pairs, sent):
+                try:
+                    s_ab, s_ba = forward.result(), reverse.result()
+                except ComparisonFailed:
+                    raise
+                except Exception as exc:
+                    raise _failed(a.id, b.id, exc) from exc
+                yield ComparisonOutcome(a.id, b.id, s_ab, s_ba), False
+        finally:
+            requests = [request for both in sent for request in both]
+            for request in requests:
+                request.cancel()
+            wait(requests)
 
 
 class LogprobComparator(_EndpointComparator):
@@ -581,16 +611,13 @@ class ComparisonCache:
         """The pair's (kind, first, second), in the order of the key's digests, or None."""
         return self._entries.get(key)
 
-    def put(self, key: str, first: DirectionScore, second: DirectionScore) -> None:
-        """Store the pair's two scores and append its line.
+    def put(self, key: str, kind: ScoreKind, first: float, second: float) -> None:
+        """Store the pair's (kind, first, second), as ``get`` returns them, and append its line.
 
-        Scores of mixed kinds raise ComparisonFailed and store nothing.
+        The scores are values DirectionScore accepts, as an outcome holds them.
         """
-        kind = first.kind
-        if second.kind is not kind:
-            raise _mixed_kinds(first, second)
-        scores = (kind, first.value, second.value)
-        line = self._format_line(key, *scores).encode("ascii")
+        scores = (kind, first, second)
+        line = self._format_line(key, kind, first, second).encode("ascii")
         with self._lock:
             self._entries[key] = scores
             handle = self._handle
@@ -631,7 +658,7 @@ class CachedComparator:
     misses, and the other order of a pair reads its line with the scores
     swapped, unless the digests are equal (one prompt both ways). ``hits``
     and ``misses`` count directed scores read from the store and computed.
-    A miss scores the pair through the inner comparator's ``score_pair``.
+    Pairs are served in batches, through ``score_batch``.
     """
 
     def __init__(self, inner: Comparator, store: ComparisonCache):
@@ -668,6 +695,7 @@ class CachedComparator:
             stored = stored[0], stored[2], stored[1]
         return key, swapped, stored
 
+    # kept only because bench/spans.py wraps it; goes with ROADMAP item 7
     def has_cached_pair(self, a: Message, b: Message) -> ComparisonOutcome | None:
         """The pair's outcome when its line is stored, else None; never a self-pair's."""
         stored = None if a.id == b.id else self._read(a, b)[2]
@@ -679,22 +707,53 @@ class CachedComparator:
         return outcome
 
     def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]:
-        """(s_ab, s_ba) from the pair's line, or scored and then stored as one.
+        """(s_ab, s_ba) from the pair's line, or scored and then stored as one: a batch of one."""
+        ((outcome, _),) = self.score_batch([(a, b)])
+        return outcome.s_ab, outcome.s_ba
 
-        A pair that fails to score, or scores in mixed kinds, stores nothing.
+    def score_batch(
+        self, pairs: Sequence[tuple[Message, Message]]
+    ) -> Iterator[tuple[ComparisonOutcome, bool]]:
+        """Yield each pair's (outcome, served_from_cache) in pair order.
+
+        Each pair's line is read once, before the inner comparator starts.
+        The misses go to it as one batch, through its ``score_batch`` if it
+        has one, else ``compare``: only the first pair of each key, as a
+        later pair of that key is served from the first one's scores. Each
+        miss is stored from its outcome's floats as it returns. The first
+        pair that fails raises; it stores nothing, and the misses before it
+        stay stored.
         """
-        key, swapped, stored = self._read(a, b)
-        if stored is not None:
+        read = self._read
+        lines = [read(a, b) for a, b in pairs]
+        first_of_key: dict[str, tuple[Message, Message]] = {}
+        for pair, (key, _, stored) in zip(pairs, lines):
+            if stored is None and key not in first_of_key:
+                first_of_key[key] = pair
+        scored = _scored(self._inner, list(first_of_key.values()))
+        computed: dict[str, tuple[ScoreKind, float, float]] = {}
+        hits = misses = 0
+        try:
+            for (a, b), (key, swapped, stored) in zip(pairs, lines):
+                if stored is None:
+                    line = computed.get(key)
+                    if line is None:
+                        outcome = next(scored)
+                        _, _, ab, ba, _, _, kind = outcome
+                        line = computed[key] = (kind, ba, ab) if swapped else (kind, ab, ba)
+                        self._store.put(key, *line)
+                        misses += 2
+                        yield outcome, False
+                        continue
+                    stored = (line[0], line[2], line[1]) if swapped else line
+                hits += 2
+                yield _outcome(a.id, b.id, *stored), True
+        finally:
+            scored.close()
             with self._count_lock:
-                self.hits += 2
-            kind, ab, ba = stored
-            return DirectionScore(ab, kind), DirectionScore(ba, kind)
-        scores = self._inner.score_pair(a, b)
-        self._store.put(key, *(scores[::-1] if swapped else scores))
-        with self._count_lock:
-            self.misses += 2
-        return scores
+                self.hits += hits
+                self.misses += misses
 
-    # kept only because bench/spans.py wraps it, until ROADMAP item 7 wraps score_pair
+    # kept only because bench/spans.py wraps it; goes with ROADMAP item 7
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
         return self.score_pair(existing, new)[0]

@@ -10,29 +10,22 @@ Every credit is a float in [1, 2] or 0.5, so each is a whole number of
 so a score is exact whatever order its credits arrived in: an
 incrementally built ranking equals the full tournament bit for bit.
 
-Pairwise tasks are independent and may run in parallel, ``max_workers``
-pairs at a time. A comparator scores a pair's two directions in one
-``score_pair`` call: a remote one sends its two directed requests
-together, so up to ``2 * max_workers`` requests are in flight, within the
-endpoint's ``max_parallel``, and the oracle draws the pair's flip once.
-A pair is one ``compare`` call unless a cache serves it. A cache is
-probed on the calling thread: a pair it holds is served there,
-and with more than one worker only the misses go to the pool, at most
-``2 * max_workers`` outstanding and a bounded queue of hits behind them.
-Score accumulation stays single-threaded in sorted pair order, so the
-result equals the sequential computation. Each outcome is credited, then
-written to the tournament's log or dropped, so memory is O(max_workers),
-not O(pairs). A failed comparison aborts the tournament, leaving no new log:
-a triage ranking built on partial comparisons is a safety hazard.
+A comparator with ``score_batch`` is handed the pairs ``_BATCH`` at a
+time and yields their outcomes in pair order; any other is asked pair by
+pair through ``compare``. The tournament itself runs on the calling
+thread: a remote comparator keeps its own requests in flight. Each
+outcome is credited in pair order, then written to the tournament's log
+or dropped, so memory is O(``_BATCH``), not O(pairs). A failed comparison
+aborts the tournament, leaving no new log: a triage ranking built on
+partial comparisons is a safety hazard.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -42,9 +35,8 @@ from .errors import DataError, DuplicateId
 
 _UNIT = 2**52
 _HALF = _UNIT // 2
-# hits a parallel tournament holds behind an unfinished miss: enough look-ahead
-# to find the next misses of a warm tournament with one new message among hundreds
-_WAITING_HITS = 1024
+# pairs handed to a comparator's score_batch at a time
+_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -78,74 +70,23 @@ class TournamentResult:
 
 
 def _execute_pairs(
-    pairs: Iterable[tuple[Message, Message]],
-    comparator: Comparator,
-    max_workers: int,
+    pairs: Iterable[tuple[Message, Message]], comparator: Comparator
 ) -> Iterator[tuple[ComparisonOutcome, bool]]:
     """Yield (outcome, served_from_cache) in the given pair order.
 
-    A cache, a comparator with ``has_cached_pair``, is probed first, on
-    the calling thread, and the outcome it serves stands for the pair. With
-    more than one worker, only the pairs the probe misses go to the pool,
-    at most ``2 * max_workers`` of them outstanding, and at most
-    ``_WAITING_HITS`` hits wait behind an unfinished miss. So the pairs
-    pulled ahead of the last one yielded, and the memory they hold, do not
-    grow with the pairs. Closing the generator, or an error, cancels the
-    queued misses and waits for the running ones.
-
-    The probe misses a pair whose line is not yet stored. Two messages with
-    the same ``backend_view`` share their pairs' keys, so with parallel
-    workers a pair probed while another with its key is in flight is
-    scored again, where one worker would have served it from the cache.
+    A comparator with ``score_batch`` is handed a list of at most
+    ``_BATCH`` pairs at a time, so the pairs pulled ahead of the last one
+    yielded do not grow with the pairs; any other is asked through
+    ``compare``, one pair at a time.
     """
-    probe = getattr(comparator, "has_cached_pair", None)
-    if max_workers <= 1:
+    score_batch = getattr(comparator, "score_batch", None)
+    if score_batch is None:
         for a, b in pairs:
-            outcome = None if probe is None else probe(a, b)
-            if outcome is None:
-                yield compare(comparator, a, b), False
-            else:
-                yield outcome, True
+            yield compare(comparator, a, b), False
         return
-    window = 2 * max_workers
-    # in pair order: a Future for each miss, and each hit that waits behind one
-    pending: deque = deque()
-    misses = 0
-    pool = ThreadPoolExecutor(max_workers=max_workers)
-    try:
-        for a, b in pairs:
-            try:
-                outcome = None if probe is None else probe(a, b)
-            except Exception as exc:
-                # raised in the pair's turn, after the pairs before it, as one worker would
-                failed: Future = Future()
-                failed.set_exception(exc)
-                pending.append(failed)
-                break
-            if outcome is None:
-                pending.append(pool.submit(compare, comparator, a, b))
-                misses += 1
-            elif pending:
-                pending.append(outcome)
-            else:
-                yield outcome, True
-                continue
-            while pending:
-                head = pending[0]
-                if not isinstance(head, Future):
-                    pending.popleft()
-                    yield head, True
-                elif misses == window or len(pending) - misses >= _WAITING_HITS or head.done():
-                    pending.popleft()
-                    misses -= 1
-                    yield head.result(), False
-                else:
-                    break
-        while pending:
-            head = pending.popleft()
-            yield (head.result(), False) if isinstance(head, Future) else (head, True)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    pairs = iter(pairs)
+    while batch := list(islice(pairs, _BATCH)):
+        yield from score_batch(batch)
 
 
 def _credit(
@@ -206,11 +147,8 @@ def run_tournament(
     a failed comparison leaves no new log, and the previous one whole.
     Without it, outcomes are dropped.
 
-    ``max_workers`` above one helps only a comparator that waits on I/O.
-    The oracle is pure Python under the interpreter lock, so with two
-    workers a 300-message oracle tournament took 1.2-1.9 s, against 0.10 s
-    with one: each missed pair pays a hand-off to a thread and overlaps
-    nothing.
+    ``max_workers`` has no effect. It is kept only because bench/workloads.py
+    passes it, and goes with ROADMAP item 7.
     """
     if len(inbox) < 2:
         raise DataError(f"tournament needs at least 2 messages, got {len(inbox)}")
@@ -220,8 +158,8 @@ def run_tournament(
     ordered = sorted(inbox, key=lambda message: message.id)
     units = {message.id: 0 for message in ordered}
     counts = [0, 0, 0]
-    executed = _execute_pairs(combinations(ordered, 2), comparator, max_workers)
-    with closing(executed):  # on a failed write too, so a worker pool ends with the call
+    executed = _execute_pairs(combinations(ordered, 2), comparator)
+    with closing(executed):  # on a failed write too, so a batch's requests end with the call
         credited = _credit(executed, units, counts)
         if log is None:
             deque(credited, maxlen=0)
@@ -242,6 +180,7 @@ def insert_incremental(
     message's pairs are compared, in the same id-sorted direction the full
     tournament uses, so a cached re-run over the enlarged inbox needs zero
     backend calls. The new outcomes are dropped, as with no log.
+    ``max_workers`` has no effect, as in ``run_tournament``.
     """
     if new_message.id in result.scores:
         raise DuplicateId(f"message {new_message.id!r} is already ranked")
@@ -253,6 +192,6 @@ def insert_incremental(
         (existing, new_message) if existing.id < new_id else (new_message, existing)
         for existing in result.messages
     )
-    deque(_credit(_execute_pairs(pairs, comparator, max_workers), units, counts), maxlen=0)
+    deque(_credit(_execute_pairs(pairs, comparator), units, counts), maxlen=0)
     messages = tuple(sorted((*result.messages, new_message), key=lambda message: message.id))
     return _result(messages, units, counts)

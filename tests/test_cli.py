@@ -777,15 +777,15 @@ from triagerank import cli
 store_type = sys.modules["triagerank.compare"].ComparisonCache
 put, kill_at, torn = store_type.put, int(sys.argv[1]), sys.argv[2] == "torn"
 puts = []
-def put_until_killed(store, key, first, second):
+def put_until_killed(store, key, kind, first, second):
     puts.append(key)
     if len(puts) == kill_at:
         if torn:
-            line = store._format_line(key, first.kind, first.value, second.value).encode("ascii")
+            line = store._format_line(key, kind, first, second).encode("ascii")
             with open(store._path, "ab") as handle:
                 handle.write(line[: len(line) // 2])
         os.kill(os.getpid(), signal.SIGKILL)
-    put(store, key, first, second)
+    put(store, key, kind, first, second)
 store_type.put = put_until_killed
 sys.exit(cli.main(sys.argv[3:]))
 """
@@ -1203,7 +1203,8 @@ def test_single_worker_rank_inbox_sends_a_pairs_two_requests_together(tmp_path, 
     ) == 0
     n = len(levels)
     assert len(mock_endpoint.requests) == n * (n - 1)
-    assert mock_endpoint.inflight_peak == 2
+    # the endpoint's default max_parallel, across pairs
+    assert mock_endpoint.inflight_peak == 4
     assert read_json(tmp_path / "rank.json")["tournament"]["ranking"][0] == "m2"
 
 

@@ -188,6 +188,9 @@ class ReturnsScores:
     def __init__(self, scores):
         self.scores = scores
 
+    def backend_view(self, message):
+        return message.id
+
     def score_pair(self, a, b):
         return self.scores
 
@@ -200,13 +203,21 @@ _HALF = DirectionScore(0.5, ScoreKind.PROBABILITY)
     [(0.75, 0.25), (_HALF,), (_HALF, _HALF, _HALF), (_HALF, 0.5), (0.5, _HALF), None, "ab"],
     ids=["two-floats", "one", "three", "second-float", "first-float", "none", "string"],
 )
-def test_a_malformed_score_pair_return_fails_the_comparison_naming_it(scores):
+def test_a_malformed_score_pair_return_fails_the_comparison_naming_it(tmp_path, scores):
     a, b = make_message("a"), make_message("b")
     with pytest.raises(ComparisonFailed, match="score_pair returned .*not two DirectionScores"):
         compare(ReturnsScores(scores), a, b)
     for workers in (1, 4):
         with pytest.raises(ComparisonFailed, match="score_pair returned"):
             run_tournament([a, b], ReturnsScores(scores), max_workers=workers)
+    # behind the cache too, which then stores nothing
+    store = ComparisonCache(tmp_path / "cache.jsonl")
+    cached = CachedComparator(ReturnsScores(scores), store)
+    with pytest.raises(ComparisonFailed, match="score_pair returned .*not two DirectionScores"):
+        compare(cached, a, b)
+    with pytest.raises(ComparisonFailed, match="score_pair returned"):
+        run_tournament([a, b], cached)
+    assert len(store) == 0 and cached.misses == 0
     # a list of two scores is two scores
     assert compare(ReturnsScores([_HALF, _HALF]), a, b).winner is Winner.TIE
 
@@ -901,6 +912,64 @@ def test_parallel_tournament_keeps_max_parallel_requests_in_flight(tmp_path, moc
     assert parallel == (tmp_path / "sequential.jsonl").read_bytes()
 
 
+def test_equal_views_ask_the_backend_as_one_worker_did(tmp_path, mock_endpoint):
+    # a and b send the same prompt text, so their pairs with c, d and e share
+    # keys: the first of each key is asked, the second served from its line
+    mock_endpoint.answer = _answer_by_urgency
+    levels = {"a": 3, "b": 3, "c": 5, "d": 2, "e": 4}
+    messages = [make_message(name, f"urgency {level}") for name, level in levels.items()]
+    cached = CachedComparator(
+        LogprobComparator(config_for(mock_endpoint)), ComparisonCache(tmp_path / "cache.jsonl")
+    )
+    result = run_tournament(messages, cached, log=tmp_path / "cached.jsonl")
+    # the counts of a one-worker run before pairs were scored in batches
+    assert len(mock_endpoint.requests) == 14
+    assert (result.comparisons_made, result.cache_hits) == (7, 3)
+    assert (cached.hits, cached.misses) == (6, 14)
+    uncached = LogprobComparator(config_for(mock_endpoint))
+    run_tournament(messages, uncached, log=tmp_path / "uncached.jsonl")
+    assert (tmp_path / "cached.jsonl").read_bytes() == (tmp_path / "uncached.jsonl").read_bytes()
+
+
+def test_a_failed_pair_in_a_batch_stores_the_misses_before_it(tmp_path, mock_endpoint, monkeypatch):
+    # every request with m3 in its new slot is rejected, so (m0, m3), the third
+    # pair in order, fails; m3's requests answer after the others have started
+    messages = [make_message(f"m{index}", f"urgency {index + 2}") for index in range(4)]
+    mock_endpoint.answer = _answer_after({messages[3].text: 0.05}, {messages[3].text: 403})
+    running = []
+    original = gateway.complete
+
+    def spy(*args, **kwargs):
+        running.append(1)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(gateway, "complete", spy)
+    path = tmp_path / "cache.jsonl"
+    store = ComparisonCache(path)
+    comparator = CachedComparator(LogprobComparator(config_for(mock_endpoint)), store)
+    with pytest.raises(ComparisonFailed, match=r"pair \(m0, m3\).*returned 403"):
+        try:
+            run_tournament(messages, comparator)
+        finally:
+            left_running = len(running)
+    sent = len(mock_endpoint.requests)
+    time.sleep(0.1)
+    assert left_running == 0 and len(mock_endpoint.requests) == sent
+    store.close()
+    assert len(path.read_text(encoding="ascii").splitlines()) == 2
+    assert comparator.misses == 4
+    # a rerun asks only the four pairs not stored
+    mock_endpoint.answer = _answer_by_urgency
+    mock_endpoint.requests.clear()
+    rerun = CachedComparator(LogprobComparator(config_for(mock_endpoint)), ComparisonCache(path))
+    result = run_tournament(messages, rerun)
+    assert (result.comparisons_made, result.cache_hits) == (4, 2)
+    assert len(mock_endpoint.requests) == 8
+
+
 def test_message_block_ambiguity_gets_two_digests(tmp_path):
     ehr = EhrRecord(problem_list=("asthma",), age=30)
     bare = make_message("a", f"short of breath\n{prompts.format_ehr_block(ehr)}")
@@ -1087,7 +1156,7 @@ class CountingStore(ComparisonCache):
 
 @pytest.mark.parametrize("max_workers", [1, 4])
 def test_warm_rerank_reads_each_directed_key_once(tmp_path, fixture_corpus, max_workers):
-    # one lookup reads a pair's two directed scores: one per pair warm, two cold
+    # one lookup reads a pair's two directed scores: one per pair, warm or cold
     messages = [labeled.message for labeled in fixture_corpus[:12]]
     counting = CountingComparator(NoisyOracleComparator(fixture_corpus, {1: 0.3}, seed=3))
     path = tmp_path / "cache.jsonl"
@@ -1098,7 +1167,7 @@ def test_warm_rerank_reads_each_directed_key_once(tmp_path, fixture_corpus, max_
     )
     cold_store.close()
     pairs = 12 * 11 // 2
-    assert cold_store.gets == 2 * pairs
+    assert cold_store.gets == pairs
     backend_calls = counting.backend_calls
     store = CountingStore(path)
     comparator = CachedComparator(counting, store)
@@ -1149,8 +1218,7 @@ def test_probe_never_serves_a_self_pair(tmp_path):
     store = ComparisonCache(tmp_path / "cache.jsonl")
     comparator = CachedComparator(ScriptedComparator({}), store)
     # the self-pair's one line, written by hand
-    score = DirectionScore(0.5, ScoreKind.PROBABILITY)
-    store.put(comparator._read(a, a)[0], score, score)
+    store.put(comparator._read(a, a)[0], ScoreKind.PROBABILITY, 0.5, 0.5)
     assert comparator.has_cached_pair(a, a) is None
     assert comparator.hits == 0
     with pytest.raises(ConfigError):
@@ -1213,10 +1281,10 @@ def test_put_finishes_each_line_across_short_writes(tmp_path, monkeypatch):
     }
     reward = (DirectionScore(-12.5, ScoreKind.REWARD), DirectionScore(3.0, ScoreKind.REWARD))
     entries["f" * 80] = reward
-    for key, scores in entries.items():
+    stored = {key: (first.kind, first.value, second.value) for key, (first, second) in entries.items()}
+    for key, scores in stored.items():
         store.put(key, *scores)
     store.close()
-    stored = {key: (first.kind, first.value, second.value) for key, (first, second) in entries.items()}
     lines = [ComparisonCache._format_line(key, *scores) for key, scores in stored.items()]
     assert lines[-1] == f"{'f' * 80} reward -12.5 3.0\n"
     assert len(handles) == 1
@@ -1258,9 +1326,8 @@ def test_second_store_sees_entries_while_first_holds_handle(tmp_path, fixture_co
         compare(comparator, a, b)
     second = ComparisonCache(path)
     assert len(second) == len(first) == 5
-    score = DirectionScore(0.5, ScoreKind.PROBABILITY)
     for key in ("0" * 80, "1" * 80):
-        first.put(key, score, score)
+        first.put(key, ScoreKind.PROBABILITY, 0.5, 0.5)
     assert len(ComparisonCache(path)) == 7
     first.close()
 
@@ -1407,7 +1474,7 @@ def test_a_line_that_does_not_decode_is_dropped_and_the_rest_served(tmp_path, ca
     assert len(dropped) == 2 and "corrupt cache line" in dropped[0].getMessage()
     assert len(store) == 1 and store.get("a" * 80) == (ScoreKind.PROBABILITY, 0.9, 0.1)
     assert path.read_bytes() == _GOOD_LINE.encode("ascii")
-    store.put("d" * 80, DirectionScore(-2.5, ScoreKind.REWARD), DirectionScore(4.0, ScoreKind.REWARD))
+    store.put("d" * 80, ScoreKind.REWARD, -2.5, 4.0)
     store.close()
     caplog.clear()
     with caplog.at_level("WARNING"):
@@ -1460,7 +1527,8 @@ def test_cache_reads_back_every_score_it_writes(tmp_path, monkeypatch, value):
     path = tmp_path / "cache.jsonl"
     store = ComparisonCache(path)
     key = "k" * 80
-    store.put(key, DirectionScore(value, ScoreKind.REWARD), DirectionScore(-value, ScoreKind.REWARD))
+    score, negated = DirectionScore(value, ScoreKind.REWARD), DirectionScore(-value, ScoreKind.REWARD)
+    store.put(key, ScoreKind.REWARD, score.value, negated.value)
     store.close()
     reloaded, compacted = _load_spying_compaction(path, monkeypatch)
     assert not compacted
@@ -1598,16 +1666,16 @@ def test_identical_duplicate_line_leaves_a_live_writer_where_loads_read(tmp_path
     # two stores that both missed a pair each append its line; a later load must
     # not rename a new file under the store still holding its append handle
     path = tmp_path / "cache.jsonl"
-    first, second = DirectionScore(0.9, ScoreKind.PROBABILITY), DirectionScore(0.1, ScoreKind.PROBABILITY)
+    probability = ScoreKind.PROBABILITY
     writer = ComparisonCache(path)
-    writer.put("a" * 80, first, second)
-    writer.put("a" * 80, first, second)
+    writer.put("a" * 80, probability, 0.9, 0.1)
+    writer.put("a" * 80, probability, 0.9, 0.1)
     before = path.read_bytes()
     inode = path.stat().st_ino
     loaded, compacted = _load_spying_compaction(path, monkeypatch)
     assert not compacted and len(loaded) == 1
     assert path.stat().st_ino == inode and path.read_bytes() == before
-    writer.put("b" * 80, second, first)
+    writer.put("b" * 80, probability, 0.1, 0.9)
     writer.close()
     assert ComparisonCache(path).get("b" * 80) == (ScoreKind.PROBABILITY, 0.1, 0.9)
 

@@ -20,7 +20,7 @@ from triagerank.compare import (
     perfect_oracle,
 )
 from triagerank.errors import ComparisonFailed, DataError, DuplicateId, ExportFailed
-from triagerank.rank import insert_incremental, run_tournament
+from triagerank.rank import _BATCH, insert_incremental, run_tournament
 
 from .conftest import make_labeled, make_message
 from .test_compare import CountingComparator, ScriptedComparator
@@ -335,46 +335,46 @@ def test_warm_parallel_rerank_is_served_on_the_calling_thread(tmp_path, fixture_
     assert warm.score_units == cold.score_units and warm.ranking == cold.ranking
 
 
-class _FirstPairBlocks:
-    """Serves every pair but the first from a probe; the first is scored on a worker.
-
-    The first pair's score waits until the probes stop coming, then records
-    how many pairs had been probed by then.
-    """
+class _RecordsBatches:
+    """A comparator with only ``score_batch``, which records each batch's size; every pair ties."""
 
     def __init__(self):
-        self.probes = 0
-        self.probed_while_blocked = None
+        self.batches = []
 
-    def has_cached_pair(self, a, b):
-        self.probes += 1
-        if self.probes == 1:
-            return None
-        return ComparisonOutcome(
-            a.id, b.id, DirectionScore(0.4, ScoreKind.PROBABILITY),
-            DirectionScore(0.6, ScoreKind.PROBABILITY),
-        )
-
-    def score_pair(self, a, b):
-        if self.probed_while_blocked is None:
-            seen, steady, deadline = -1, 0, time.monotonic() + 10
-            while steady < 5 and time.monotonic() < deadline:
-                steady = steady + 1 if self.probes == seen else 0
-                seen = self.probes
-                time.sleep(0.01)
-            self.probed_while_blocked = seen
+    def score_batch(self, pairs):
+        self.batches.append(len(pairs))
         even = DirectionScore(0.5, ScoreKind.PROBABILITY)
-        return even, even
+        for a, b in pairs:
+            yield ComparisonOutcome(a.id, b.id, even, even), False
 
 
 def test_parallel_lookahead_past_an_unfinished_miss_does_not_grow_with_the_inbox():
+    # a batch is every pair pulled ahead of the last outcome yielded
     pulled = []
     for n in (60, 120):
-        comparator = _FirstPairBlocks()
+        comparator = _RecordsBatches()
         result = run_tournament([make_message(f"m{i:03d}") for i in range(n)], comparator, max_workers=4)
-        assert (result.comparisons_made, result.cache_hits) == (1, n * (n - 1) // 2 - 1)
-        pulled.append(comparator.probed_while_blocked - 1)
-    assert pulled[0] == pulled[1] < 60 * 59 // 2 - 1
+        assert (result.comparisons_made, result.ties_encountered) == (n * (n - 1) // 2,) * 2
+        assert sum(comparator.batches) == n * (n - 1) // 2
+        pulled.append(max(comparator.batches))
+    assert pulled[0] == pulled[1] == _BATCH < 60 * 59 // 2
+
+
+def test_an_oracle_tournament_starts_no_thread(tmp_path, monkeypatch, fixture_corpus):
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    messages = [labeled.message for labeled in fixture_corpus[:12]]
+    oracle = NoisyOracleComparator(fixture_corpus, {1: 0.3}, seed=3)
+    run_tournament(messages, oracle, max_workers=4)
+    cached = CachedComparator(oracle, ComparisonCache(tmp_path / "cache.jsonl"))
+    run_tournament(messages, cached, max_workers=4)
+    assert started == []
 
 
 def test_mixed_hits_and_misses_log_the_same_for_any_worker_count(tmp_path, fixture_corpus):

@@ -20,6 +20,7 @@ from .compare import (
     Winner,
     compare,
     perfect_oracle,
+    score_pairs,
 )
 from .corpus import (
     EhrRecord,

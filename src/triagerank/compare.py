@@ -1,9 +1,12 @@
 """Pairwise urgency comparators and the pair-score contract.
 
-A comparator scores a pair in both directions: score_pair(a, b) returns
-(s_ab, s_ba), where s_ab answers "how strongly is b, the new message, more
-urgent than a, the existing one" and s_ba the same with the roles swapped.
-compare() reduces the two to a signed margin eta in [-1, 1]:
+A comparator scores a pair in both directions, (s_ab, s_ba), where s_ab
+answers "how strongly is b, the new message, more urgent than a, the
+existing one" and s_ba the same with the roles swapped. It implements
+score_pair(a, b), which returns the two, or score_batch(pairs), which
+yields whole outcomes; score_pairs() is the one entry point to either, and
+compare() is its one-pair case. An outcome reduces the two scores to a
+signed margin eta in [-1, 1]:
 
     probability backends:  eta = s_ab - s_ba
     reward backends:       eta = sigmoid(d) - sigmoid(-d),  d = s_ab - s_ba
@@ -26,6 +29,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -38,6 +42,7 @@ from .errors import (
     BadScore,
     ComparisonFailed,
     ConfigError,
+    ExportFailed,
     OracleNeedsLabels,
     TriageRankError,
     UnparseableAnswer,
@@ -189,13 +194,15 @@ def _outcome(a_id: str, b_id: str, kind: ScoreKind, ab: float, ba: float) -> Com
 
 
 class Comparator(Protocol):
-    """Scores both directions of a pair in one call.
+    """Scores pairs through ``score_pair`` or ``score_batch``.
 
-    The oracle looks up a pair's levels and draws its flip once. A
-    comparator may also have ``score_batch(pairs)``, which yields each
-    pair's ``(outcome, served_from_cache)`` in pair order, as the remote
-    comparators and the cache do. A comparator that goes behind
-    ``CachedComparator`` also has ``backend_view(message)``.
+    ``score_pair(a, b)`` returns both directions' scores in one call, as the
+    oracle does, which looks up a pair's levels and draws its flip once.
+    ``score_batch(pairs)`` yields each pair's ``(outcome, served_from_cache)``
+    in pair order, as the remote comparators and the cache do. Callers go
+    through ``score_pairs`` or ``compare``, never either method. A
+    comparator that goes behind ``CachedComparator`` also has
+    ``backend_view(message)``.
     """
 
     def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]: ...
@@ -220,47 +227,68 @@ def _eta(kind: ScoreKind, ab: float, ba: float) -> float:
     return _logistic(difference) - _logistic(-difference)
 
 
-def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome:
-    """Score the pair through ``score_pair``; the outcome derives eta and the winner.
+# pairs handed to a comparator's score_batch at a time
+_BATCH = 256
 
-    Any failure in either direction, a comparator without ``score_pair``, a
-    ``score_pair`` that returns anything but two DirectionScores, or scores
-    of mixed kinds raises ComparisonFailed; no partial outcome is produced.
+
+def score_pairs(
+    comparator: Comparator, pairs: Iterable[tuple[Message, Message]]
+) -> Iterator[tuple[ComparisonOutcome, bool]]:
+    """Yield each pair's (outcome, served_from_cache) in pair order.
+
+    A comparator with ``score_batch`` is handed a list of at most ``_BATCH``
+    pairs at a time, so the pairs pulled ahead of the last one yielded do
+    not grow with the pairs; a self-pair raises ConfigError before its list
+    is handed over. Any other is asked through ``score_pair``, one pair at a
+    time: a self-pair raises ConfigError, and a failure in either
+    direction, a comparator without ``score_pair``, a return of anything but
+    two DirectionScores, or scores of mixed kinds raise ComparisonFailed.
+    No partial outcome is produced.
     """
-    a_id, b_id = a.id, b.id
-    if a_id == b_id:
-        raise ConfigError(f"cannot compare message {a_id!r} with itself")
-    try:
-        scores = comparator.score_pair(a, b)
-    except ComparisonFailed:
-        raise
-    except Exception as exc:
-        raise _failed(a_id, b_id, exc) from exc
-    try:
-        s_ab, s_ba = scores
-    except (TypeError, ValueError):
-        raise _malformed(a_id, b_id, scores) from None
-    if type(s_ab) is not DirectionScore or type(s_ba) is not DirectionScore:
-        raise _malformed(a_id, b_id, scores)
-    kind = s_ab.kind
-    if s_ba.kind is not kind:
-        raise _mixed_kinds(s_ab, s_ba)
-    return _outcome(a_id, b_id, kind, s_ab.value, s_ba.value)
+    score_batch = getattr(comparator, "score_batch", None)
+    if score_batch is not None:
+        pairs = iter(pairs)
+        while batch := list(islice(pairs, _BATCH)):
+            for a, b in batch:
+                if a.id == b.id:
+                    raise _self_pair(a.id)
+            yield from score_batch(batch)
+        return
+    for a, b in pairs:
+        a_id, b_id = a.id, b.id
+        if a_id == b_id:
+            raise _self_pair(a_id)
+        try:
+            scores = comparator.score_pair(a, b)
+        except ComparisonFailed:
+            raise
+        except Exception as exc:
+            raise _failed(a_id, b_id, exc) from exc
+        try:
+            s_ab, s_ba = scores
+        except (TypeError, ValueError):
+            raise _malformed(a_id, b_id, scores) from None
+        if type(s_ab) is not DirectionScore or type(s_ba) is not DirectionScore:
+            raise _malformed(a_id, b_id, scores)
+        kind = s_ab.kind
+        if s_ba.kind is not kind:
+            raise _mixed_kinds(s_ab, s_ba)
+        yield _outcome(a_id, b_id, kind, s_ab.value, s_ba.value), False
+
+
+def compare(comparator: Comparator, a: Message, b: Message) -> ComparisonOutcome:
+    """The pair's outcome: the one ``score_pairs`` yields for it alone."""
+    ((outcome, _),) = score_pairs(comparator, ((a, b),))
+    return outcome
+
+
+def _self_pair(message_id: str) -> ConfigError:
+    return ConfigError(f"cannot compare message {message_id!r} with itself")
 
 
 def _failed(a_id: str, b_id: str, exc: Exception) -> ComparisonFailed:
     detail = exc if isinstance(exc, TriageRankError) else f"{type(exc).__name__}: {exc}"
     return ComparisonFailed(f"pair ({a_id}, {b_id}): {detail}")
-
-
-def _scored(
-    comparator: Comparator, pairs: Sequence[tuple[Message, Message]]
-) -> Iterator[ComparisonOutcome]:
-    """The pairs' outcomes in order, from the comparator's ``score_batch`` or else ``compare``."""
-    score_batch = getattr(comparator, "score_batch", None)
-    if score_batch is None:
-        return (compare(comparator, a, b) for a, b in pairs)
-    return (outcome for outcome, _ in score_batch(pairs))
 
 
 def _malformed(a_id: str, b_id: str, scores: object) -> ComparisonFailed:
@@ -372,10 +400,10 @@ class _EndpointComparator:
     """A comparator that sends one request per direction to an endpoint.
 
     ``score_batch`` hands every request of its pairs to one pool of
-    ``max_parallel`` threads, so that many are in flight across pairs, and
-    ``score_pair`` is a batch of one. The threads are reused across calls
-    and end once the comparator is dropped; the gateway's ``max_parallel``
-    semaphore still bounds the requests in flight per endpoint.
+    ``max_parallel`` threads, so that many are in flight across pairs. The
+    threads are reused across calls and end once the comparator is dropped;
+    the gateway's ``max_parallel`` semaphore still bounds the requests in
+    flight per endpoint.
     """
 
     def __init__(self, config: gateway.EndpointConfig):
@@ -384,17 +412,12 @@ class _EndpointComparator:
             config.max_parallel, thread_name_prefix="triagerank-request"
         )
 
-    def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]:
-        """(s_ab, s_ba), both requests sent at once."""
-        ((outcome, _),) = self.score_batch([(a, b)])
-        return outcome.s_ab, outcome.s_ba
-
     def score_batch(
         self, pairs: Sequence[tuple[Message, Message]]
     ) -> Iterator[tuple[ComparisonOutcome, bool]]:
         """Yield each pair's (outcome, False) in pair order, all its requests sent at once.
 
-        The first pair in order that fails raises as ``compare`` would, its
+        The first pair in order that fails raises ComparisonFailed, its
         forward's error before its reverse's. On that error, and when the
         caller stops early, the requests not yet started are cancelled and
         the running ones awaited, so no request outlives the call.
@@ -615,19 +638,23 @@ class ComparisonCache:
         """Store the pair's (kind, first, second), as ``get`` returns them, and append its line.
 
         The scores are values DirectionScore accepts, as an outcome holds them.
+        An OSError from the append -> ExportFailed, naming the cache file.
         """
         scores = (kind, first, second)
         line = self._format_line(key, kind, first, second).encode("ascii")
         with self._lock:
             self._entries[key] = scores
-            handle = self._handle
-            if handle is None:
-                handle = self._handle = self._path.open("ab", buffering=0)
-                # a store dropped without close() still closes its handle
-                weakref.finalize(self, handle.close)
-            written = handle.write(line)
-            while written < len(line):
-                written += handle.write(line[written:])
+            try:
+                handle = self._handle
+                if handle is None:
+                    handle = self._handle = self._path.open("ab", buffering=0)
+                    # a store dropped without close() still closes its handle
+                    weakref.finalize(self, handle.close)
+                written = handle.write(line)
+                while written < len(line):
+                    written += handle.write(line[written:])
+            except OSError as exc:
+                raise ExportFailed(f"cannot write {self._path}: {exc}") from exc
 
     def close(self) -> None:
         """Close the append handle; a later put opens it again."""
@@ -706,23 +733,17 @@ class CachedComparator:
             self.hits += 2
         return outcome
 
-    def score_pair(self, a: Message, b: Message) -> tuple[DirectionScore, DirectionScore]:
-        """(s_ab, s_ba) from the pair's line, or scored and then stored as one: a batch of one."""
-        ((outcome, _),) = self.score_batch([(a, b)])
-        return outcome.s_ab, outcome.s_ba
-
     def score_batch(
         self, pairs: Sequence[tuple[Message, Message]]
     ) -> Iterator[tuple[ComparisonOutcome, bool]]:
         """Yield each pair's (outcome, served_from_cache) in pair order.
 
         Each pair's line is read once, before the inner comparator starts.
-        The misses go to it as one batch, through its ``score_batch`` if it
-        has one, else ``compare``: only the first pair of each key, as a
-        later pair of that key is served from the first one's scores. Each
-        miss is stored from its outcome's floats as it returns. The first
-        pair that fails raises; it stores nothing, and the misses before it
-        stay stored.
+        The misses go to it through ``score_pairs``: only the first pair of
+        each key, as a later pair of that key is served from the first one's
+        scores. Each miss is stored from its outcome's floats as it returns.
+        The first pair that fails raises; it stores nothing, and the misses
+        before it stay stored.
         """
         read = self._read
         lines = [read(a, b) for a, b in pairs]
@@ -730,7 +751,7 @@ class CachedComparator:
         for pair, (key, _, stored) in zip(pairs, lines):
             if stored is None and key not in first_of_key:
                 first_of_key[key] = pair
-        scored = _scored(self._inner, list(first_of_key.values()))
+        scored = score_pairs(self._inner, first_of_key.values())
         computed: dict[str, tuple[ScoreKind, float, float]] = {}
         hits = misses = 0
         try:
@@ -738,7 +759,7 @@ class CachedComparator:
                 if stored is None:
                     line = computed.get(key)
                     if line is None:
-                        outcome = next(scored)
+                        outcome, _ = next(scored)
                         _, _, ab, ba, _, _, kind = outcome
                         line = computed[key] = (kind, ba, ab) if swapped else (kind, ab, ba)
                         self._store.put(key, *line)
@@ -756,4 +777,4 @@ class CachedComparator:
 
     # kept only because bench/spans.py wraps it; goes with ROADMAP item 7
     def score_directed(self, existing: Message, new: Message) -> DirectionScore:
-        return self.score_pair(existing, new)[0]
+        return compare(self, existing, new).s_ab

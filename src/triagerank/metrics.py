@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .compare import Comparator, Winner, compare
+from .compare import Comparator, Winner, score_pairs
 from .corpus import UrgencyLabel
 from .errors import ConfigError, DataError, MissingLabel, NoStrata, NoValidPairs
 from .pairs import Difficulty, EvalPair
@@ -61,7 +61,7 @@ class IntrinsicReport:
 def intrinsic_accuracy(
     pairs: Sequence[EvalPair], comparator: Comparator
 ) -> IntrinsicReport:
-    """Score a comparator on gold pairs.
+    """Score a comparator on gold pairs, all of them through one ``score_pairs`` stream.
 
     A pair counts correct iff the winner matches the gold side; a TIE is
     incorrect (an undecided comparator has not triaged) and increments
@@ -72,8 +72,8 @@ def intrinsic_accuracy(
     correct_total = 0
     ties = 0
     by_difficulty: dict[Difficulty, list[bool]] = defaultdict(list)
-    for pair in pairs:
-        outcome = compare(comparator, pair.a.message, pair.b.message)
+    scored = score_pairs(comparator, ((pair.a.message, pair.b.message) for pair in pairs))
+    for pair, (outcome, _) in zip(pairs, scored, strict=True):
         if outcome.winner is Winner.TIE:
             ties += 1
             is_correct = False
@@ -322,17 +322,14 @@ def bias_strata(
     """Test whether a comparator's correctness is independent of a demographic ordering.
 
     A pair lacking the demographics the scheme needs is skipped and
-    counted, and never sent to the comparator. As in intrinsic_accuracy, a
-    TIE is incorrect.
+    counted, and never sent to the comparator; the rest go through one
+    ``score_pairs`` stream. As in intrinsic_accuracy, a TIE is incorrect.
     """
     counts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    skipped = 0
-    for pair in pairs:
-        stratum = _stratum_for(pair, scheme)
-        if stratum is None:
-            skipped += 1
-            continue
-        outcome = compare(comparator, pair.a.message, pair.b.message)
+    usable = [(pair, stratum) for pair in pairs if (stratum := _stratum_for(pair, scheme))]
+    skipped = len(pairs) - len(usable)
+    scored = score_pairs(comparator, ((pair.a.message, pair.b.message) for pair, _ in usable))
+    for (pair, stratum), (outcome, _) in zip(usable, scored, strict=True):
         is_correct = outcome.winner is pair.gold_more_urgent
         counts[stratum][0 if is_correct else 1] += 1
     if not counts:

@@ -10,14 +10,14 @@ Every credit is a float in [1, 2] or 0.5, so each is a whole number of
 so a score is exact whatever order its credits arrived in: an
 incrementally built ranking equals the full tournament bit for bit.
 
-A comparator with ``score_batch`` is handed the pairs ``_BATCH`` at a
-time and yields their outcomes in pair order; any other is asked pair by
-pair through ``compare``. The tournament itself runs on the calling
-thread: a remote comparator keeps its own requests in flight. Each
-outcome is credited in pair order, then written to the tournament's log
-or dropped, so memory is O(``_BATCH``), not O(pairs). A failed comparison
-aborts the tournament, leaving no new log: a triage ranking built on
-partial comparisons is a safety hazard.
+The pairs are scored through ``compare.score_pairs``, which hands a
+comparator with ``score_batch`` a batch at a time and asks any other pair
+by pair. The tournament itself runs on the calling thread: a remote
+comparator keeps its own requests in flight. Each outcome is credited in
+pair order, then written to the tournament's log or dropped, so memory
+is O(batch), not O(pairs). A failed comparison aborts the tournament,
+leaving no new log: a triage ranking built on partial comparisons is a
+safety hazard.
 """
 
 from __future__ import annotations
@@ -25,18 +25,16 @@ from __future__ import annotations
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .compare import Comparator, ComparisonOutcome, Winner, compare
+from .compare import Comparator, ComparisonOutcome, Winner, score_pairs
 from .corpus import Message, write_lines
 from .errors import DataError, DuplicateId
 
 _UNIT = 2**52
 _HALF = _UNIT // 2
-# pairs handed to a comparator's score_batch at a time
-_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -67,26 +65,6 @@ class TournamentResult:
             "comparisons_made": self.comparisons_made,
             "cache_hits": self.cache_hits,
         }
-
-
-def _execute_pairs(
-    pairs: Iterable[tuple[Message, Message]], comparator: Comparator
-) -> Iterator[tuple[ComparisonOutcome, bool]]:
-    """Yield (outcome, served_from_cache) in the given pair order.
-
-    A comparator with ``score_batch`` is handed a list of at most
-    ``_BATCH`` pairs at a time, so the pairs pulled ahead of the last one
-    yielded do not grow with the pairs; any other is asked through
-    ``compare``, one pair at a time.
-    """
-    score_batch = getattr(comparator, "score_batch", None)
-    if score_batch is None:
-        for a, b in pairs:
-            yield compare(comparator, a, b), False
-        return
-    pairs = iter(pairs)
-    while batch := list(islice(pairs, _BATCH)):
-        yield from score_batch(batch)
 
 
 def _credit(
@@ -158,7 +136,7 @@ def run_tournament(
     ordered = sorted(inbox, key=lambda message: message.id)
     units = {message.id: 0 for message in ordered}
     counts = [0, 0, 0]
-    executed = _execute_pairs(combinations(ordered, 2), comparator)
+    executed = score_pairs(comparator, combinations(ordered, 2))
     with closing(executed):  # on a failed write too, so a batch's requests end with the call
         credited = _credit(executed, units, counts)
         if log is None:
@@ -192,6 +170,6 @@ def insert_incremental(
         (existing, new_message) if existing.id < new_id else (new_message, existing)
         for existing in result.messages
     )
-    deque(_credit(_execute_pairs(pairs, comparator), units, counts), maxlen=0)
+    deque(_credit(score_pairs(comparator, pairs), units, counts), maxlen=0)
     messages = tuple(sorted((*result.messages, new_message), key=lambda message: message.id))
     return _result(messages, units, counts)

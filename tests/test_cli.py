@@ -297,6 +297,54 @@ def test_remote_bias_report_asks_only_about_stratifiable_pairs(tmp_path, mock_en
     }
 
 
+def _intrinsic_pair(index, a_level, b_level, a_says, b_says):
+    """An eval pair whose message texts claim urgencies, which may differ from the labels."""
+
+    def labeled(side, level, says):
+        message_id = f"{side}{index}"
+        return make_labeled(message_id, level, text=f"urgency {says}: note {message_id}")
+
+    return EvalPair(labeled("a", a_level, a_says), labeled("b", b_level, b_says))
+
+
+def test_remote_evaluate_intrinsic_keeps_max_parallel_requests_in_flight(tmp_path, mock_endpoint):
+    def slow_answer(body):
+        time.sleep(0.005)  # long enough for requests of several pairs to overlap at the server
+        return _answer_by_urgency(body)
+
+    mock_endpoint.answer = slow_answer
+    levels = [(1, 2), (2, 4), (6, 1), (3, 5), (4, 3), (5, 6), (1, 6), (2, 3), (6, 4), (3, 1)] * 2
+    pairs = []
+    for index, (a_level, b_level) in enumerate(levels):
+        if index % 4 == 3:  # both texts claim one urgency: a tie
+            says = (a_level, a_level)
+        elif index % 5 == 4:  # the texts claim each other's urgency: a wrong answer
+            says = (b_level, a_level)
+        else:
+            says = (a_level, b_level)
+        pairs.append(_intrinsic_pair(index, a_level, b_level, *says))
+    write_eval_pairs(pairs, tmp_path / "pairs.jsonl")
+    out = tmp_path / "intrinsic.json"
+    assert run_cli(
+        "evaluate-intrinsic", "--pairs", tmp_path / "pairs.jsonl", "--comparator", "logprob",
+        "--model", "mock", "--base-url", mock_endpoint.base_url, "--out", out,
+    ) == 0
+    assert len(mock_endpoint.requests) == 2 * len(pairs)
+    # the endpoint's default max_parallel, across pairs, as a tournament keeps it
+    assert mock_endpoint.inflight_peak == 4
+    # the section that asking one pair at a time gave for the same answers
+    assert read_json(out)["intrinsic"] == {
+        "overall_accuracy": 0.6,
+        "per_difficulty": {
+            "easy": {"accuracy": 1.0, "n": 4},
+            "hard": {"accuracy": 0.5, "n": 8},
+            "medium": {"accuracy": 0.5, "n": 8},
+        },
+        "tie_count": 5,
+        "total": 20,
+    }
+
+
 def test_remote_bias_report_over_pairs_without_ehr_sends_nothing(
     tmp_path, mock_endpoint, capsys
 ):
@@ -683,6 +731,43 @@ def test_failed_outcome_log_write_exits_three_and_writes_no_report(
     assert run_cli("rank-inbox", "--inbox", FIXTURE, "--out", tmp_path / "rank.json") == 3
     assert "cannot write" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+class _FullDisk:
+    """An append handle on a full disk: every write raises ENOSPC."""
+
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("rank-inbox", ("--inbox", FIXTURE)),
+        ("evaluate-extrinsic", ("--inbox", FIXTURE)),
+        ("evaluate-intrinsic", ("--pairs", "pairs.jsonl")),
+        ("bias-report", ("--pairs", "pairs.jsonl", "--scheme", "age_ordering")),
+    ],
+)
+def test_a_failed_cache_write_exits_three_naming_the_cache_file(
+    tmp_path, monkeypatch, capsys, command, inputs
+):
+    monkeypatch.chdir(tmp_path)
+    argv = ("build-pairs", "--corpus", FIXTURE, "--count", 60, "--seed", 4, "--out", "pairs.jsonl")
+    assert run_cli(*argv) == 0
+    open_path = Path.open
+
+    def full_disk_append(path, mode="r", *args, **kwargs):
+        return _FullDisk() if mode == "ab" else open_path(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", full_disk_append)
+    cache = tmp_path / "cache.jsonl"
+    assert run_cli(command, *inputs, "--cache", cache, "--out", "report.json") == 3
+    assert f"error: cannot write {cache}: [Errno 28]" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pairs.jsonl"]
 
 
 def test_failed_rerun_keeps_previous_report_and_outcome_log(tmp_path, monkeypatch, capsys):

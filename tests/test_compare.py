@@ -38,6 +38,7 @@ from triagerank.compare import (
     compare,
     parse_final_answer,
     perfect_oracle,
+    score_pairs,
 )
 from triagerank.corpus import EhrRecord
 from triagerank.errors import (
@@ -50,6 +51,8 @@ from triagerank.errors import (
     UnparseableLogprobs,
 )
 from triagerank.gateway import CompletionResult, EndpointConfig, finite_score
+from triagerank.metrics import intrinsic_accuracy
+from triagerank.pairs import EvalPair
 from triagerank.rank import insert_incremental, run_tournament
 
 from .conftest import level_corpus, make_labeled, make_message
@@ -232,17 +235,60 @@ def test_compare_asks_score_pair_once_per_pair():
     assert comparator.pairs == list(combinations("abcd", 2))
 
 
+def _scores(comparator, a, b):
+    """(s_ab, s_ba) of the pair's outcome through ``compare``."""
+    outcome = compare(comparator, a, b)
+    return outcome.s_ab, outcome.s_ba
+
+
 def test_a_cache_miss_asks_the_inner_score_pair_once_and_a_hit_never(tmp_path):
     inner = PairCalls(ScriptedComparator({("a", "b"): 0.75, ("b", "a"): 0.25}))
     comparator = CachedComparator(inner, ComparisonCache(tmp_path / "cache.jsonl"))
     a, b = make_message("a"), make_message("b")
-    miss = comparator.score_pair(a, b)
+    miss = _scores(comparator, a, b)
     assert inner.pairs == [("a", "b")]
-    assert comparator.score_pair(a, b) == miss
-    assert comparator.score_pair(b, a) == miss[::-1]
+    assert _scores(comparator, a, b) == miss
+    assert _scores(comparator, b, a) == miss[::-1]
     assert compare(comparator, b, a).s_ab == miss[1]
     assert inner.pairs == [("a", "b")]
     assert (comparator.hits, comparator.misses) == (6, 2)
+
+
+class ByText(ScriptedComparator):
+    """A scripted comparator whose backend sees only a message's text."""
+
+    def backend_view(self, message):
+        return message.text
+
+
+def test_a_self_pair_behind_the_cache_raises_even_when_its_key_is_stored(tmp_path):
+    # p and q have one text, so their line's key repeats one digest, as a self-pair's key does
+    inner = PairCalls(ByText({("p", "q"): 0.5, ("q", "p"): 0.5}))
+    store = ComparisonCache(tmp_path / "cache.jsonl")
+    comparator = CachedComparator(inner, store)
+    compare(comparator, make_message("p", "same text"), make_message("q", "same text"))
+    assert len(store) == 1
+    x = make_labeled("x", 1, text="same text")
+    with pytest.raises(ConfigError, match="with itself"):
+        list(score_pairs(comparator, [(x.message, x.message)]))
+    with pytest.raises(ConfigError, match="with itself"):
+        intrinsic_accuracy([EvalPair(x, make_labeled("x", 3, text="same text"))], comparator)
+    assert inner.pairs == [("p", "q")]
+    assert (comparator.hits, comparator.misses) == (0, 2)
+
+
+def test_a_self_pair_sends_no_request_to_a_remote_comparator(tmp_path, mock_endpoint):
+    mock_endpoint.answer = _answer_by_urgency
+    remote = LogprobComparator(config_for(mock_endpoint))
+    cached = CachedComparator(remote, ComparisonCache(tmp_path / "cache.jsonl"))
+    a, b = make_message("a", "urgency 2"), make_message("b", "urgency 4")
+    for comparator in (remote, cached):
+        # the self-pair is the batch's second: its first is not sent either
+        with pytest.raises(ConfigError, match="with itself"):
+            list(score_pairs(comparator, [(a, b), (b, b)]))
+        with pytest.raises(ConfigError, match="with itself"):
+            compare(comparator, a, a)
+    assert mock_endpoint.requests == []
 
 
 @pytest.mark.parametrize(
@@ -668,14 +714,14 @@ def test_cache_key_is_direction_sensitive(tmp_path):
     counting = CountingComparator(ScriptedComparator({("a", "b"): 0.75, ("b", "a"): 0.25}))
     comparator = CachedComparator(counting, ComparisonCache(path))
     a, b = make_message("a"), make_message("b")
-    s_ab, s_ba = comparator.score_pair(a, b)
+    s_ab, s_ba = _scores(comparator, a, b)
     assert s_ab.value == 0.75
     assert counting.backend_calls == 2  # a miss asks for both directions
     assert s_ba.value == 0.25
     assert (comparator.hits, comparator.misses) == (0, 2)
     for existing, new, value in ((b, a, 0.25), (a, b, 0.75)):
         reloaded = CachedComparator(counting, ComparisonCache(path))
-        assert reloaded.score_pair(existing, new)[0].value == value
+        assert compare(reloaded, existing, new).s_ab.value == value
         assert (reloaded.hits, reloaded.misses) == (2, 0)  # one lookup reads both
     assert counting.backend_calls == 2
 
@@ -1080,8 +1126,8 @@ def test_cached_scores_lose_only_raw_payload(tmp_path, fixture_corpus):
     store = ComparisonCache(tmp_path / "cache.jsonl")
     comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
     a, b = fixture_corpus[0].message, fixture_corpus[7].message
-    fresh = comparator.score_pair(a, b)[0]
-    again = comparator.score_pair(a, b)[0]
+    fresh = compare(comparator, a, b).s_ab
+    again = compare(comparator, a, b).s_ab
     assert again.value == fresh.value
     assert again.kind is fresh.kind
 
@@ -1190,10 +1236,10 @@ def test_cache_counts_exact_with_pairs_cached_in_one_direction(tmp_path, fixture
     # a third of the pairs cached in the tournament's order, a third reversed, a third not
     for index, (a, b) in enumerate(combinations(messages, 2)):
         if index % 3 == 0:
-            seeding.score_pair(a, b)
+            compare(seeding, a, b)
             forward += 1
         elif index % 3 == 1:
-            seeding.score_pair(b, a)
+            compare(seeding, b, a)
             backward += 1
     store.close()
     neither = 16 * 15 // 2 - forward - backward

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from triagerank.compare import (
+    _BATCH,
     CachedComparator,
     ComparisonCache,
     ComparisonOutcome,
@@ -20,7 +21,7 @@ from triagerank.compare import (
     perfect_oracle,
 )
 from triagerank.errors import ComparisonFailed, DataError, DuplicateId, ExportFailed
-from triagerank.rank import _BATCH, insert_incremental, run_tournament
+from triagerank.rank import insert_incremental, run_tournament
 
 from .conftest import make_labeled, make_message
 from .test_compare import CountingComparator, ScriptedComparator

@@ -23,6 +23,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 import threading
 import weakref
@@ -36,7 +37,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from . import gateway, prompts
-from .corpus import LabeledMessage, Message, UrgencyLabel, write_lines
+from .corpus import LabeledMessage, Message, UrgencyLabel
 from .gateway import CompletionResult, finite_score
 from .errors import (
     BadScore,
@@ -528,20 +529,16 @@ class ComparisonCache:
     each value (finite, and a probability in [0, 1]), and ``get`` returns
     ``(kind, first, second)``. A load drops corrupt lines with a warning
     each, among them a line that does not decode as UTF-8 (valid lines are
-    ASCII) and a last line without its newline, which a write that stopped
-    partway leaves; it drops lines of the old per-direction format, which
-    can never hit, with one; later lines win. A load that drops a line, or
-    finds a pair stored twice with different scores, compacts the file
-    through ``write_lines``, so a crash leaves the old file whole; a pair
-    stored twice with the same scores, as two stores that both missed it
-    write it, is left in place.
+    ASCII), and lines of the old per-direction format, which can never hit,
+    with one; they stay in the file and are dropped again by every load.
+    Later lines win. A load never rewrites the file, so every store's append
+    handle stays on the file that loads read: its one write cuts off, in
+    place, a last line without its newline, which a write that stopped
+    partway leaves, so that the next append starts a line of its own.
 
     Writes go through one unbuffered binary append handle, opened on the
     first put; each line is one write (repeated only after a short write),
-    so another store opened on the same path sees every pair written so far,
-    unless another store's load has compacted the file since this one opened
-    its handle: the compaction renames a new file into place, and this store
-    goes on appending to the old one.
+    so another store opened on the same path sees every pair written so far.
     """
 
     def __init__(self, path: str | Path):
@@ -556,13 +553,13 @@ class ComparisonCache:
         return len(self._entries)
 
     def _load(self) -> None:
-        dirty = False
         old_format = 0
         entries, isfinite = self._entries, math.isfinite
         try:
-            # a byte that does not decode spoils only its line, which the loop drops;
-            # only "\n" ends a line: text mode turns "\r\n" and "\r" into it
-            with self._path.open(encoding="utf-8", errors="replace") as lines:
+            # a byte that does not decode spoils only its line, which the loop drops,
+            # and surrogateescape keeps it one character, so a line's bytes can be
+            # counted; only "\n" ends a line: text mode turns "\r\n" and "\r" into it
+            with self._path.open(encoding="utf-8", errors="surrogateescape") as lines:
                 for line in lines:
                     if line[-1] != "\n":
                         # the last line, cut short by a write that stopped partway: it
@@ -570,7 +567,13 @@ class ComparisonCache:
                         logger.warning(
                             "CacheInvalid: dropping unterminated last line in %s", self._path
                         )
-                        dirty = True
+                        end = lines.buffer.tell()
+                        start = end - len(line.encode("utf-8", "surrogateescape"))
+                        try:  # in place, and only while no store has appended after it
+                            if os.fstat(lines.fileno()).st_size == end:
+                                os.truncate(self._path, start)
+                        except OSError as exc:
+                            logger.warning("CacheInvalid: cannot cut %s short (%s)", self._path, exc)
                         break
                     if line == "\n":
                         continue
@@ -588,7 +591,6 @@ class ComparisonCache:
                         ):
                             raise ValueError("bad line")
                     except (ValueError, KeyError):
-                        dirty = True
                         if line.startswith("{"):
                             old_format += 1
                         else:
@@ -596,11 +598,7 @@ class ComparisonCache:
                                 "CacheInvalid: dropping corrupt cache line in %s", self._path
                             )
                         continue
-                    scores = (kind, first, second)
-                    # a repeat of a stored line changes nothing, so only different scores compact
-                    if key in entries and entries[key] != scores:
-                        dirty = True
-                    entries[key] = scores
+                    entries[key] = (kind, first, second)
         except OSError as exc:
             entries.clear()
             logger.warning(
@@ -611,12 +609,6 @@ class ComparisonCache:
             logger.warning(
                 "CacheInvalid: dropping %d old-format lines in %s", old_format, self._path
             )
-        if dirty:
-            self._compact()
-
-    def _compact(self) -> None:
-        format_line = self._format_line
-        write_lines((format_line(key, *scores) for key, scores in self._entries.items()), self._path)
 
     @staticmethod
     def _format_line(key: str, kind: ScoreKind, first: float, second: float) -> str:

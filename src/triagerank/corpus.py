@@ -7,8 +7,8 @@ pairs, triplets, exports, annotations) is read by
 ``read_jsonl`` and written by ``write_jsonl``: reading rejects the whole
 file on the first bad line with a DataError that carries the line number,
 and a failed write raises ExportFailed. ``write_jsonl`` writes through
-``write_lines``, the package's one writer of whole files (reports, outcome
-logs and the compacted cache too), which replaces each file atomically;
+``write_lines``, the package's one writer of whole files (reports and
+outcome logs too), which replaces each file atomically;
 ``remove_temporaries`` clears the temporary files a killed writer left.
 Writers that repeat a value across many lines (triplets, training exports)
 join each line from pieces encoded once, with ``encode_text`` and

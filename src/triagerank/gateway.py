@@ -73,8 +73,11 @@ class EndpointConfig:
             raise ConfigError(
                 f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}"
             )
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
+        # a NaN fails both comparisons
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError("timeout must be a positive finite number")
+        if not 0 <= self.retry_backoff < math.inf:
+            raise ConfigError("retry_backoff must be a non-negative finite number")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.max_parallel < 1:

@@ -173,6 +173,9 @@ def build_eval_pairs(
     sample for a seed is the same as drawing from the full candidate list.
     """
     check_pair_count(count)
+    for difficulty, quota in (difficulty_quotas or {}).items():
+        if quota < 0:
+            raise ConfigError(f"quota for {difficulty.value} must be non-negative")
     ordinal = split_ordinal(corpus)[0]
     levels = [labeled.level for labeled in ordinal]
     if len(set(levels)) < 2:

@@ -1386,8 +1386,10 @@ def test_absent_seed_reads_as_zero_in_reports(tmp_path, mock_endpoint, monkeypat
         # a repeated name would silently keep only its last value
         ("rank-inbox", "--inbox", FIXTURE, "--flip", "1:0.3,1:0.0"),
         ("build-pairs", "--corpus", FIXTURE, "--quotas", "easy:3,easy:5"),
+        # a negative quota asks for nothing, as a negative --count would
+        ("build-pairs", "--corpus", FIXTURE, "--quotas", "easy:-3,hard:2"),
     ],
-    ids=["flip-gap-0", "flip-gap-7", "flip-repeated", "quota-repeated"],
+    ids=["flip-gap-0", "flip-gap-7", "flip-repeated", "quota-repeated", "quota-negative"],
 )
 def test_entry_that_does_nothing_exits_two(tmp_path, argv):
     out = tmp_path / "out.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import gc
 import hashlib
 import json
@@ -9,7 +10,6 @@ import os
 import pickle
 import random
 import re
-import signal
 import struct
 import subprocess
 import sys
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import triagerank
-from triagerank import gateway, prompts
+from triagerank import corpus, gateway, prompts
 from triagerank.compare import (
     CachedComparator,
     ComparisonCache,
@@ -45,7 +45,6 @@ from triagerank.errors import (
     BadScore,
     ComparisonFailed,
     ConfigError,
-    ExportFailed,
     OracleNeedsLabels,
     UnparseableAnswer,
     UnparseableLogprobs,
@@ -1039,7 +1038,6 @@ def test_old_format_file_warns_once_compacts_and_misses(tmp_path, caplog):
     counting = CountingComparator(ScriptedComparator(table))
     a, b, c = make_message("a"), make_message("b"), make_message("c")
     compare(CachedComparator(counting, ComparisonCache(path)), a, c)
-    kept = path.read_text(encoding="ascii")
     with path.open("a", encoding="utf-8") as handle:
         # the pair (a, b) in the per-direction format, scored against the backend,
         # so one hit would show
@@ -1047,10 +1045,10 @@ def test_old_format_file_warns_once_compacts_and_misses(tmp_path, caplog):
             key = json.dumps(["CountingComparator", "default", first.id, second.id])
             handle.write(json.dumps({"key": key, "kind": "probability", "value": value}) + "\n")
     with caplog.at_level("WARNING"):
-        store = ComparisonCache(path)
+        store = _load_leaving_the_file_untouched(path)
     warnings = [record.getMessage() for record in caplog.records]
     assert len(warnings) == 1 and "dropping 2 old-format lines" in warnings[0]
-    assert path.read_text(encoding="ascii") == kept and len(store) == 1
+    assert len(store) == 1
     comparator = CachedComparator(counting, store)
     assert compare(comparator, a, b).winner is Winner.B
     assert compare(comparator, a, c).winner is Winner.TIE
@@ -1106,7 +1104,7 @@ def test_cache_corruption_falls_back_and_compacts(tmp_path, fixture_corpus, capl
         store = ComparisonCache(path)
     assert any("CacheInvalid" in record.message for record in caplog.records)
     assert len(store) == 1
-    # compaction rewrote the file without the corrupt line
+    # the corrupt line stays in the file, and a reload drops it again
     reloaded = ComparisonCache(path)
     assert len(reloaded) == 1
     compare(CachedComparator(counting, reloaded), a, b)
@@ -1427,85 +1425,6 @@ def test_a_line_cut_short_is_scored_again_not_served(tmp_path, fixture_corpus, c
     assert counting.backend_calls == 2
 
 
-def test_compaction_failure_leaves_cache_file_intact(tmp_path, fixture_corpus, monkeypatch):
-    path = tmp_path / "cache.jsonl"
-    store = ComparisonCache(path)
-    comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
-    messages = [labeled.message for labeled in fixture_corpus[:6]]
-    for a, b in combinations(messages, 2):
-        compare(comparator, a, b)
-    store.close()
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write("{corrupt line\n")
-    before = path.read_bytes()
-
-    format_line = ComparisonCache._format_line
-    written = []
-
-    def fail_halfway(key, kind, first, second):
-        if len(written) == 5:
-            raise OSError("disk full")
-        written.append(key)
-        return format_line(key, kind, first, second)
-
-    monkeypatch.setattr(ComparisonCache, "_format_line", staticmethod(fail_halfway))
-    with pytest.raises(ExportFailed, match="disk full"):
-        ComparisonCache(path)
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl"]
-
-
-# Loads the cache at argv[2] and kills its own process at the m-th line (argv[1])
-# the load's compaction formats, before that line is written to the temporary file.
-_KILLED_AT_MTH_COMPACTED_LINE = """\
-import os, signal, sys
-from triagerank.compare import ComparisonCache
-format_line, kill_at = ComparisonCache._format_line, int(sys.argv[1])
-formatted = []
-def format_until_killed(key, kind, first, second):
-    formatted.append(key)
-    if len(formatted) == kill_at:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return format_line(key, kind, first, second)
-ComparisonCache._format_line = staticmethod(format_until_killed)
-ComparisonCache(sys.argv[2])
-"""
-
-
-@pytest.mark.parametrize("kill_at", [1, 8, 15])
-def test_a_kill_mid_compaction_leaves_the_cache_file_whole(tmp_path, fixture_corpus, kill_at):
-    """A real SIGKILL at the m-th line of a load's compaction leaves the old file as it was.
-
-    The only trace of the kill is the child's temporary file; a fresh load
-    drops the corrupt line again and serves every good pair. Power loss (an
-    unsynced directory, a torn page) cannot be simulated in a test, so only
-    the kill is checked.
-    """
-    path = tmp_path / "cache.jsonl"
-    store = ComparisonCache(path)
-    comparator = CachedComparator(perfect_oracle(fixture_corpus), store)
-    messages = [labeled.message for labeled in fixture_corpus[:6]]
-    outcomes = [compare(comparator, a, b) for a, b in combinations(messages, 2)]
-    store.close()
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write("not a cache line\n")
-    before = path.read_bytes()
-    env = {**os.environ, "PYTHONPATH": str(Path(triagerank.__file__).resolve().parents[1])}
-    child = subprocess.Popen(
-        [sys.executable, "-c", _KILLED_AT_MTH_COMPACTED_LINE, str(kill_at), str(path)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    assert child.wait(timeout=120) == -signal.SIGKILL
-    assert path.read_bytes() == before
-    leftover = f"cache.jsonl.{child.pid}.tmp"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl", leftover]
-    reloaded = ComparisonCache(path)
-    assert len(reloaded) == len(outcomes) == 15
-    comparator = CachedComparator(perfect_oracle(fixture_corpus), reloaded)
-    for (a, b), outcome in zip(combinations(messages, 2), outcomes):
-        assert comparator.has_cached_pair(a, b) == outcome
-
-
 def test_a_line_that_does_not_decode_is_dropped_and_the_rest_served(tmp_path, caplog):
     # an undecodable byte in a key and one in a value each spoil only their own line
     path = tmp_path / "cache.jsonl"
@@ -1515,17 +1434,19 @@ def test_a_line_that_does_not_decode_is_dropped_and_the_rest_served(tmp_path, ca
         + b"c" * 80 + b" reward 0.\xff5 1.0\n"
     )
     with caplog.at_level("WARNING"):
-        store = ComparisonCache(path)
+        store = _load_leaving_the_file_untouched(path)
     dropped = [record for record in caplog.records if "CacheInvalid" in record.getMessage()]
     assert len(dropped) == 2 and "corrupt cache line" in dropped[0].getMessage()
     assert len(store) == 1 and store.get("a" * 80) == (ScoreKind.PROBABILITY, 0.9, 0.1)
-    assert path.read_bytes() == _GOOD_LINE.encode("ascii")
     store.put("d" * 80, ScoreKind.REWARD, -2.5, 4.0)
     store.close()
     caplog.clear()
+    # the two lines stay in the file, so a reload drops them again
     with caplog.at_level("WARNING"):
         reloaded = ComparisonCache(path)
-    assert not caplog.records
+    assert [record.getMessage() for record in caplog.records] == [
+        record.getMessage() for record in dropped
+    ]
     assert reloaded.get("a" * 80) == (ScoreKind.PROBABILITY, 0.9, 0.1)
     assert reloaded.get("d" * 80) == (ScoreKind.REWARD, -2.5, 4.0)
     assert len(reloaded) == 2
@@ -1569,15 +1490,14 @@ def test_direction_score_of_an_int_too_large_for_a_float_is_bad():
 
 
 @pytest.mark.parametrize("value", [2, -0.0, 1e16, 5e-324, _FloatSubclass(0.25)], ids=repr)
-def test_cache_reads_back_every_score_it_writes(tmp_path, monkeypatch, value):
+def test_cache_reads_back_every_score_it_writes(tmp_path, value):
     path = tmp_path / "cache.jsonl"
     store = ComparisonCache(path)
     key = "k" * 80
     score, negated = DirectionScore(value, ScoreKind.REWARD), DirectionScore(-value, ScoreKind.REWARD)
     store.put(key, ScoreKind.REWARD, score.value, negated.value)
     store.close()
-    reloaded, compacted = _load_spying_compaction(path, monkeypatch)
-    assert not compacted
+    reloaded = _load_leaving_the_file_untouched(path)
     kind, first, second = reloaded.get(key)
     assert kind is ScoreKind.REWARD
     assert (repr(first), repr(second)) == (repr(float(value)), repr(-float(value)))
@@ -1683,9 +1603,7 @@ def test_line_tail_caches_stay_within_their_bound():
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["LS", "PS", "NEL"])
-def test_cache_key_holding_a_raw_unicode_line_break_loads(
-    tmp_path, caplog, monkeypatch, separator
-):
+def test_cache_key_holding_a_raw_unicode_line_break_loads(tmp_path, caplog, separator):
     # the pair key is built from a message id holding a character str.splitlines breaks on
     path = tmp_path / "cache.jsonl"
     odd_id = f"id{separator}x"
@@ -1694,21 +1612,18 @@ def test_cache_key_holding_a_raw_unicode_line_break_loads(
     store = ComparisonCache(path)
     compare(CachedComparator(counting, store), a, b)
     store.close()
-    text = path.read_text(encoding="ascii")
-    assert len(text.splitlines()) == 1
+    assert len(path.read_text(encoding="ascii").splitlines()) == 1
     with caplog.at_level("WARNING"):
-        store, compacted = _load_spying_compaction(path, monkeypatch)
+        store = _load_leaving_the_file_untouched(path)
     assert len(store) == 1
     assert not any("CacheInvalid" in record.message for record in caplog.records)
-    assert not compacted
-    assert path.read_text(encoding="ascii") == text
     comparator = CachedComparator(counting, store)
     outcome = comparator.has_cached_pair(a, b)
     assert (outcome.s_ab.value, outcome.s_ba.value) == (0.75, 0.25)
     assert counting.backend_calls == 2 and comparator.hits == 2
 
 
-def test_identical_duplicate_line_leaves_a_live_writer_where_loads_read(tmp_path, monkeypatch):
+def test_identical_duplicate_line_leaves_a_live_writer_where_loads_read(tmp_path):
     # two stores that both missed a pair each append its line; a later load must
     # not rename a new file under the store still holding its append handle
     path = tmp_path / "cache.jsonl"
@@ -1716,37 +1631,106 @@ def test_identical_duplicate_line_leaves_a_live_writer_where_loads_read(tmp_path
     writer = ComparisonCache(path)
     writer.put("a" * 80, probability, 0.9, 0.1)
     writer.put("a" * 80, probability, 0.9, 0.1)
-    before = path.read_bytes()
-    inode = path.stat().st_ino
-    loaded, compacted = _load_spying_compaction(path, monkeypatch)
-    assert not compacted and len(loaded) == 1
-    assert path.stat().st_ino == inode and path.read_bytes() == before
+    assert len(_load_leaving_the_file_untouched(path)) == 1
     writer.put("b" * 80, probability, 0.1, 0.9)
     writer.close()
     assert ComparisonCache(path).get("b" * 80) == (ScoreKind.PROBABILITY, 0.1, 0.9)
 
 
-def test_duplicate_line_with_different_scores_compacts_to_the_later(tmp_path, monkeypatch):
+def test_duplicate_line_with_different_scores_compacts_to_the_later(tmp_path):
+    # the later line wins in memory; both stay in the file
     path = tmp_path / "cache.jsonl"
-    later = f"{'a' * 80} probability 0.8 0.2\n"
-    path.write_text(f"{'a' * 80} probability 0.9 0.1\n" + later, encoding="ascii")
+    path.write_text(
+        f"{'a' * 80} probability 0.9 0.1\n{'a' * 80} probability 0.8 0.2\n", encoding="ascii"
+    )
+    loaded = _load_leaving_the_file_untouched(path)
+    assert len(loaded) == 1 and loaded.get("a" * 80) == (ScoreKind.PROBABILITY, 0.8, 0.2)
+
+
+def _load_leaving_the_file_untouched(path):
+    """Load the cache at ``path``, checking that the load left the file's bytes and inode."""
+    before, inode = path.read_bytes(), path.stat().st_ino
+    store = ComparisonCache(path)
+    assert path.read_bytes() == before and path.stat().st_ino == inode
+    return store
+
+
+# A pair stored again with other scores, and the first part of a line whose
+# write stopped partway: a load must handle each without moving the file
+# from under a store that still holds its append handle.
+_DAMAGE = {
+    "conflicting duplicate": f"{'a' * 80} probability 0.8 0.2\n".encode("ascii"),
+    "torn last line": f"{'b' * 80} probability 0.0999".encode("ascii"),
+}
+
+# Loads the cache at argv[1] in a process of its own.
+_LOAD = "import sys\nfrom triagerank.compare import ComparisonCache\nComparisonCache(sys.argv[1])\n"
+
+
+@pytest.mark.parametrize("loader", ["this process", "child process"])
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+def test_a_load_leaves_a_live_writer_on_the_file_later_loads_read(tmp_path, damage, loader):
+    path = tmp_path / "cache.jsonl"
+    probability = ScoreKind.PROBABILITY
+    writer = ComparisonCache(path)
+    writer.put("a" * 80, probability, 0.9, 0.1)
+    with path.open("ab") as handle:
+        handle.write(_DAMAGE[damage])
     inode = path.stat().st_ino
-    loaded, compacted = _load_spying_compaction(path, monkeypatch)
-    assert compacted
-    assert path.read_text(encoding="ascii") == later and path.stat().st_ino != inode
-    assert loaded.get("a" * 80) == (ScoreKind.PROBABILITY, 0.8, 0.2)
+    if loader == "this process":
+        ComparisonCache(path)
+    else:
+        env = {**os.environ, "PYTHONPATH": str(Path(triagerank.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", _LOAD, str(path)], env=env, check=True, timeout=120)
+    writer.put("c" * 80, probability, 0.1, 0.9)
+    writer.close()
+    fresh = ComparisonCache(path)
+    assert len(fresh) == 2 and fresh.get("c" * 80) == (probability, 0.1, 0.9)
+    assert path.stat().st_ino == inode
+    if damage == "torn last line":
+        # the load cut the torn line off in place, so the append starts a line
+        assert path.read_bytes() == (
+            f"{'a' * 80} probability 0.9 0.1\n{'c' * 80} probability 0.1 0.9\n".encode("ascii")
+        )
 
 
-def _load_spying_compaction(path, monkeypatch):
-    compactions = []
-    compact = ComparisonCache._compact
+def test_a_load_that_cannot_write_serves_the_good_lines(tmp_path, monkeypatch, caplog):
+    # a read-only cache: neither a rename nor a truncation can succeed
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(
+        _GOOD_LINE.encode("ascii") + b"not a cache line\n" + _DAMAGE["torn last line"]
+    )
 
-    def spy(self):
-        compactions.append(self)
-        compact(self)
+    def read_only(*args, **kwargs):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS))
 
-    monkeypatch.setattr(ComparisonCache, "_compact", spy)
-    return ComparisonCache(path), bool(compactions)
+    monkeypatch.setattr(corpus.os, "replace", read_only)
+    monkeypatch.setattr(os, "truncate", read_only)
+    with caplog.at_level("WARNING"):
+        store = _load_leaving_the_file_untouched(path)
+    assert len(store) == 1 and store.get("a" * 80) == (ScoreKind.PROBABILITY, 0.9, 0.1)
+    warnings = [record.getMessage() for record in caplog.records]
+    assert len(warnings) == 3 and "Read-only file system" in warnings[2]
+
+
+def test_a_torn_last_line_is_not_cut_once_another_store_has_appended(tmp_path, monkeypatch):
+    # another store appends between the load's read and its truncation: the load
+    # leaves the file as it is, so it cuts off no line it has not read
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(_GOOD_LINE.encode("ascii") + _DAMAGE["torn last line"])
+    appended = f"{'c' * 80} probability 0.1 0.9\n".encode("ascii")
+    fstat = os.fstat
+
+    def append_then_fstat(fd):
+        with path.open("ab") as handle:
+            handle.write(appended)
+        return fstat(fd)
+
+    monkeypatch.setattr(os, "fstat", append_then_fstat)
+    before = path.read_bytes()
+    ComparisonCache(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before + appended
 
 
 _GOOD_LINE = f"{'a' * 80} probability 0.9 0.1\n"
@@ -1766,10 +1750,9 @@ def test_cache_value_that_is_not_a_finite_json_number_is_corrupt(
     path = tmp_path / "cache.jsonl"
     path.write_text(_GOOD_LINE + bad_line, encoding="utf-8")
     with caplog.at_level("WARNING"):
-        store = ComparisonCache(path)
+        store = _load_leaving_the_file_untouched(path)
     assert any("CacheInvalid" in record.message for record in caplog.records)
     assert store.get("b" * 80) is None and len(store) == 1
-    assert path.read_text(encoding="utf-8") == _GOOD_LINE
 
 
 _TOKENS = [
@@ -1781,7 +1764,7 @@ _TOKENS = [
 @pytest.mark.parametrize("kind", list(ScoreKind), ids=lambda kind: kind.value)
 @pytest.mark.parametrize("token", _TOKENS, ids=lambda token: token[:12])
 def test_cache_load_keeps_exactly_the_values_a_direction_score_accepts(
-    tmp_path, caplog, monkeypatch, token, kind
+    tmp_path, caplog, token, kind
 ):
     # the load checks values without building scores; it must agree with DirectionScore
     try:
@@ -1793,14 +1776,13 @@ def test_cache_load_keeps_exactly_the_values_a_direction_score_accepts(
     lines = [f"{'e' * 80} {kind.value} {token} 0.5\n", f"{'f' * 80} {kind.value} 0.5 {token}\n"]
     path.write_text(_GOOD_LINE + "".join(lines), encoding="ascii")
     with caplog.at_level("WARNING"):
-        store, compacted = _load_spying_compaction(path, monkeypatch)
+        store = _load_leaving_the_file_untouched(path)
     if expected is None:
-        assert len(store) == 1 and compacted
+        assert len(store) == 1
         assert store.get("e" * 80) is None and store.get("f" * 80) is None
         assert sum("CacheInvalid" in record.getMessage() for record in caplog.records) == 2
-        assert path.read_text(encoding="ascii") == _GOOD_LINE
         return
-    assert len(store) == 3 and not compacted and not caplog.records
+    assert len(store) == 3 and not caplog.records
     e_kind, e_first, e_second = store.get("e" * 80)
     f_kind, f_first, f_second = store.get("f" * 80)
     assert e_kind is f_kind is kind and e_second == f_first == 0.5

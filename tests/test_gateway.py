@@ -405,6 +405,17 @@ def test_config_validation():
         EndpointConfig(base_url="http://x", model_name="m", max_retries=-1)
     with pytest.raises(ConfigError):
         EndpointConfig(base_url="http://x", model_name="m", max_parallel=0)
+    # values the request's socket or sleep would refuse only once it is sent
+    for settings in (
+        {"timeout": math.nan},
+        {"timeout": math.inf},
+        {"retry_backoff": -0.5},
+        {"retry_backoff": math.nan},
+        {"retry_backoff": math.inf},
+    ):
+        with pytest.raises(ConfigError):
+            EndpointConfig(base_url="http://x", model_name="m", **settings)
+    assert EndpointConfig(base_url="http://x", model_name="m", retry_backoff=0).retry_backoff == 0
 
 
 @pytest.mark.parametrize(

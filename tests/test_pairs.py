@@ -380,6 +380,12 @@ def test_bad_cap_rejected(fixture_corpus):
         build_triplets(fixture_corpus, max_uses_per_message=4, seed=0, count=0)
     with pytest.raises(ConfigError):
         build_eval_pairs(fixture_corpus, count=-1, seed=0)
+    # a negative quota is refused as a negative count is, not read as 0
+    with pytest.raises(ConfigError, match="quota for easy must be non-negative"):
+        build_eval_pairs(
+            fixture_corpus, count=0, seed=0,
+            difficulty_quotas={Difficulty.EASY: -3, Difficulty.HARD: 2},
+        )
 
 
 def test_triplets_file_round_trip(tmp_path, fixture_corpus):
